@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .permcore import Perm, PermGroupBSGS, orbit, parse_cycles, perm_order
+from .permcore import Perm, PermGroupBSGS, parse_cycles, perm_order
 
 PSL2_FIELD_SIZES = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
 
@@ -375,15 +375,6 @@ def m11_group() -> ConstructedGroup:
     return group
 
 
-def direct_product(g1: ConstructedGroup, g2: ConstructedGroup) -> ConstructedGroup:
-    """Product group acting on the disjoint union of the two domains."""
-    d1, d2 = g1.degree, g2.degree
-    gens = [tuple(list(g) + list(range(d1, d1 + d2))) for g in g1.generators]
-    gens += [tuple(list(range(d1)) + [d1 + i for i in g]) for g in g2.generators]
-    spec = f"product({g1.spec},{g2.spec})"
-    return _gate(spec, d1 + d2, gens, g1.order * g2.order)
-
-
 def load_group_file(path: str) -> ConstructedGroup:
     """Read a group from a text file: a degree line, then generator lines.
 
@@ -464,6 +455,3 @@ def atlas_entries() -> list[str]:
         "file:PATH         generators from a text file (degree line, cycles)",
     ]
 
-
-def is_transitive(group: ConstructedGroup) -> bool:
-    return len(orbit(group.generators, 0)) == group.degree

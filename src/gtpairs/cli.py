@@ -8,12 +8,22 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 from .atlas import ConstructionError, GroupSpecError, atlas_entries, construct
-from .autgroup import out_representatives
+from .autgroup import OutReps, out_representatives
 from .dessins import DessinError, analyze_dessin, cyclic_structures, load_dessin
 from .gbar import GbarError, build_gbar, double_coset_survey, gt_full_order
-from .pairs import PairLookupError, block_partition, build_pc, induced_perms
+from .pairs import (
+    BlockPartition,
+    InducedPerms,
+    PairLookupError,
+    PcSet,
+    block_partition,
+    build_pc,
+    induced_perms,
+)
 from .permcore import (
     DEFAULT_CAP,
     ConjugacyClassTable,
@@ -22,7 +32,14 @@ from .permcore import (
     EnumerationCapError,
     cycle_type,
 )
-from .sgroup import SgBudgetError, build_haction, packet_decomposition, sg_report
+from .sgroup import (
+    PacketDecomposition,
+    SgBudgetError,
+    SgReport,
+    build_haction,
+    packet_decomposition,
+    sg_report,
+)
 from .structure import StructureSizeError, fingerprint_recognize
 
 USER_ERRORS = (
@@ -146,7 +163,36 @@ def _word_text(word: tuple[int, ...]) -> str:
     return " ".join(WORD_LETTERS[letter] for letter in word)
 
 
-def _pc_data(spec: str, cap: int, threads: int) -> dict:
+@dataclass
+class PairStages:
+    """The pair-class chain of one group, with its stage timings.
+
+    Element and conjugacy tables, pair classes, outer representatives, the
+    induced permutations and the block partition are built eagerly; the
+    packet decomposition runs on first use of `decomposition`.
+    """
+
+    table: ElementTable
+    classes: ConjugacyClassTable
+    pcset: PcSet
+    outs: OutReps
+    ind: InducedPerms
+    blocks: BlockPartition
+    timings: dict[str, float]
+
+    @cached_property
+    def decomposition(self) -> tuple[ElementTable, PacketDecomposition, SgReport]:
+        """The closed induced action H, its packets and the S report."""
+        start = time.perf_counter()
+        h = build_haction(self.ind)
+        decomp = packet_decomposition(h, self.blocks.block_of)
+        rep = sg_report(decomp, h, self.blocks.block_of)
+        self.timings["decomposition"] = time.perf_counter() - start
+        return h, decomp, rep
+
+
+def pair_stages(spec: str, cap: int = DEFAULT_CAP, threads: int = 1) -> PairStages:
+    """Run the pair-class chain for a group spec up to the block partition."""
     timings = {}
     start = time.perf_counter()
     group = construct(spec)
@@ -163,46 +209,47 @@ def _pc_data(spec: str, cap: int, threads: int) -> dict:
     timings["action"] = time.perf_counter() - start
     if pcset.ell % outs.out_order:
         raise RuntimeError("pair classes do not split evenly into outer orbits")
-    report = {
+    return PairStages(table, classes, pcset, outs, ind, blocks, timings)
+
+
+def _fingerprint_ab(rep: SgReport) -> list[int] | None:
+    ab = fingerprint_recognize(rep.fingerprint)
+    return None if ab is None else [ab[0], ab[1]]
+
+
+def _pc_report(command: str, spec: str, st: PairStages) -> dict:
+    ind, outs = st.ind, st.outs
+    return {
         "schema": 1,
+        "command": command,
         "spec": spec,
-        "ell": pcset.ell,
+        "ell": st.pcset.ell,
         "out_order": outs.out_order,
-        "r": pcset.ell // outs.out_order,
+        "r": st.pcset.ell // outs.out_order,
         "block_sizes": sorted(
-            Counter(len(b) for b in blocks.blocks).items()
+            Counter(len(b) for b in st.blocks.blocks).items()
         ),
         "theta_cycle_type": _fmt_cycle_type(cycle_type(ind.theta)),
         "delta_cycle_type": _fmt_cycle_type(cycle_type(ind.delta)),
         "out_cycle_types": [
             _fmt_cycle_type(cycle_type(p)) for p in ind.out_perms
         ],
-        "timings": timings,
+        "timings": st.timings,
     }
-    report["_internal"] = (ind, blocks)
-    return report
 
 
 def _cmd_pc(args: argparse.Namespace) -> dict:
-    report = _pc_data(args.spec, args.cap, _threads(args))
-    report.pop("_internal")
-    report["command"] = "pc"
-    return report
+    return _pc_report("pc", args.spec, pair_stages(args.spec, args.cap, args.threads))
 
 
 def _cmd_sg(args: argparse.Namespace) -> dict:
-    report = _pc_data(args.spec, args.cap, _threads(args))
-    ind, blocks = report.pop("_internal")
-    report["command"] = "sg"
-    start = time.perf_counter()
-    h = build_haction(ind)
-    decomp = packet_decomposition(h, blocks.block_of)
-    rep = sg_report(decomp, h, blocks.block_of)
-    report["timings"]["decomposition"] = time.perf_counter() - start
+    st = pair_stages(args.spec, args.cap, args.threads)
+    _, _, rep = st.decomposition
+    report = _pc_report("sg", args.spec, st)
     packet_counts = Counter(
         (p["e_order"], p["s"]) for p in rep.packets
     )
-    ab = fingerprint_recognize(rep.fingerprint)
+    ab = _fingerprint_ab(rep)
     if ab is None:
         verdict = "no C2^a x D8^b model match"
     else:
@@ -218,7 +265,7 @@ def _cmd_sg(args: argparse.Namespace) -> dict:
             "order_factored": str(rep.factored_order),
             "simple_factors": _aggregate_labels(rep.simple_factors),
             "fingerprint_verdict": verdict,
-            "fingerprint_ab": None if ab is None else [ab[0], ab[1]],
+            "fingerprint_ab": ab,
         }
     )
     return report
@@ -288,21 +335,6 @@ def _cmd_dessin(args: argparse.Namespace) -> dict:
     return report
 
 
-def _sg_order_and_ab(spec: str, cap: int, threads: int) -> tuple[str, list[int]]:
-    group = construct(spec)
-    table = ElementTable(group.generators, group.degree, cap=cap)
-    classes = ConjugacyClassTable(table)
-    pcset = build_pc(table, classes, threads=threads)
-    outs = out_representatives(classes, pcset)
-    ind = induced_perms(pcset, outs.maps)
-    blocks = block_partition(pcset)
-    h = build_haction(ind)
-    decomp = packet_decomposition(h, blocks.block_of)
-    rep = sg_report(decomp, h, blocks.block_of)
-    ab = fingerprint_recognize(rep.fingerprint)
-    return str(rep.factored_order), None if ab is None else [ab[0], ab[1]]
-
-
 def _repro_entries(args: argparse.Namespace) -> list[dict]:
     entries = []
 
@@ -316,14 +348,13 @@ def _repro_entries(args: argparse.Namespace) -> list[dict]:
             }
         )
 
-    threads = _threads(args)
     if args.table == "psl2":
         qs = PSL2_DEFAULT + (PSL2_EXTENDED if args.extended else ())
         for q in qs:
-            order, ab = _sg_order_and_ab(f"psl2:{q}", args.cap, threads)
+            _, _, rep = pair_stages(f"psl2:{q}", args.cap, args.threads).decomposition
             want_order, want_ab = PSL2_EXPECTED[q]
-            check(f"psl2-{q}-order", want_order, order)
-            check(f"psl2-{q}-fingerprint", want_ab, ab)
+            check(f"psl2-{q}-order", want_order, str(rep.factored_order))
+            check(f"psl2-{q}-fingerprint", want_ab, _fingerprint_ab(rep))
     elif args.table == "dihedral":
         for n in sorted(DIHEDRAL_GT1_EXPECTED):
             gbar = build_gbar(construct(f"dihedral:{n}"), cap=args.cap)
@@ -361,12 +392,6 @@ def _cmd_repro(args: argparse.Namespace) -> dict:
 
 def _cmd_atlas(args: argparse.Namespace) -> dict:
     return {"schema": 1, "command": "atlas", "entries": atlas_entries()}
-
-
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads < 0:
-        raise GroupSpecError("--threads must be nonnegative")
-    return args.threads or os.cpu_count() or 1
 
 
 def _render(report: dict) -> str:
@@ -474,6 +499,9 @@ def run(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = _parser().parse_args(argv)
     try:
+        if args.threads < 0:
+            raise GroupSpecError("--threads must be nonnegative")
+        args.threads = args.threads or os.cpu_count() or 1
         report = DISPATCH[args.command](args)
     except USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

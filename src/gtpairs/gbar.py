@@ -14,7 +14,7 @@ from math import gcd
 
 from .atlas import ConstructedGroup
 from .autgroup import out_representatives
-from .pairs import build_pc
+from .pairs import build_pc, induced_perms
 from .permcore import (
     DEFAULT_CAP,
     ConjugacyClassTable,
@@ -25,8 +25,10 @@ from .permcore import (
     generates,
     identity_perm,
     inverse,
+    orbit,
     perm_order,
 )
+from .structure import mul_power
 
 
 class GbarError(RuntimeError):
@@ -88,21 +90,13 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
     outs = out_representatives(classes, pcset)
     if pcset.ell % outs.out_order:
         raise GbarError("pair classes do not split evenly into outer orbits")
+    out_perms = induced_perms(pcset, outs.maps).out_perms
     seen = [False] * pcset.ell
     reps = []
     for i in range(pcset.ell):
         if seen[i]:
             continue
-        orbit = {i}
-        queue = [i]
-        for p in queue:
-            for m in outs.maps:
-                g_id, h_id = pcset.reps[p]
-                q = pcset.locate(m.images[g_id], m.images[h_id])
-                if q not in orbit:
-                    orbit.add(q)
-                    queue.append(q)
-        for q in orbit:
+        for q in orbit(out_perms, i):
             seen[q] = True
         reps.append(i)
     r = len(reps)
@@ -161,31 +155,25 @@ def evaluate_endo(gbar: GbarGroup, endo: EndoImages, element: Perm) -> Perm:
     return acc
 
 
-def _power(p: Perm, k: int) -> Perm:
-    acc = identity_perm(len(p))
-    base = p
-    while k:
-        if k & 1:
-            acc = compose(acc, base)
-        base = compose(base, base)
-        k >>= 1
-    return acc
-
-
 def _centralizer(gbar: GbarGroup, a: Perm) -> list[Perm]:
     return [e for e in gbar.table.elements if compose(e, a) == compose(a, e)]
 
 
 def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
     """Flag every double coset of the centralizers of the k-th generator powers."""
-    xk = _power(gbar.x, k)
-    yk = _power(gbar.y, k)
+    table = gbar.table
+
+    def power(p: Perm) -> Perm:
+        return table.elements[mul_power(table, table.index[p], k)]
+
+    xk = power(gbar.x)
+    yk = power(gbar.y)
     cx = _centralizer(gbar, xk)
     cy = _centralizer(gbar, yk)
     cy_set = set(cy)
     theta = theta_images(gbar)
     delta = delta_images(gbar)
-    prod_inv_k = _power(compose(inverse(gbar.y), inverse(gbar.x)), k)
+    prod_inv_k = power(compose(inverse(gbar.y), inverse(gbar.x)))
     yk_inv = inverse(yk)
     visited = [False] * gbar.order
     reps: list[DoubleCosetRep] = []
@@ -235,16 +223,6 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
     return reps
 
 
-def gt1_order(
-    group: ConstructedGroup, cap: int = DEFAULT_CAP
-) -> tuple[int, list[DoubleCosetRep]]:
-    """Count surviving double cosets for the identity power."""
-    gbar = build_gbar(group, cap)
-    reps = double_coset_survey(gbar, 1)
-    survivors = [rep for rep in reps if rep.survives]
-    return len(survivors), survivors
-
-
 def gt_full_order(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> int:
     """Sum the surviving double cosets over all powers coprime to the order.
 
@@ -260,10 +238,3 @@ def gt_full_order(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> int:
             continue
         total += sum(1 for rep in double_coset_survey(gbar, k) if rep.survives)
     return total
-
-
-def dihedral_closed_form(n: int) -> int:
-    """Known count for dihedral groups: trivial exactly when 4 divides n."""
-    if n < 3:
-        raise ValueError("dihedral groups start at n = 3")
-    return 1 if n % 4 == 0 else 2

@@ -32,14 +32,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(q[i] for i in p)
 
 
-def compose_many(*perms: Perm) -> Perm:
-    """Apply the given permutations left to right."""
-    out = perms[0]
-    for p in perms[1:]:
-        out = tuple(p[i] for i in out)
-    return out
-
-
 def inverse(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, img in enumerate(p):
@@ -360,32 +352,6 @@ class ConjugacyClassTable:
         ]
         self._centralizers[e] = out
         return out
-
-
-def transporter_pair(
-    classes: ConjugacyClassTable,
-    pair_a: tuple[int, int],
-    pair_b: tuple[int, int],
-) -> Perm | None:
-    """A permutation conjugating one element pair onto another, if one exists.
-
-    Pairs are element ids of the underlying table.  Any solution of
-    a^t = a' lies in the coset C(a) * t0, so those are scanned for one that
-    also moves b to b'.
-    """
-    a, b = pair_a
-    a2, b2 = pair_b
-    if classes.class_of[a] != classes.class_of[a2]:
-        return None
-    table = classes.table
-    t0 = compose(inverse(classes.transporters[a]), classes.transporters[a2])
-    pb = table.elements[b]
-    pb2 = table.elements[b2]
-    for c in classes.centralizer_ids(a):
-        t = compose(table.elements[c], t0)
-        if conjugate(pb, t) == pb2:
-            return t
-    return None
 
 
 def transporter_tuple(

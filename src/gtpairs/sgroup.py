@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from math import factorial
 
 from .pairs import InducedPerms
-from .permcore import Perm, compose, identity_perm, inverse, is_identity
+from .permcore import ElementTable, Perm, compose, is_identity
 from .structure import (
     FactoredOrder,
     GroupFingerprint,
-    PermListTable,
     composition_factors_small,
     product_fingerprint,
     simple_factor_order,
@@ -36,43 +35,14 @@ class SgBudgetError(RuntimeError):
     pass
 
 
-@dataclass
-class HAction:
-    """Enumerated closure of the induced permutations on pair-class indices."""
-
-    ell: int
-    gens: list[tuple[str, Perm]]
-    elements: list[Perm]
-    index: dict[Perm, int]
-    mul_idx: list[list[int]]
-    inv_idx: list[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def build_haction(induced: InducedPerms) -> HAction:
-    gens = [(f"out:{i}", p) for i, p in enumerate(induced.out_perms)]
-    gens.append(("theta", induced.theta))
-    gens.append(("delta", induced.delta))
-    ell = len(induced.theta)
-    ident = identity_perm(ell)
-    elements = [ident]
-    index = {ident: 0}
-    for e in elements:
-        for _, g in gens:
-            n = compose(e, g)
-            if n not in index:
-                index[n] = len(elements)
-                elements.append(n)
-    if len(elements) > 6 * len(induced.out_perms):
+def build_haction(induced: InducedPerms) -> ElementTable:
+    """The closure H of the outer, theta and delta permutations of the pair
+    classes, generated in that order."""
+    gens = list(induced.out_perms) + [induced.theta, induced.delta]
+    h = ElementTable(gens, len(induced.theta))
+    if h.order > 6 * len(induced.out_perms):
         raise RuntimeError("induced action closure exceeded six per outer class")
-    mul_idx = [
-        [index[compose(a, b)] for b in elements] for a in elements
-    ]
-    inv_idx = [index[inverse(e)] for e in elements]
-    return HAction(ell, gens, elements, index, mul_idx, inv_idx)
+    return h
 
 
 @dataclass
@@ -82,28 +52,28 @@ class HOrbit:
     stabilizer: frozenset[int]
 
 
-def h_orbits(h: HAction) -> list[HOrbit]:
+def h_orbits(h: ElementTable) -> list[HOrbit]:
     """Orbits on {0..ell-1} in ascending base order, with exact stabilizers."""
-    seen = [False] * h.ell
+    seen = [False] * h.degree
     out = []
-    for p in range(h.ell):
+    for p in range(h.degree):
         if seen[p]:
             continue
         pts = sorted({e[p] for e in h.elements})
         for q in pts:
             seen[q] = True
         stab = frozenset(i for i, e in enumerate(h.elements) if e[p] == p)
-        if len(pts) * len(stab) != len(h.elements):
+        if len(pts) * len(stab) != h.order:
             raise RuntimeError("orbit size times stabilizer size is not the group size")
         out.append(HOrbit(pts, p, stab))
     return out
 
 
-def _point_stabilizer(h: HAction, q: int) -> frozenset[int]:
+def _point_stabilizer(h: ElementTable, q: int) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(h.elements) if e[q] == q)
 
 
-def _equivariant_map(h: HAction, o1: HOrbit, q: int) -> dict[int, int]:
+def _equivariant_map(h: ElementTable, o1: HOrbit, q: int) -> dict[int, int]:
     """The map sending e(base of o1) to e(q) for every e in the closure."""
     bij: dict[int, int] = {}
     for e in h.elements:
@@ -117,7 +87,7 @@ def _equivariant_map(h: HAction, o1: HOrbit, q: int) -> dict[int, int]:
 
 
 def orbit_equivalence(
-    h: HAction, o1: HOrbit, o2: HOrbit, block_of: list[int]
+    h: ElementTable, o1: HOrbit, o2: HOrbit, block_of: list[int]
 ) -> dict[int, int] | None:
     """Equivariant block-respecting bijection from o1 onto o2, if one exists."""
     if len(o1.points) != len(o2.points):
@@ -131,7 +101,7 @@ def orbit_equivalence(
     return None
 
 
-def _self_equivalences(h: HAction, orbit: HOrbit, block_of: list[int]) -> list[Perm]:
+def _self_equivalences(h: ElementTable, orbit: HOrbit, block_of: list[int]) -> list[Perm]:
     """All equivariant block-respecting self-bijections of an orbit, as local perms."""
     pos = {p: i for i, p in enumerate(orbit.points)}
     out = []
@@ -179,23 +149,26 @@ class PacketDecomposition:
     exact_partition: list[list[int]]
 
 
-def _canonical_stabilizer_key(h: HAction, stab: frozenset[int]) -> tuple[int, ...]:
+def _canonical_stabilizer_key(
+    mul: list[list[int]], inv: list[int], stab: frozenset[int]
+) -> tuple[int, ...]:
     best = None
-    for g in range(len(h.elements)):
-        ginv = h.inv_idx[g]
-        conj = tuple(sorted(h.mul_idx[h.mul_idx[ginv][s]][g] for s in stab))
+    for g in range(len(mul)):
+        conj = tuple(sorted(mul[mul[inv[g]][s]][g] for s in stab))
         if best is None or conj < best:
             best = conj
     return best
 
 
-def packet_decomposition(h: HAction, block_of: list[int]) -> PacketDecomposition:
+def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecomposition:
     """Group the orbits into packets of equivalent orbits and compute each E."""
     orbits = h_orbits(h)
+    mul = [[h.index[compose(a, b)] for b in h.elements] for a in h.elements]
+    inv = [h.inverse_id(g) for g in range(h.order)]
     coarse_groups: dict[tuple, list[int]] = {}
     for idx, o in enumerate(orbits):
         profile = tuple(sorted(Counter(block_of[p] for p in o.points).values()))
-        key = (_canonical_stabilizer_key(h, o.stabilizer), profile)
+        key = (_canonical_stabilizer_key(mul, inv, o.stabilizer), profile)
         coarse_groups.setdefault(key, []).append(idx)
     coarse_partition = list(coarse_groups.values())
     classes: list[tuple[list[int], list[dict[int, int]]]] = []
@@ -238,7 +211,7 @@ def _lift_local(perm: Perm, points: list[int], ell: int) -> Perm:
 
 
 def assemble_generators(
-    decomp: PacketDecomposition, h: HAction, block_of: list[int]
+    decomp: PacketDecomposition, h: ElementTable, block_of: list[int]
 ) -> list[Perm]:
     """Explicit generators on {0..ell-1}: E on one orbit plus member swaps."""
     gens = []
@@ -246,20 +219,20 @@ def assemble_generators(
         for loc in f.e_elements:
             if is_identity(loc):
                 continue
-            gens.append(_lift_local(loc, f.points, h.ell))
+            gens.append(_lift_local(loc, f.points, h.degree))
         for i in range(1, f.s):
             prev, cur = f.bijections[i - 1], f.bijections[i]
-            arr = list(range(h.ell))
+            arr = list(range(h.degree))
             for p in f.points:
                 u, v = prev[p], cur[p]
                 arr[u] = v
                 arr[v] = u
             gens.append(tuple(arr))
     for g in gens:
-        for _, hp in h.gens:
+        for hp in h.generators:
             if compose(g, hp) != compose(hp, g):
                 raise RuntimeError("emitted generator fails to commute")
-        if any(block_of[g[p]] != block_of[p] for p in range(h.ell)):
+        if any(block_of[g[p]] != block_of[p] for p in range(h.degree)):
             raise RuntimeError("emitted generator moves a point across blocks")
     return gens
 
@@ -281,14 +254,14 @@ class SgReport:
 
 
 def sg_report(
-    decomp: PacketDecomposition, h: HAction, block_of: list[int]
+    decomp: PacketDecomposition, h: ElementTable, block_of: list[int]
 ) -> SgReport:
     factored = FactoredOrder()
     simple: list[str] = []
     packets = []
-    for f in decomp.factors:
+    e_tables = [ElementTable(f.e_elements, len(f.points)) for f in decomp.factors]
+    for f, e_table in zip(decomp.factors, e_tables):
         factored = factored.times(f.factor_order())
-        e_table = PermListTable(f.e_elements)
         simple += composition_factors_small(e_table) * f.s
         simple += simple_factors_of_symmetric(f.s)
         packets.append(
@@ -303,15 +276,15 @@ def sg_report(
     with_hist = set(factored.factors) <= {2}
     fingerprint = product_fingerprint(
         [
-            wreath_fingerprint(PermListTable(f.e_elements), f.s, histogram=with_hist)
-            for f in decomp.factors
+            wreath_fingerprint(e_table, f.s, histogram=with_hist)
+            for f, e_table in zip(decomp.factors, e_tables)
         ],
         histogram=with_hist,
     )
     if fingerprint.order != factored.value():
         raise RuntimeError("fingerprint order disagrees with factored order")
     generators = None
-    if h.ell <= GENERATOR_EMIT_LIMIT:
+    if h.degree <= GENERATOR_EMIT_LIMIT:
         generators = assemble_generators(decomp, h, block_of)
     return SgReport(
         factored_order=factored,
@@ -326,11 +299,11 @@ def sg_report(
 
 
 def brute_force_sg(
-    h: HAction, block_of: list[int], budget: int = DEFAULT_BRUTE_BUDGET
+    h: ElementTable, block_of: list[int], budget: int = DEFAULT_BRUTE_BUDGET
 ) -> list[Perm]:
     """Filter the whole block-wise symmetric group by commutation, exhaustively."""
     blocks: dict[int, list[int]] = {}
-    for p in range(h.ell):
+    for p in range(h.degree):
         blocks.setdefault(block_of[p], []).append(p)
     block_lists = list(blocks.values())
     total = 1
@@ -344,11 +317,11 @@ def brute_force_sg(
     for combo in itertools.product(
         *(list(itertools.permutations(pts)) for pts in block_lists)
     ):
-        arr = list(range(h.ell))
+        arr = list(range(h.degree))
         for pts, images in zip(block_lists, combo):
             for src, dst in zip(pts, images):
                 arr[src] = dst
         g = tuple(arr)
-        if all(compose(g, hp) == compose(hp, g) for _, hp in h.gens):
+        if all(compose(g, hp) == compose(hp, g) for hp in h.generators):
             out.append(g)
     return out

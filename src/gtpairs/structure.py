@@ -2,10 +2,12 @@
 
 Groups enter this module as "mul tables": objects with an integer `order`,
 methods mul(a, b), inverse_id(a), element_order(a), and the identity at
-id 0.  ElementTable satisfies the interface; PermListTable, SubgroupTable
-and QuotientTable below provide it for derived constructions.  Fingerprints
+id 0.  ElementTable satisfies the interface; SubgroupTable and
+QuotientTable below provide it for derived constructions.  Fingerprints
 of large products are assembled per factor with closed wreath-product
-formulas instead of materializing the group.
+formulas instead of materializing the group.  The small integer helpers
+(factorint, isprime, primerange, partitions) are stdlib trial division and
+recursion, sized for the group orders met here.
 """
 
 from __future__ import annotations
@@ -13,14 +15,52 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, lcm
 
-from sympy import factorint, isprime, primerange
-from sympy.utilities.iterables import partitions
-
-from .permcore import Perm, compose, identity_perm, inverse, perm_order
+from .permcore import ElementTable
 
 
 class StructureSizeError(RuntimeError):
     pass
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime -> exponent map of a positive integer, primes ascending."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def isprime(n: int) -> bool:
+    return n >= 2 and factorint(n) == {n: 1}
+
+
+def primerange(a: int, b: int) -> list[int]:
+    """Primes p with a <= p < b."""
+    return [p for p in range(max(a, 2), b) if isprime(p)]
+
+
+def partitions(n: int):
+    """Partitions of n as fresh {part: multiplicity} dicts, largest part
+    first, in reverse lexicographic order."""
+
+    def split(rest: int, largest: int):
+        if rest == 0:
+            yield {}
+            return
+        for part in range(min(rest, largest), 0, -1):
+            for tail in split(rest - part, part):
+                out = {part: 1}
+                for q, m in tail.items():
+                    out[q] = out.get(q, 0) + m
+                yield out
+
+    return split(n, n)
 
 
 class FactoredOrder:
@@ -77,36 +117,6 @@ class FactoredOrder:
         for p, e in self.factors.items():
             parts.append(str(p) if e == 1 else f"{p}^{e}")
         return " * ".join(parts)
-
-
-class PermListTable:
-    """Mul table over an explicit closed list of permutations."""
-
-    def __init__(self, elements: list[Perm]):
-        if not elements:
-            raise ValueError("empty element list")
-        degree = len(elements[0])
-        ident = identity_perm(degree)
-        if ident not in elements:
-            raise ValueError("element list lacks the identity")
-        self.elements = [ident] + sorted(e for e in set(elements) if e != ident)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self._inverse_ids: list[int] | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.index[compose(self.elements[i], self.elements[j])]
-
-    def inverse_id(self, i: int) -> int:
-        if self._inverse_ids is None:
-            self._inverse_ids = [self.index[inverse(e)] for e in self.elements]
-        return self._inverse_ids[i]
-
-    def element_order(self, i: int) -> int:
-        return perm_order(self.elements[i])
 
 
 class SubgroupTable:
@@ -438,12 +448,9 @@ def _two_power_exponent(n: int) -> int | None:
     return n.bit_length() - 1
 
 
-_C2_ELEMENTS = [(0, 1), (1, 0)]
-
-
 def c2_d8_model_fingerprint(a: int, b: int) -> GroupFingerprint:
     """Fingerprint of C2^a x D8^b, built from the order-2 group by formula."""
-    c2 = PermListTable(_C2_ELEMENTS)
+    c2 = ElementTable([(1, 0)], 2)
     factors = [GroupFingerprint.from_mul(c2)] * a + [wreath_fingerprint(c2, 2)] * b
     return product_fingerprint(factors)
 

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from gtpairs.atlas import construct
-from gtpairs.autgroup import out_representatives
+from gtpairs.cli import pair_stages
 from gtpairs.dessins import (
     DessinXY,
     GammaStructure,
@@ -16,14 +16,8 @@ from gtpairs.dessins import (
     cyclic_structures,
     triple_isomorphic,
 )
-from gtpairs.gbar import (
-    build_gbar,
-    dihedral_closed_form,
-    double_coset_survey,
-    gt1_order,
-    gt_full_order,
-)
-from gtpairs.pairs import block_partition, build_pc, induced_perms
+from gtpairs.gbar import build_gbar, double_coset_survey, gt_full_order
+from gtpairs.pairs import build_pc
 from gtpairs.permcore import (
     ConjugacyClassTable,
     ElementTable,
@@ -32,12 +26,7 @@ from gtpairs.permcore import (
     identity_perm,
     parse_cycles,
 )
-from gtpairs.sgroup import (
-    brute_force_sg,
-    build_haction,
-    packet_decomposition,
-    sg_report,
-)
+from gtpairs.sgroup import brute_force_sg, build_haction, packet_decomposition
 from gtpairs.structure import (
     FactoredOrder,
     GroupFingerprint,
@@ -48,27 +37,20 @@ from gtpairs.structure import (
     fingerprint_recognize,
     simple_factor_order,
 )
+from group_oracles import dihedral_closed_form, gt1_order
 
 THREADS = os.cpu_count() or 1
 
 
 def _pipeline(spec: str, threads: int = 1):
-    group = construct(spec)
-    table = ElementTable(group.generators, group.degree)
-    classes = ConjugacyClassTable(table)
-    pcset = build_pc(table, classes, threads=threads)
-    outs = out_representatives(classes, pcset)
-    ind = induced_perms(pcset, outs.maps)
-    blocks = block_partition(pcset)
-    return table, classes, pcset, outs, ind, blocks
+    st = pair_stages(spec, threads=threads)
+    return st.table, st.classes, st.pcset, st.outs, st.ind, st.blocks
 
 
 def _sg(spec: str, threads: int = 1):
-    table, classes, pcset, outs, ind, blocks = _pipeline(spec, threads)
-    h = build_haction(ind)
-    decomp = packet_decomposition(h, blocks.block_of)
-    rep = sg_report(decomp, h, blocks.block_of)
-    return rep, table, classes, pcset, outs, blocks, h, decomp
+    st = pair_stages(spec, threads=threads)
+    h, decomp, rep = st.decomposition
+    return rep, st.table, st.classes, st.pcset, st.outs, st.blocks, h, decomp
 
 
 def _perm_closure(perms, ell: int) -> set:
@@ -101,7 +83,7 @@ def test_criterion_02_psl2_7_decomposition() -> None:
     assert rep.factored_order == FactoredOrder.of(2**9)
     assert fingerprint_recognize(rep.fingerprint) == (3, 2)
     assert rep.generators is not None
-    sg_table = ElementTable(rep.generators, h.ell)
+    sg_table = ElementTable(rep.generators, h.degree)
     assert sg_table.order == 512
     assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
     center = center_element_ids(sg_table)

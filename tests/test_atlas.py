@@ -10,11 +10,10 @@ from gtpairs.atlas import (
     GroupSpecError,
     atlas_entries,
     construct,
-    direct_product,
-    is_transitive,
     load_group_file,
 )
 from gtpairs.permcore import compose, perm_order
+from group_oracles import direct_product, is_transitive
 
 
 def test_family_orders() -> None:

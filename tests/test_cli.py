@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +133,27 @@ def test_bad_thread_count(capsys) -> None:
     rc, _, err = _run(capsys, ["pc", "cyclic:4", "--threads", "-1"])
     assert rc == 2
     assert "--threads" in err
+
+
+def test_bad_thread_count_rejected_for_every_command(capsys) -> None:
+    for argv in (["gt1", "dihedral:3"], ["atlas", "list"]):
+        rc, out, err = _run(capsys, argv + ["--threads", "-1"])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --threads must be nonnegative\n"
+
+
+def test_cli_import_leaves_sympy_out() -> None:
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, gtpairs.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_threads_flag_deterministic(capsys) -> None:

@@ -4,14 +4,12 @@ from math import gcd
 
 import pytest
 
-from gtpairs.atlas import construct, direct_product
+from gtpairs.atlas import construct
 from gtpairs.gbar import (
     build_gbar,
     delta_images,
-    dihedral_closed_form,
     double_coset_survey,
     evaluate_endo,
-    gt1_order,
     gt_full_order,
     theta_images,
 )
@@ -23,6 +21,7 @@ from gtpairs.permcore import (
     identity_perm,
     inverse,
 )
+from group_oracles import dihedral_closed_form, direct_product, gt1_order
 
 _CACHE: dict = {}
 

@@ -1,0 +1,44 @@
+"""Whole --json reports, minus timings, against committed golden copies."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from gtpairs import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+TETRA = (
+    "darts 12\n"
+    "(1,2,3)(4,5,6)(7,8,9)(10,11,12)\n"
+    "(1,4)(2,10)(3,7)(5,9)(6,11)(8,12)\n"
+)
+
+LADDER = {
+    "pc_psl2_5": ["pc", "psl2:5"],
+    "sg_psl2_7": ["sg", "psl2:7"],
+    "sg_quaternion8": ["sg", "quaternion8"],
+    "gt1_dihedral_7": ["gt1", "dihedral:7"],
+    "gtfull_cyclic_12": ["gtfull", "cyclic:12"],
+    "dessin_tetra_cyclic_3": ["dessin", "tetra.txt", "--cyclic", "3"],
+}
+
+STAGE_TIMINGS = {
+    "pc": {"tables", "pairs", "action"},
+    "sg": {"tables", "pairs", "action", "decomposition"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_report_matches_golden(name, tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tetra.txt").write_text(TETRA, encoding="utf-8")
+    assert cli.run(LADDER[name] + ["--threads", "1", "--json", "out.json"]) == 0
+    report = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    timings = report.pop("timings")
+    assert set(timings) == STAGE_TIMINGS.get(report["command"], {"total"})
+    golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert report == golden

@@ -11,7 +11,6 @@ from gtpairs.permcore import (
     EnumerationCapError,
     PermGroupBSGS,
     compose,
-    compose_many,
     conjugate,
     cycle_type,
     cycles,
@@ -21,7 +20,6 @@ from gtpairs.permcore import (
     inverse,
     parse_cycles,
     perm_order,
-    transporter_pair,
     transporter_tuple,
 )
 
@@ -69,14 +67,6 @@ def test_group_identities_over_all_of_s4() -> None:
         assert conjugate(a, b) == compose(inverse(b), compose(a, b))
     for a, b, c in itertools.product(all_s4[:5], all_s4[:5], all_s4[:5]):
         assert conjugate(conjugate(a, b), c) == conjugate(a, compose(b, c))
-
-
-def test_compose_many() -> None:
-    a = parse_cycles("(1,2)", 4)
-    b = parse_cycles("(2,3)", 4)
-    c = parse_cycles("(3,4)", 4)
-    assert compose_many(a, b, c) == compose(compose(a, b), c)
-    assert compose_many(a) == a
 
 
 def test_parse_cycles_basic() -> None:
@@ -266,7 +256,7 @@ def test_transporter_pair_s3_example() -> None:
     b = table.index[parse_cycles("(2,3)", 3)]
     a2 = table.index[parse_cycles("(2,3)", 3)]
     b2 = table.index[parse_cycles("(1,3)", 3)]
-    t = transporter_pair(classes, (a, b), (a2, b2))
+    t = transporter_tuple(classes, (a, b), (a2, b2))
     # the solution is unique here and equals (1,2,3); verify by composition
     assert t == parse_cycles("(1,2,3)", 3)
     assert conjugate(table.elements[a], t) == table.elements[a2]
@@ -280,8 +270,8 @@ def test_transporter_pair_none_cases() -> None:
     swap = table.index[parse_cycles("(1,2)", 3)]
     rot = table.index[parse_cycles("(1,2,3)", 3)]
     other = table.index[parse_cycles("(1,3)", 3)]
-    assert transporter_pair(classes, (swap, swap), (rot, rot)) is None
-    assert transporter_pair(classes, (swap, swap), (swap, other)) is None
+    assert transporter_tuple(classes, (swap, swap), (rot, rot)) is None
+    assert transporter_tuple(classes, (swap, swap), (swap, other)) is None
 
 
 def test_transporter_tuple() -> None:

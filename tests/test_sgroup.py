@@ -6,23 +6,14 @@ from collections import Counter
 
 import pytest
 
-from gtpairs.atlas import construct
-from gtpairs.autgroup import out_representatives
-from gtpairs.pairs import block_partition, build_pc, induced_perms
-from gtpairs.permcore import (
-    ConjugacyClassTable,
-    ElementTable,
-    compose,
-    identity_perm,
-)
+from gtpairs.cli import pair_stages
+from gtpairs.permcore import ElementTable, compose, identity_perm
 from gtpairs.sgroup import (
     SgBudgetError,
     brute_force_sg,
-    build_haction,
     h_orbits,
     orbit_equivalence,
     packet_decomposition,
-    sg_report,
 )
 from gtpairs.structure import (
     FactoredOrder,
@@ -37,26 +28,23 @@ from gtpairs.structure import (
 _CACHE: dict = {}
 
 
-def _pipeline(spec: str):
-    """Build table, classes, pcset, blocks, and the closed H-action."""
-    if spec in _CACHE:
-        return _CACHE[spec]
-    g = construct(spec)
-    table = ElementTable(g.generators, g.degree)
-    classes = ConjugacyClassTable(table)
-    pcset = build_pc(table, classes)
-    outs = out_representatives(classes, pcset)
-    ind = induced_perms(pcset, outs.maps)
-    blocks = block_partition(pcset)
-    h = build_haction(ind)
-    _CACHE[spec] = (table, classes, pcset, outs, ind, blocks, h)
+def _stages(spec: str):
+    if spec not in _CACHE:
+        _CACHE[spec] = pair_stages(spec)
     return _CACHE[spec]
 
 
+def _pipeline(spec: str):
+    """Table, classes, pcset, outs, induced perms, blocks and the closed H-action."""
+    st = _stages(spec)
+    h = st.decomposition[0]
+    return st.table, st.classes, st.pcset, st.outs, st.ind, st.blocks, h
+
+
 def _report(spec: str):
-    table, classes, pcset, outs, ind, blocks, h = _pipeline(spec)
-    decomp = packet_decomposition(h, blocks.block_of)
-    return sg_report(decomp, h, blocks.block_of), blocks, h
+    st = _stages(spec)
+    h, _, rep = st.decomposition
+    return rep, st.blocks, h
 
 
 SMALL_SPECS = [
@@ -73,7 +61,7 @@ SMALL_SPECS = [
 def test_haction_relations() -> None:
     for spec in SMALL_SPECS:
         _, _, _, outs, ind, _, h = _pipeline(spec)
-        ident = identity_perm(h.ell)
+        ident = identity_perm(h.degree)
         assert compose(ind.theta, ind.theta) == ident
         assert compose(ind.delta, ind.delta) == ident
         tdt = compose(compose(ind.theta, ind.delta), ind.theta)
@@ -82,7 +70,7 @@ def test_haction_relations() -> None:
         for p in ind.out_perms:
             assert compose(p, ind.theta) == compose(ind.theta, p)
             assert compose(p, ind.delta) == compose(ind.delta, p)
-        assert h.size <= 6 * outs.out_order
+        assert h.order <= 6 * outs.out_order
 
 
 def test_out_action_is_free() -> None:
@@ -101,9 +89,9 @@ def test_h_orbits_cover_without_overlap() -> None:
         seen: list[int] = []
         for o in orbits:
             assert o.base == o.points[0]
-            assert len(o.points) * len(o.stabilizer) == h.size
+            assert len(o.points) * len(o.stabilizer) == h.order
             seen.extend(o.points)
-        assert sorted(seen) == list(range(h.ell))
+        assert sorted(seen) == list(range(h.degree))
 
 
 def test_orbit_equivalence_on_itself() -> None:
@@ -136,7 +124,7 @@ def test_equivalences_respect_blocks_pointwise() -> None:
 
 def test_symmetric3_single_trivial_factor() -> None:
     rep, blocks, h = _report("symmetric:3")
-    assert h.ell == 3
+    assert h.degree == 3
     assert rep.num_orbits == 1
     assert len(rep.packets) == 1
     assert rep.packets[0] == {"e_order": 1, "s": 1, "orbit_size": 3}
@@ -161,7 +149,7 @@ def test_emitted_generators_close_onto_brute_group() -> None:
         rep, blocks, h = _report(spec)
         brute = set(brute_force_sg(h, blocks.block_of))
         assert rep.generators is not None
-        closure = set(ElementTable(rep.generators, h.ell).elements)
+        closure = set(ElementTable(rep.generators, h.degree).elements)
         assert closure == brute, spec
 
 
@@ -195,7 +183,7 @@ def test_coarse_partition_is_refined_by_exact() -> None:
 
 def test_psl27_report_values() -> None:
     rep, blocks, h = _report("psl2:7")
-    assert h.ell == 114
+    assert h.degree == 114
     sizes = Counter(len(b) for b in blocks.blocks)
     assert sizes == {2: 4, 3: 8, 6: 9, 8: 1, 10: 2}
     assert rep.num_orbits == 17
@@ -211,7 +199,7 @@ def test_psl27_report_values() -> None:
 def test_psl27_materialized_group_matches_formulas() -> None:
     rep, blocks, h = _report("psl2:7")
     assert rep.generators is not None
-    sg_table = ElementTable(rep.generators, h.ell)
+    sg_table = ElementTable(rep.generators, h.degree)
     assert sg_table.order == 512
     assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
     center = center_element_ids(sg_table)

@@ -9,7 +9,6 @@ from gtpairs.permcore import ElementTable, Perm, identity_perm
 from gtpairs.structure import (
     FactoredOrder,
     GroupFingerprint,
-    PermListTable,
     QuotientTable,
     StructureSizeError,
     SubgroupTable,
@@ -19,9 +18,13 @@ from gtpairs.structure import (
     composition_factors_small,
     derived_subgroup_ids,
     element_order_histogram,
+    factorint,
     fingerprint_recognize,
+    isprime,
     lcm_convolve,
     mul_power,
+    partitions,
+    primerange,
     simple_factor_order,
     simple_factors_of_symmetric,
     sort_factor_labels,
@@ -99,13 +102,8 @@ def test_factored_order_rejects_nonpositive() -> None:
         FactoredOrder.of(12).power(-1)
 
 
-def test_perm_list_table_requires_identity() -> None:
-    with pytest.raises(ValueError):
-        PermListTable([(1, 0)])
-
-
-def test_perm_list_table_identity_first() -> None:
-    t = PermListTable([(1, 0), (0, 1)])
+def test_element_table_over_element_list() -> None:
+    t = ElementTable([(1, 0), (0, 1)], 2)
     assert t.elements[0] == (0, 1)
     assert t.order == 2
     assert t.mul(1, 1) == 0
@@ -150,8 +148,8 @@ def test_derived_subgroup_generator_path_matches_full_scan() -> None:
     for spec in ["symmetric:4", "dihedral:6", "quaternion8", "alternating:4"]:
         t = _table(spec)
         fast = derived_subgroup_ids(t)
-        plain = PermListTable(list(t.elements))
-        slow_set = {plain.elements[i] for i in derived_subgroup_ids(plain)}
+        plain = SubgroupTable(t, range(t.order))
+        slow_set = {t.elements[i] for i in derived_subgroup_ids(plain)}
         assert {t.elements[i] for i in fast} == slow_set
 
 
@@ -240,13 +238,13 @@ def test_wreath_fingerprint_matches_materialized_groups() -> None:
     ]
     for e_gens, d, s in cases:
         e_table = ElementTable(e_gens, d)
-        by_formula = wreath_fingerprint(PermListTable(list(e_table.elements)), s)
+        by_formula = wreath_fingerprint(ElementTable(e_table.elements, d), s)
         by_table = GroupFingerprint.from_mul(_wreath_table(e_gens, d, s))
         assert by_formula == by_table
 
 
 def test_wreath_fingerprint_trivial_base() -> None:
-    e_table = PermListTable([identity_perm(1)])
+    e_table = ElementTable([identity_perm(1)], 1)
     sym2 = wreath_fingerprint(e_table, 2)
     assert sym2 == GroupFingerprint.from_mul(_table("symmetric:2"))
     sym3 = wreath_fingerprint(e_table, 3)
@@ -342,3 +340,25 @@ def test_composition_factors_of_simple_and_almost_simple() -> None:
 def test_composition_factors_size_limit() -> None:
     with pytest.raises(StructureSizeError):
         composition_factors_small(_table("symmetric:5"), limit=100)
+
+
+def test_factorint_and_isprime_match_sympy() -> None:
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 2001):
+        assert factorint(n) == sympy.factorint(n), n
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_primerange_matches_sympy() -> None:
+    sympy = pytest.importorskip("sympy")
+    for n in range(2001):
+        assert primerange(2, n) == list(sympy.primerange(2, n)), n
+    assert primerange(10, 30) == list(sympy.primerange(10, 30))
+
+
+def test_partitions_match_sympy_and_are_fresh() -> None:
+    iterables = pytest.importorskip("sympy.utilities.iterables")
+    for s in range(13):
+        ours = list(partitions(s))
+        assert ours == [dict(p) for p in iterables.partitions(s)], s
+        assert len({id(p) for p in ours}) == len(ours)
