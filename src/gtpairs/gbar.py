@@ -19,6 +19,7 @@ from .permcore import (
     DEFAULT_CAP,
     ConjugacyClassTable,
     ElementTable,
+    EnumerationCapError,
     Perm,
     compose,
     conjugate,
@@ -26,6 +27,7 @@ from .permcore import (
     identity_perm,
     inverse,
     orbit,
+    order_lower_bound,
     perm_order,
 )
 from .structure import mul_power
@@ -110,6 +112,12 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
         x_parts.extend(_embed(table.elements[g_id], w, d, r * d))
         y_parts.extend(_embed(table.elements[h_id], w, d, r * d))
     x, y = tuple(x_parts), tuple(y_parts)
+    at_least = order_lower_bound([x, y], r * d, cap + 1)
+    if at_least > cap:
+        raise EnumerationCapError(
+            f"model group has at least {at_least} elements, more than --cap {cap}; "
+            "raise --cap to allow a larger group"
+        )
     gens = [x, y, inverse(x), inverse(y)]
     model = ElementTable(gens, r * d, cap=cap, record_words=True)
     if group.order**r % model.order:

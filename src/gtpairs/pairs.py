@@ -16,7 +16,6 @@ from .permcore import (
     ConjugacyClassTable,
     ElementTable,
     Perm,
-    compose,
     conjugate,
     generates,
     inverse,
@@ -80,9 +79,11 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
         if assign[h] != -1:
             continue
         h_perm = table.elements[h]
-        orbit_ids = set()
-        for c, ci in zip(cent, cent_invs):
-            orbit_ids.add(table.index[compose(ci, compose(h_perm, c))])
+        # h^c = c^-1 h c, written as one relabelling of h
+        orbit_ids = {
+            table.index[tuple([c[h_perm[j]] for j in ci])]
+            for c, ci in zip(cent, cent_invs)
+        }
         if transitive and len(orbit([g_perm, h_perm], 0)) != degree:
             gen = False
         else:

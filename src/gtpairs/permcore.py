@@ -7,7 +7,10 @@ right: i^(p*q) = (i^p)^q, so compose(p, q)[i] = q[p[i]].  All text I/O
 
 from __future__ import annotations
 
+import random
 import re
+from collections.abc import Iterator
+from itertools import chain, count
 from math import lcm
 
 Perm = tuple[int, ...]
@@ -29,7 +32,7 @@ def identity_perm(degree: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(q[i] for i in p)
+    return tuple([q[i] for i in p])
 
 
 def inverse(p: Perm) -> Perm:
@@ -232,8 +235,111 @@ class PermGroupBSGS:
         self._transversals[level] = t
 
 
+_CHAIN_SEED = 0x67745061  # fixed, so runs repeat; verdicts never depend on it
+_SIFT_BUDGET = 8  # consecutive identity sifts before the random chain gives up
+_PR_SLOTS = 5  # product-replacement state size (at least)
+_PR_WARMUP = 10  # product-replacement steps discarded before the first word
+
+
+def _random_words(generators: list[Perm], degree: int) -> Iterator[Perm]:
+    """Endless product-replacement random words in the generators."""
+    rand = random.Random(_CHAIN_SEED).random
+    slots = (list(generators) * _PR_SLOTS)[: max(_PR_SLOTS, len(generators))]
+    n = len(slots)
+    acc = identity_perm(degree)
+    for step in count(1):
+        i = int(rand() * n)
+        j = int(rand() * (n - 1))
+        if j >= i:
+            j += 1
+        if rand() < 0.5:
+            slots[i] = compose(slots[i], slots[j])
+        else:
+            slots[i] = compose(slots[j], slots[i])
+        acc = compose(acc, slots[i])
+        if step > _PR_WARMUP:
+            yield acc
+
+
+def order_lower_bound(generators: list[Perm], degree: int, stop_at: int) -> int:
+    """Proven lower bound on |<generators>| from a random Schreier-Sims chain.
+
+    Sifts the generators, then product-replacement random words in them,
+    inserting each nontrivial residue at its level and extending that
+    level's basic orbit in place.  Every strong generator at level i lies in
+    the group and fixes base[:i], so each basic orbit is contained in the
+    true orbit of the point stabilizer and the product of the orbit lengths
+    never exceeds the group order.  Returns that product as soon as it
+    reaches stop_at, or once _SIFT_BUDGET consecutive sifts reach the
+    identity.
+    """
+    if all(is_identity(g) for g in generators):
+        return 1
+    base: list[int] = []
+    level_gens: list[list[tuple[Perm, Perm]]] = []  # (s, s^-1) fixing base[:i]
+    # orbit_invs[i][pt] = u^-1 for a word u in level_gens[i] with base[i]^u = pt
+    orbit_invs: list[dict[int, Perm]] = []
+    ident = identity_perm(degree)
+    bound = 1
+    idle = 0
+    for p in chain(generators, _random_words(generators, degree)):
+        if idle >= _SIFT_BUDGET:
+            break
+        level = 0
+        for invs, b in zip(orbit_invs, base):
+            uinv = invs.get(p[b])
+            if uinv is None:
+                break
+            p = compose(p, uinv)
+            level += 1
+        else:
+            if p == ident:
+                idle += 1
+                continue
+            base.append(next(i for i in range(degree) if p[i] != i))
+            level_gens.append([])
+            orbit_invs.append({base[-1]: ident})
+        idle = 0
+        p_inv = inverse(p)
+        for i in range(level + 1):
+            level_gens[i].append((p, p_inv))
+            invs = orbit_invs[i]
+            before = len(invs)
+            # the new generator first, on the old orbit; new points then see all
+            fresh = []
+            for pt in list(invs):
+                img = p[pt]
+                if img not in invs:
+                    invs[img] = compose(p_inv, invs[pt])
+                    fresh.append(img)
+            for pt in fresh:
+                uinv = invs[pt]
+                for s, sinv in level_gens[i]:
+                    img = s[pt]
+                    if img not in invs:
+                        invs[img] = compose(sinv, uinv)
+                        fresh.append(img)
+            bound = bound // before * len(invs)
+        if bound >= stop_at:
+            break
+    return bound
+
+
 def generates(generators: list[Perm], degree: int, target_order: int) -> bool:
-    """Test whether generators known to lie in a group of target_order span it."""
+    """Test whether generators known to lie in a group of target_order span it.
+
+    Las Vegas: a random Schreier-Sims chain proves generation when its
+    lower bound reaches target_order; otherwise the deterministic chain
+    decides.  The random source only affects the running time.
+    """
+    bound = order_lower_bound(generators, degree, target_order)
+    if bound == target_order:
+        return True
+    if bound > target_order:
+        raise RuntimeError(
+            f"generators span at least {bound} elements, so the check "
+            f"\"generators lie in a group of target_order {target_order}\" failed"
+        )
     return PermGroupBSGS(generators, degree, stop_order=target_order).order == target_order
 
 

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same cases on every run, and a slow or busy host
+# cannot fail them on time alone.
+settings.register_profile("gtpairs", derandomize=True, deadline=None)
+settings.load_profile("gtpairs")
 
 
 def pytest_addoption(parser) -> None:

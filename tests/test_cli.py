@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,18 @@ def test_cap_error_names_flag(capsys) -> None:
     rc, _, err = _run(capsys, ["sg", "psl2:7", "--cap", "50", "--threads", "1"])
     assert rc == 2
     assert "--cap" in err
+
+
+def test_oversized_model_refused_before_enumeration(capsys) -> None:
+    # the psl2:7 model has order 168^57; its lower bound passes --cap at once
+    start = time.perf_counter()
+    rc, out, err = _run(capsys, ["gt1", "psl2:7", "--threads", "1"])
+    assert time.perf_counter() - start < 10.0
+    assert rc == 2
+    assert not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "model group has at least" in lines[0] and "--cap" in lines[0]
 
 
 def test_bad_thread_count(capsys) -> None:

@@ -6,6 +6,7 @@ import pytest
 
 from gtpairs.atlas import construct
 from gtpairs.autgroup import out_representatives
+from gtpairs.cli import pair_stages
 from gtpairs.pairs import PairLookupError, block_partition, build_pc, induced_perms
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, conjugate
 
@@ -231,3 +232,30 @@ def test_pair_orbit_sizes_partition_pairs() -> None:
         if len(_closure_set([g, h])) == table.order
     )
     assert total == brute
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:6", "dihedral:4", "dihedral:5", "dihedral:6", "quaternion8",
+     "alternating:4", "symmetric:4", "psl2:4"],
+)
+def test_eulerian_identity(spec) -> None:
+    # a generating pair's conjugation stabilizer is C(g) cap C(h) = Z(G), so
+    # every pair class holds |G:Z(G)| pairs
+    table, classes = _tables(spec)
+    pcset = build_pc(table, classes)
+    elements = table.elements
+    center = [z for z in elements if all(_mul(z, e) == _mul(e, z) for e in elements)]
+    brute = sum(
+        1
+        for g, h in itertools.product(elements, repeat=2)
+        if len(_closure_set([g, h])) == len(elements)
+    )
+    assert pcset.ell * (len(elements) // len(center)) == brute
+
+
+@pytest.mark.parametrize("spec, d2", [("psl2:4", 19), ("psl2:5", 19), ("psl2:7", 57)])
+def test_hall_d2_published_values(spec, d2) -> None:
+    # Hall (1936): A5 = PSL(2,4) = PSL(2,5) has d_2 = 19, PSL(2,7) has d_2 = 57
+    stages = pair_stages(spec)
+    assert stages.pcset.ell // stages.outs.out_order == d2
