@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .permcore import Perm, PermGroupBSGS, parse_cycles, perm_order
+from .permcore import Perm, StabilizerChain, parse_cycles, perm_order
 
 PSL2_FIELD_SIZES = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
 
@@ -32,7 +32,7 @@ class ConstructedGroup:
 
 
 def _gate(spec: str, degree: int, generators: list[Perm], order: int) -> ConstructedGroup:
-    got = PermGroupBSGS(generators, degree).order
+    got = StabilizerChain(generators, degree).exact_order()
     if got != order:
         raise ConstructionError(
             f"{spec}: generated group has order {got}, expected {order}"
@@ -407,7 +407,7 @@ def load_group_file(path: str) -> ConstructedGroup:
             gens.append(parse_cycles(ln, degree))
     if not gens:
         raise GroupSpecError(f"{path}: no generators given")
-    order = PermGroupBSGS(gens, degree).order
+    order = StabilizerChain(gens, degree).exact_order()
     return ConstructedGroup(f"file:{path}", degree, gens, order)
 
 

@@ -34,7 +34,6 @@ from .permcore import (
 )
 from .sgroup import (
     PacketDecomposition,
-    SgBudgetError,
     SgReport,
     build_haction,
     packet_decomposition,
@@ -49,7 +48,6 @@ USER_ERRORS = (
     CycleFormatError,
     GbarError,
     EnumerationCapError,
-    SgBudgetError,
     StructureSizeError,
     PairLookupError,
     OSError,

@@ -21,13 +21,13 @@ from .permcore import (
     ElementTable,
     EnumerationCapError,
     Perm,
+    StabilizerChain,
     compose,
     conjugate,
     generates,
     identity_perm,
     inverse,
     orbit,
-    order_lower_bound,
     perm_order,
 )
 from .structure import mul_power
@@ -112,7 +112,8 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
         x_parts.extend(_embed(table.elements[g_id], w, d, r * d))
         y_parts.extend(_embed(table.elements[h_id], w, d, r * d))
     x, y = tuple(x_parts), tuple(y_parts)
-    at_least = order_lower_bound([x, y], r * d, cap + 1)
+    # the random fill's bound only: verifying a chain at this degree can take minutes
+    at_least = StabilizerChain([x, y], r * d, stop_at=cap + 1).bound
     if at_least > cap:
         raise EnumerationCapError(
             f"model group has at least {at_least} elements, more than --cap {cap}; "

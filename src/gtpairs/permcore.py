@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Iterator
-from itertools import chain, count
-from math import lcm
+from itertools import count
+from math import inf, lcm
 
 Perm = tuple[int, ...]
 
@@ -135,108 +135,8 @@ def orbit(generators: list[Perm], point: int) -> list[int]:
     return queue
 
 
-class PermGroupBSGS:
-    """Deterministic Schreier-Sims chain giving exact order and membership.
-
-    If stop_order is given, generator processing halts as soon as the chain
-    order reaches it; callers use this for generation tests where every
-    generator is known to lie in a group of that order.
-    """
-
-    def __init__(
-        self,
-        generators: list[Perm],
-        degree: int,
-        stop_order: int | None = None,
-    ):
-        self.degree = degree
-        self.generators = [tuple(g) for g in generators]
-        self._ident = identity_perm(degree)
-        self.base: list[int] = []
-        self._sgs: list[list[Perm]] = []  # _sgs[i] fixes base[:i]; nested
-        self._transversals: list[dict[int, Perm]] = []
-        for g in self.generators:
-            if not is_identity(g):
-                self._add_generator(g)
-            if stop_order is not None and self.order == stop_order:
-                break
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for t in self._transversals:
-            n *= len(t)
-        return n
-
-    def contains(self, p: Perm) -> bool:
-        if len(p) != self.degree:
-            return False
-        residue, _ = self._strip(tuple(p), 0)
-        return is_identity(residue)
-
-    def _strip(self, p: Perm, level: int) -> tuple[Perm, int]:
-        for i in range(level, len(self.base)):
-            pt = p[self.base[i]]
-            t = self._transversals[i]
-            if pt not in t:
-                return p, i
-            p = compose(p, inverse(t[pt]))
-        return p, len(self.base)
-
-    def _add_generator(self, g: Perm) -> None:
-        residue, lvl = self._strip(g, 0)
-        if is_identity(residue):
-            return
-        self._insert(residue, lvl)
-        # re-verify every level made dirty by the insert, deepest first
-        i = lvl
-        while i >= 0:
-            j = self._verify_level(i)
-            i = j if j is not None else i - 1
-
-    def _insert(self, g: Perm, level: int) -> None:
-        """Register g, which fixes base[:level], at levels 0..level."""
-        if level == len(self.base):
-            moved = next(i for i in range(self.degree) if g[i] != i)
-            self.base.append(moved)
-            self._sgs.append([])
-            self._transversals.append({moved: self._ident})
-        for i in range(level + 1):
-            self._sgs[i].append(g)
-
-    def _verify_level(self, level: int) -> int | None:
-        """Sift the level's Schreier generators; on failure insert the residue
-        and return its level, on success return None."""
-        self._rebuild_transversal(level)
-        t = self._transversals[level]
-        for pt in list(t):
-            u = t[pt]
-            for s in self._sgs[level]:
-                w = compose(compose(u, s), inverse(t[s[pt]]))
-                if is_identity(w):
-                    continue
-                residue, j = self._strip(w, level + 1)
-                if not is_identity(residue):
-                    self._insert(residue, j)
-                    return j
-        return None
-
-    def _rebuild_transversal(self, level: int) -> None:
-        b = self.base[level]
-        t = {b: self._ident}
-        queue = [b]
-        for pt in queue:
-            u = t[pt]
-            for s in self._sgs[level]:
-                img = s[pt]
-                if img not in t:
-                    t[img] = compose(u, s)
-                    queue.append(img)
-        self._transversals[level] = t
-
-
-_CHAIN_SEED = 0x67745061  # fixed, so runs repeat; verdicts never depend on it
-_SIFT_BUDGET = 8  # consecutive identity sifts before the random chain gives up
+_CHAIN_SEED = 0x67745061  # fixed, so runs repeat; orders never depend on it
+_SIFT_BUDGET = 8  # consecutive identity sifts of random words that end the fill
 _PR_SLOTS = 5  # product-replacement state size (at least)
 _PR_WARMUP = 10  # product-replacement steps discarded before the first word
 
@@ -261,49 +161,95 @@ def _random_words(generators: list[Perm], degree: int) -> Iterator[Perm]:
             yield acc
 
 
-def order_lower_bound(generators: list[Perm], degree: int, stop_at: int) -> int:
-    """Proven lower bound on |<generators>| from a random Schreier-Sims chain.
+class StabilizerChain:
+    """Schreier-Sims base and strong generating set of <generators>.
 
-    Sifts the generators, then product-replacement random words in them,
-    inserting each nontrivial residue at its level and extending that
-    level's basic orbit in place.  Every strong generator at level i lies in
-    the group and fixes base[:i], so each basic orbit is contained in the
-    true orbit of the point stabilizer and the product of the orbit lengths
-    never exceeds the group order.  Returns that product as soon as it
-    reaches stop_at, or once _SIFT_BUDGET consecutive sifts reach the
-    identity.
+    Construction sifts every generator, then product-replacement random
+    words in them, inserting each nontrivial residue at its level and
+    extending the basic orbits in place.  The fill stops once `bound`
+    reaches stop_at, or once _SIFT_BUDGET consecutive words sift to the
+    identity.  Every strong generator at level i lies in the group and
+    fixes base[:i], so each basic orbit lies in the true orbit of the point
+    stabilizer, and `bound`, the product of the orbit lengths, is a proven
+    lower bound on the group order.  exact_order() verifies the same chain.
     """
-    if all(is_identity(g) for g in generators):
-        return 1
-    base: list[int] = []
-    level_gens: list[list[tuple[Perm, Perm]]] = []  # (s, s^-1) fixing base[:i]
-    # orbit_invs[i][pt] = u^-1 for a word u in level_gens[i] with base[i]^u = pt
-    orbit_invs: list[dict[int, Perm]] = []
-    ident = identity_perm(degree)
-    bound = 1
-    idle = 0
-    for p in chain(generators, _random_words(generators, degree)):
-        if idle >= _SIFT_BUDGET:
-            break
-        level = 0
-        for invs, b in zip(orbit_invs, base):
+
+    def __init__(self, generators: list[Perm], degree: int, stop_at: int | None = None):
+        self.degree = degree
+        self.base: list[int] = []
+        self.bound = 1
+        self._stop_at = inf if stop_at is None else stop_at
+        self._ident = identity_perm(degree)
+        self._gens: list[list[tuple[Perm, Perm]]] = []  # (s, s^-1) fixing base[:i]
+        # _orbit_invs[i][pt] = u^-1 for a word u in _gens[i] with base[i]^u = pt
+        self._orbit_invs: list[dict[int, Perm]] = []
+        for g in generators:
+            if self.bound >= self._stop_at:
+                return
+            self._add(g, 0)
+        if not self.base:
+            return  # every generator is the identity
+        words = _random_words(generators, degree)
+        idle = 0
+        while idle < _SIFT_BUDGET and self.bound < self._stop_at:
+            idle = 0 if self._add(next(words), 0) is not None else idle + 1
+
+    def exact_order(self) -> int:
+        """The group order, or `bound` as soon as it reaches stop_at.
+
+        Checks the chain deepest level first: each Schreier generator
+        u*s*u'^-1 of a level is sifted through the levels below it, and a
+        nontrivial residue is inserted, which sends the check to the
+        residue's level.  Orbits only grow and representatives never change,
+        so a Schreier generator that sifted once stays sifted; each level
+        records how many of its points and strong generators were checked.
+        """
+        checked: dict[int, tuple[int, int]] = {}
+        level = len(self.base) - 1
+        while level >= 0 and self.bound < self._stop_at:
+            inserted = self._verify_level(level, checked)
+            level = level - 1 if inserted is None else inserted
+        return self.bound
+
+    def _verify_level(self, level: int, checked: dict[int, tuple[int, int]]) -> int | None:
+        """Sift the level's unchecked Schreier generators; return the level of
+        the first residue inserted, or None once all of them sift."""
+        invs, gens = self._orbit_invs[level], self._gens[level]
+        old_pts, old_gens = checked.get(level, (0, 0))
+        for k, (pt, uinv) in enumerate(list(invs.items())):
+            todo = gens[old_gens:] if k < old_pts else gens
+            if not todo:
+                continue
+            u = inverse(uinv)
+            for s, _ in todo:
+                vinv = invs[s[pt]]
+                w = tuple([vinv[s[i]] for i in u])
+                if w != self._ident:
+                    inserted = self._add(w, level + 1)
+                    if inserted is not None:
+                        return inserted
+        checked[level] = (len(invs), len(gens))
+        return None
+
+    def _add(self, p: Perm, level: int) -> int | None:
+        """Sift p, which fixes base[:level], from that level down; insert a
+        nontrivial residue and return its level, or None if p sifts."""
+        for invs, b in zip(self._orbit_invs[level:], self.base[level:]):
             uinv = invs.get(p[b])
             if uinv is None:
                 break
             p = compose(p, uinv)
             level += 1
         else:
-            if p == ident:
-                idle += 1
-                continue
-            base.append(next(i for i in range(degree) if p[i] != i))
-            level_gens.append([])
-            orbit_invs.append({base[-1]: ident})
-        idle = 0
+            if p == self._ident:
+                return None
+            self.base.append(next(i for i in range(self.degree) if p[i] != i))
+            self._gens.append([])
+            self._orbit_invs.append({self.base[-1]: self._ident})
         p_inv = inverse(p)
         for i in range(level + 1):
-            level_gens[i].append((p, p_inv))
-            invs = orbit_invs[i]
+            self._gens[i].append((p, p_inv))
+            invs = self._orbit_invs[i]
             before = len(invs)
             # the new generator first, on the old orbit; new points then see all
             fresh = []
@@ -314,33 +260,30 @@ def order_lower_bound(generators: list[Perm], degree: int, stop_at: int) -> int:
                     fresh.append(img)
             for pt in fresh:
                 uinv = invs[pt]
-                for s, sinv in level_gens[i]:
+                for s, sinv in self._gens[i]:
                     img = s[pt]
                     if img not in invs:
                         invs[img] = compose(sinv, uinv)
                         fresh.append(img)
-            bound = bound // before * len(invs)
-        if bound >= stop_at:
-            break
-    return bound
+            self.bound = self.bound // before * len(invs)
+        return level
 
 
 def generates(generators: list[Perm], degree: int, target_order: int) -> bool:
     """Test whether generators known to lie in a group of target_order span it.
 
-    Las Vegas: a random Schreier-Sims chain proves generation when its
-    lower bound reaches target_order; otherwise the deterministic chain
+    Las Vegas: the random fill of a Schreier-Sims chain proves generation
+    when its bound reaches target_order; otherwise verifying that chain
     decides.  The random source only affects the running time.
     """
-    bound = order_lower_bound(generators, degree, target_order)
-    if bound == target_order:
-        return True
-    if bound > target_order:
+    chain = StabilizerChain(generators, degree, stop_at=target_order)
+    order = chain.bound if chain.bound >= target_order else chain.exact_order()
+    if order > target_order:
         raise RuntimeError(
-            f"generators span at least {bound} elements, so the check "
+            f"generators span at least {order} elements, so the check "
             f"\"generators lie in a group of target_order {target_order}\" failed"
         )
-    return PermGroupBSGS(generators, degree, stop_order=target_order).order == target_order
+    return order == target_order
 
 
 class ElementTable:

@@ -3,16 +3,13 @@
 The permutations of {0..ell-1} commuting with every induced permutation and
 mapping each block of the (class(g), class(h)) partition onto itself form a
 product of wreath factors E wr Sym(s), one per packet of equivalent orbits.
-This module computes that decomposition exactly and provides a brute-force
-oracle for tiny instances.
+This module computes that decomposition exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
 
 from .pairs import InducedPerms
 from .permcore import ElementTable, Perm, compose, is_identity
@@ -28,11 +25,6 @@ from .structure import (
 )
 
 GENERATOR_EMIT_LIMIT = 2000
-DEFAULT_BRUTE_BUDGET = 10**7
-
-
-class SgBudgetError(RuntimeError):
-    pass
 
 
 def build_haction(induced: InducedPerms) -> ElementTable:
@@ -297,31 +289,3 @@ def sg_report(
         num_orbits=len(decomp.orbits),
     )
 
-
-def brute_force_sg(
-    h: ElementTable, block_of: list[int], budget: int = DEFAULT_BRUTE_BUDGET
-) -> list[Perm]:
-    """Filter the whole block-wise symmetric group by commutation, exhaustively."""
-    blocks: dict[int, list[int]] = {}
-    for p in range(h.degree):
-        blocks.setdefault(block_of[p], []).append(p)
-    block_lists = list(blocks.values())
-    total = 1
-    for pts in block_lists:
-        total *= factorial(len(pts))
-        if total > budget:
-            raise SgBudgetError(
-                f"brute-force search space exceeds budget {budget}"
-            )
-    out = []
-    for combo in itertools.product(
-        *(list(itertools.permutations(pts)) for pts in block_lists)
-    ):
-        arr = list(range(h.degree))
-        for pts, images in zip(block_lists, combo):
-            for src, dst in zip(pts, images):
-                arr[src] = dst
-        g = tuple(arr)
-        if all(compose(g, hp) == compose(hp, g) for hp in h.generators):
-            out.append(g)
-    return out

@@ -26,7 +26,7 @@ from gtpairs.permcore import (
     identity_perm,
     parse_cycles,
 )
-from gtpairs.sgroup import brute_force_sg, build_haction, packet_decomposition
+from gtpairs.sgroup import build_haction, packet_decomposition
 from gtpairs.structure import (
     FactoredOrder,
     GroupFingerprint,
@@ -37,7 +37,7 @@ from gtpairs.structure import (
     fingerprint_recognize,
     simple_factor_order,
 )
-from group_oracles import dihedral_closed_form, gt1_order
+from group_oracles import brute_force_sg, dihedral_closed_form, gt1_order
 
 THREADS = os.cpu_count() or 1
 

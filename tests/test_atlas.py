@@ -118,6 +118,12 @@ def test_load_group_file(tmp_path) -> None:
     assert construct(f"file:{path}").order == 10
 
 
+def test_load_group_file_order_sees_every_generator(tmp_path) -> None:
+    path = tmp_path / "s5.txt"
+    path.write_text("degree 5\n" + "(1,2)\n" * 9 + "(1,2,3,4,5)\n")
+    assert load_group_file(str(path)).order == 120
+
+
 def test_load_group_file_errors(tmp_path) -> None:
     bad1 = tmp_path / "bad1.txt"
     bad1.write_text("(1,2)\n")

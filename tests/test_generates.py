@@ -1,7 +1,10 @@
-"""The Las Vegas generation test: exact verdicts whatever the random source."""
+"""The Schreier-Sims chain and the Las Vegas generation test: exact orders
+and verdicts whatever the random source."""
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -10,52 +13,65 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from gtpairs import permcore
-from gtpairs.atlas import construct
+from gtpairs.atlas import ConstructedGroup, construct
 from gtpairs.pairs import build_pc
 from gtpairs.permcore import (
     ConjugacyClassTable,
     ElementTable,
-    PermGroupBSGS,
+    StabilizerChain,
     generates,
-    order_lower_bound,
+    orbit,
     parse_cycles,
 )
 
 
-def _pc_key(spec: str):
-    g = construct(spec)
-    table = ElementTable(g.generators, g.degree)
+def _pc_key(group: ConstructedGroup):
+    table = ElementTable(group.generators, group.degree)
     pcset = build_pc(table, ConjugacyClassTable(table))
     return pcset.reps, pcset.g_class, pcset.h_class, pcset._lookup
 
 
 @pytest.mark.parametrize("spec", ["psl2:7", "dihedral:6"])
 def test_forced_fallback_gives_the_same_pair_classes(spec, monkeypatch) -> None:
-    random_path = _pc_key(spec)
-    calls = {"tests": 0, "fallbacks": 0}
-    generates_, chain = permcore.generates, permcore.PermGroupBSGS
+    group = construct(spec)
+    random_path = _pc_key(group)
+    calls = {"tests": 0, "fallbacks": 0, "verified": 0, "words": 0}
+    generates_, verify = permcore.generates, StabilizerChain.exact_order
+    words = permcore._random_words
 
     def counted_generates(*args):
         calls["tests"] += 1
-        return generates_(*args)
+        drawn = calls["words"]
+        verdict = generates_(*args)
+        calls["fallbacks"] += calls["words"] == drawn
+        return verdict
 
-    def counted_chain(*args, **kwargs):
-        calls["fallbacks"] += 1
-        return chain(*args, **kwargs)
+    def counted_verify(self):
+        calls["verified"] += 1
+        return verify(self)
+
+    def counted_words(*args):
+        for w in words(*args):
+            calls["words"] += 1
+            yield w
 
     monkeypatch.setattr("gtpairs.pairs.generates", counted_generates)
-    monkeypatch.setattr(permcore, "PermGroupBSGS", counted_chain)
+    monkeypatch.setattr(StabilizerChain, "exact_order", counted_verify)
+    monkeypatch.setattr(permcore, "_random_words", counted_words)
     monkeypatch.setattr(permcore, "_SIFT_BUDGET", 0)
-    assert _pc_key(spec) == random_path
+    assert _pc_key(group) == random_path
     assert calls["tests"] > 0
+    # no verdict comes from a random word: the generator sifts settle a few
+    # (every input generator is sifted), and verification settles the rest
     assert calls["fallbacks"] == calls["tests"]
+    assert 0 < calls["verified"] <= calls["tests"]
 
 
 def test_pair_classes_do_not_depend_on_the_seed(monkeypatch) -> None:
     keys = []
     for seed in (1, 0x5EED):
         monkeypatch.setattr(permcore, "_CHAIN_SEED", seed)
-        keys.append(_pc_key("psl2:11"))
+        keys.append(_pc_key(construct("psl2:11")))
     assert keys[0] == keys[1]
 
 
@@ -76,10 +92,71 @@ def test_generates_agrees_with_deterministic_chain_and_sympy(gens) -> None:
     target = full // 2 if even and n > 1 else full
     order = _sympy_order(gens)
     verdict = generates(gens, n, target)
-    assert verdict == (PermGroupBSGS(gens, n).order == target)
+    assert verdict == (StabilizerChain(gens, n).exact_order() == target)
     assert verdict == (order == target)
-    assert order_lower_bound(gens, n, target) <= order
-    assert order_lower_bound(gens, n, full + 1) <= order
+    assert StabilizerChain(gens, n, stop_at=target).bound <= order
+    assert StabilizerChain(gens, n, stop_at=full + 1).bound <= order
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+        )
+    )
+)
+def test_exact_order_matches_sympy(gens) -> None:
+    gens = [tuple(g) for g in gens]
+    order = _sympy_order(gens)
+    for budget in (permcore._SIFT_BUDGET, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permcore, "_SIFT_BUDGET", budget)
+            assert StabilizerChain(gens, len(gens[0])).exact_order() == order
+
+
+_PSL3_2_IN_A7 = [parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(3,5)(6,7)", 7)]
+_S5_AFTER_NINE_SWAPS = [parse_cycles("(1,2)", 5)] * 9 + [parse_cycles("(1,2,3,4,5)", 5)]
+
+
+@pytest.mark.parametrize("budget", [8, 0])
+def test_stalled_chain_on_a_proper_subgroup(budget, monkeypatch) -> None:
+    monkeypatch.setattr(permcore, "_SIFT_BUDGET", budget)
+    assert _sympy_order(_PSL3_2_IN_A7) == 168
+    chain = StabilizerChain(_PSL3_2_IN_A7, 7, stop_at=2520)
+    assert chain.bound <= 168
+    assert chain.exact_order() == 168
+    assert not generates(_PSL3_2_IN_A7, 7, 2520)
+
+
+def test_transitive_non_generating_pairs_of_m11() -> None:
+    group = construct("m11")
+    elements = ElementTable(group.generators, group.degree).elements
+    rng = random.Random(11)
+    seen = Counter()
+    while sum(seen.values()) < 60:
+        pair = [rng.choice(elements), rng.choice(elements)]
+        if len(orbit(pair, 0)) < 11 or generates(pair, 11, group.order):
+            continue
+        order = StabilizerChain(pair, 11, stop_at=group.order).exact_order()
+        assert order == _sympy_order(pair) < group.order
+        seen[order] += 1
+    assert set(seen) == {55, 660}
+
+
+def test_every_generator_is_sifted() -> None:
+    # nine generators that sift to the identity must not end the fill
+    assert StabilizerChain(_S5_AFTER_NINE_SWAPS, 5).exact_order() == 120
+    assert generates(_S5_AFTER_NINE_SWAPS, 5, 120)
+
+
+def test_exact_order_does_not_depend_on_the_seed(monkeypatch) -> None:
+    groups = map(construct, ("m11", "psl3:3", "alternating:7"))
+    cases = [(g.generators, g.degree, g.order) for g in groups]
+    cases += [(_PSL3_2_IN_A7, 7, 168), (_S5_AFTER_NINE_SWAPS, 5, 120)]
+    for seed in (1, 0x5EED):
+        monkeypatch.setattr(permcore, "_CHAIN_SEED", seed)
+        for gens, degree, order in cases:
+            assert StabilizerChain(gens, degree).exact_order() == order
 
 
 def test_target_below_the_group_order_breaks_the_contract() -> None:
@@ -90,6 +167,7 @@ def test_target_below_the_group_order_breaks_the_contract() -> None:
 
 def test_lower_bound_stops_at_stop_at() -> None:
     s5 = [parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)]
-    assert order_lower_bound(s5, 5, 120) == 120
-    assert 2 <= order_lower_bound(s5, 5, 2) <= 120
-    assert order_lower_bound([parse_cycles("()", 5)], 5, 120) == 1
+    assert StabilizerChain(s5, 5, stop_at=120).bound == 120
+    assert 2 <= StabilizerChain(s5, 5, stop_at=2).bound <= 120
+    assert StabilizerChain([parse_cycles("()", 5)], 5, stop_at=120).bound == 1
+    assert StabilizerChain([], 5).exact_order() == 1

@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
+from gtpairs import permcore
 from gtpairs.permcore import (
     ConjugacyClassTable,
     CycleFormatError,
     ElementTable,
     EnumerationCapError,
-    PermGroupBSGS,
+    StabilizerChain,
     compose,
     conjugate,
     cycle_type,
@@ -101,26 +102,21 @@ def test_perm_order_and_cycles() -> None:
     assert cycle_type(p) == (3, 2, 1)
 
 
-def test_bsgs_orders_match_brute_closure() -> None:
+def test_bsgs_orders_match_brute_closure(monkeypatch) -> None:
     cases = [
         [parse_cycles("(1,2)", 4), parse_cycles("(1,2,3,4)", 4)],
         [parse_cycles("(1,2,3)", 5), parse_cycles("(3,4,5)", 5)],
         [parse_cycles("(1,2,3,4,5)", 5)],
+        [parse_cycles("(1,2,3)(4,5)", 5)],
+        [parse_cycles("(1,4)(2,3,5)", 5)],
         [parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)],
         [parse_cycles("(2,3)", 5), parse_cycles("(1,2,3,4,5)", 5)],
     ]
-    for gens in cases:
-        assert PermGroupBSGS(gens, len(gens[0])).order == len(_closure(gens))
-
-
-def test_bsgs_membership() -> None:
-    gens = [parse_cycles("(1,2,3)", 4), parse_cycles("(2,3,4)", 4)]
-    a4 = PermGroupBSGS(gens, 4)
-    assert a4.order == 12
-    for p in _closure(gens):
-        assert a4.contains(p)
-    assert not a4.contains(parse_cycles("(1,2)", 4))
-    assert not a4.contains((0, 1, 2))
+    # with no random words, verification alone must complete the chain
+    for budget in (permcore._SIFT_BUDGET, 0):
+        monkeypatch.setattr(permcore, "_SIFT_BUDGET", budget)
+        for gens in cases:
+            assert StabilizerChain(gens, len(gens[0])).exact_order() == len(_closure(gens))
 
 
 def test_generates_early_stop() -> None:

@@ -9,8 +9,6 @@ import pytest
 from gtpairs.cli import pair_stages
 from gtpairs.permcore import ElementTable, compose, identity_perm
 from gtpairs.sgroup import (
-    SgBudgetError,
-    brute_force_sg,
     h_orbits,
     orbit_equivalence,
     packet_decomposition,
@@ -24,6 +22,7 @@ from gtpairs.structure import (
     center_element_ids,
     fingerprint_recognize,
 )
+from group_oracles import SgBudgetError, brute_force_sg
 
 _CACHE: dict = {}
 

@@ -351,8 +351,11 @@ def test_factorint_and_isprime_match_sympy() -> None:
 
 def test_primerange_matches_sympy() -> None:
     sympy = pytest.importorskip("sympy")
-    for n in range(2001):
-        assert primerange(2, n) == list(sympy.primerange(2, n)), n
+    theirs = list(sympy.primerange(2, 2001))
+    assert primerange(2, 2001) == theirs
+    # each primerange(2, n) is the prefix of primes below n; 1999 is prime
+    for n in (0, 1, 2, 3, 4, 1999, 2000):
+        assert primerange(2, n) == [p for p in theirs if p < n], n
     assert primerange(10, 30) == list(sympy.primerange(10, 30))
 
 
