@@ -96,7 +96,7 @@ class FieldGF:
         for b in range(self.q):
             if self._add[a][b] == 0:
                 return b
-        raise AssertionError
+        raise AssertionError(f"no additive inverse for {a} in GF({self.q})")
 
     def inv(self, a: int) -> int:
         for b in range(self.q):

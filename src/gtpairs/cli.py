@@ -494,7 +494,11 @@ DISPATCH = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    0: success; 1: a `repro` table mismatch; 2: bad input or an oversized
+    problem; 3: an internal self-check failed.
+    """
     args = _parser().parse_args(argv)
     try:
         if args.threads < 0:
@@ -504,6 +508,9 @@ def run(argv: list[str] | None = None) -> int:
     except USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as err:
+        print(f"error: internal check failed: {err}", file=sys.stderr)
+        return 3
     print(_render(report))
     if getattr(args, "json", None):
         write_json_report(args.json, report)

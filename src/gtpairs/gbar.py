@@ -9,7 +9,7 @@ two generators can be computed by word substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .atlas import ConstructedGroup
@@ -38,6 +38,19 @@ class GbarError(RuntimeError):
 
 
 @dataclass
+class DoubleCosets:
+    """The double cosets C(x^k) f C(y^k) of the model group, one rep each.
+
+    C(x^k) depends only on <x^k>, so one partition serves every k with the
+    same gcds with the generator orders.
+    """
+
+    cx: list[Perm]
+    cy: list[Perm]
+    reps: list[tuple[int, int]]  # (element id, coset size), ascending ids
+
+
+@dataclass
 class GbarGroup:
     """The model group with its word table and canonical generators."""
 
@@ -49,6 +62,10 @@ class GbarGroup:
     y: Perm
     table: ElementTable
     base_order: int
+    # double-coset partitions keyed by (gcd(k, ord x), gcd(k, ord y))
+    partitions: dict[tuple[int, int], DoubleCosets] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def order(self) -> int:
@@ -164,12 +181,101 @@ def evaluate_endo(gbar: GbarGroup, endo: EndoImages, element: Perm) -> Perm:
     return acc
 
 
-def _centralizer(gbar: GbarGroup, a: Perm) -> list[Perm]:
-    return [e for e in gbar.table.elements if compose(e, a) == compose(a, e)]
+def _window_centralizer(gbar: GbarGroup, a: Perm) -> list[Perm]:
+    """The model elements commuting with a, in table order.
+
+    Model elements act window by window, so e commutes with a exactly when
+    every window slice of e commutes with the same slice of a.  The verdict
+    is memoized per distinct slice; a window has at most |G| of them.
+    """
+    candidates = gbar.table.elements
+    for lo in range(0, gbar.degree, gbar.base_degree):
+        hi = lo + gbar.base_degree
+        verdict: dict[Perm, bool] = {}
+        kept = []
+        for e in candidates:
+            s = e[lo:hi]
+            ok = verdict.get(s)
+            if ok is None:
+                ok = all(a[s[j - lo]] == s[a[j] - lo] for j in range(lo, hi))
+                verdict[s] = ok
+            if ok:
+                kept.append(e)
+        candidates = kept
+    return candidates
+
+
+def _generators(elements: list[Perm], degree: int) -> list[Perm]:
+    """Generators of the subgroup with these elements, each outside the span
+    of the ones before it."""
+    gens: list[Perm] = []
+    span = {identity_perm(degree)}
+    for e in elements:
+        if e not in span:
+            gens.append(e)
+            span = ElementTable(gens, degree).index
+    return gens
+
+
+def _double_cosets(gbar: GbarGroup, xk: Perm, yk: Perm) -> DoubleCosets:
+    """Partition the model group into orbits of C(x^k) on the left cosets of C(y^k).
+
+    Each double coset starts from its least unvisited element f.  The left
+    coset f C(y^k) is materialized, then a BFS multiplies left-coset
+    representatives on the left by generators of C(x^k) and materializes
+    the left coset of every unvisited product.
+    """
+    table = gbar.table
+    index = table.index
+    cx = _window_centralizer(gbar, xk)
+    cy = _window_centralizer(gbar, yk)
+    left = _generators(cx, gbar.degree)
+    visited = [False] * gbar.order
+
+    def materialize(g: Perm) -> int:
+        """Mark the left coset g C(y^k) visited and return the flags it flipped."""
+        flipped = 0
+        for t in cy:
+            i = index[compose(g, t)]
+            if not visited[i]:
+                visited[i] = True
+                flipped += 1
+        if flipped != len(cy):
+            raise GbarError(
+                f"left coset check failed: a left coset of C(y^k) flipped {flipped} "
+                f"flags, not |C(y^k)| = {len(cy)}"
+            )
+        return flipped
+
+    covered = 0
+    reps: list[tuple[int, int]] = []
+    for fid, f in enumerate(table.elements):
+        if visited[fid]:
+            continue
+        size = materialize(f)
+        queue = [f]
+        for g in queue:
+            for s in left:
+                n = compose(s, g)
+                if not visited[index[n]]:
+                    size += materialize(n)
+                    queue.append(n)
+        reps.append((fid, size))
+        covered += size
+    if covered != gbar.order:
+        raise GbarError(
+            f"partition check failed: double cosets cover {covered} of "
+            f"{gbar.order} model elements"
+        )
+    return DoubleCosets(cx=cx, cy=cy, reps=reps)
 
 
 def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
-    """Flag every double coset of the centralizers of the k-th generator powers."""
+    """Flag every double coset of the centralizers of the k-th generator powers.
+
+    The partition is cached on gbar, keyed by (gcd(k, ord x), gcd(k, ord y));
+    only the generation, theta and delta flags depend on k itself.
+    """
     table = gbar.table
 
     def power(p: Perm) -> Perm:
@@ -177,27 +283,19 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
 
     xk = power(gbar.x)
     yk = power(gbar.y)
-    cx = _centralizer(gbar, xk)
-    cy = _centralizer(gbar, yk)
+    key = (gcd(k, perm_order(gbar.x)), gcd(k, perm_order(gbar.y)))
+    cosets = gbar.partitions.get(key)
+    if cosets is None:
+        cosets = gbar.partitions[key] = _double_cosets(gbar, xk, yk)
+    cx, cy = cosets.cx, cosets.cy
     cy_set = set(cy)
     theta = theta_images(gbar)
     delta = delta_images(gbar)
     prod_inv_k = power(compose(inverse(gbar.y), inverse(gbar.x)))
     yk_inv = inverse(yk)
-    visited = [False] * gbar.order
     reps: list[DoubleCosetRep] = []
-    covered = 0
-    for fid, f in enumerate(gbar.table.elements):
-        if visited[fid]:
-            continue
-        coset = set()
-        for s in cx:
-            sf = compose(s, f)
-            for t in cy:
-                coset.add(compose(sf, t))
-        for e in coset:
-            visited[gbar.table.index[e]] = True
-        covered += len(coset)
+    for fid, size in cosets.reps:
+        f = table.elements[fid]
         xkf = conjugate(xk, f)
         gen_ok = generates([xkf, yk], gbar.degree, gbar.order)
         theta_ok = False
@@ -219,15 +317,13 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
         reps.append(
             DoubleCosetRep(
                 element=f,
-                word=gbar.table.words[fid],
-                coset_size=len(coset),
+                word=table.words[fid],
+                coset_size=size,
                 generates_model=gen_ok,
                 theta_ok=theta_ok,
                 delta_ok=delta_ok,
             )
         )
-    if covered != gbar.order:
-        raise GbarError("double cosets fail to partition the model group")
     reps.sort(key=lambda rep: (len(rep.word), rep.word))
     return reps
 
@@ -235,7 +331,9 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
 def gt_full_order(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> int:
     """Sum the surviving double cosets over all powers coprime to the order.
 
-    Validated against cyclic targets only; experimental elsewhere.
+    C(x^k) = C(x) when gcd(k, ord x) = 1, so every survey after the first
+    reuses the partition cached on the model group and recomputes only the
+    flags.  Validated against cyclic targets only; experimental elsewhere.
     """
     gbar = build_gbar(group, cap)
     n = perm_order(gbar.x)

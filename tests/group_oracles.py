@@ -1,6 +1,6 @@
 """Test-only oracles: a direct product, a transitivity test, the dihedral
-and GT1 counts and an exhaustive S search, kept out of the library they
-check."""
+and GT1 counts, a brute-force double-coset survey and an exhaustive S
+search, kept out of the library they check."""
 
 from __future__ import annotations
 
@@ -10,8 +10,24 @@ from math import factorial
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from gtpairs.atlas import ConstructedGroup
-from gtpairs.gbar import build_gbar, double_coset_survey
-from gtpairs.permcore import ElementTable, Perm, compose, orbit
+from gtpairs.gbar import (
+    GbarGroup,
+    build_gbar,
+    delta_images,
+    double_coset_survey,
+    evaluate_endo,
+    theta_images,
+)
+from gtpairs.permcore import (
+    ElementTable,
+    Perm,
+    compose,
+    conjugate,
+    generates,
+    inverse,
+    orbit,
+)
+from gtpairs.structure import mul_power
 
 DEFAULT_BRUTE_BUDGET = 10**7
 
@@ -38,6 +54,51 @@ def gt1_order(group: ConstructedGroup) -> tuple[int, list]:
     """Count surviving double cosets for the identity power."""
     survivors = [rep for rep in double_coset_survey(build_gbar(group)) if rep.survives]
     return len(survivors), survivors
+
+
+def brute_double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[tuple]:
+    """Every double coset C(x^k) f C(y^k) from all |C(x^k)| * |C(y^k)|
+    products, with centralizers from a full scan of the model group.
+
+    Returns (element, word, coset size, generates, theta, delta) for the
+    least element of each double coset, sorted by word.
+    """
+    table = gbar.table
+
+    def power(p: Perm) -> Perm:
+        return table.elements[mul_power(table, table.index[p], k)]
+
+    def centralizer(a: Perm) -> list[Perm]:
+        return [e for e in table.elements if compose(e, a) == compose(a, e)]
+
+    xk, yk = power(gbar.x), power(gbar.y)
+    cx, cy = centralizer(xk), centralizer(yk)
+    cy_set = set(cy)
+    theta, delta = theta_images(gbar), delta_images(gbar)
+    prod_inv_k = power(compose(inverse(gbar.y), inverse(gbar.x)))
+    visited: set[Perm] = set()
+    out = []
+    for fid, f in enumerate(table.elements):
+        if f in visited:
+            continue
+        coset = set()
+        for s in cx:
+            sf = compose(s, f)
+            coset.update(compose(sf, t) for t in cy)
+        visited |= coset
+        xkf = conjugate(xk, f)
+        gen_ok = generates([xkf, yk], gbar.degree, gbar.order)
+        tf = evaluate_endo(gbar, theta, f)
+        theta_ok = gen_ok and any(compose(compose(tf, s), f) in cy_set for s in cx)
+        delta_ok = False
+        if theta_ok:
+            lhs = conjugate(prod_inv_k, evaluate_endo(gbar, delta, f))
+            rhs = compose(inverse(yk), inverse(xkf))
+            delta_ok = any(conjugate(lhs, c) == rhs for c in cy)
+        out.append((f, table.words[fid], len(coset), gen_ok, theta_ok, delta_ok))
+    assert len(visited) == gbar.order
+    out.sort(key=lambda rep: (len(rep[1]), rep[1]))
+    return out
 
 
 def dihedral_closed_form(n: int) -> int:

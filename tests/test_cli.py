@@ -206,3 +206,39 @@ def test_repro_mismatch_exits_nonzero(capsys, monkeypatch) -> None:
     rc, out, _ = _run(capsys, ["repro", "cyclic", "--threads", "1"])
     assert rc == 1
     assert "MISMATCH cyclic-5-full expected 999 got 4" in out
+
+
+INTERNAL_FAILURES = [
+    RuntimeError(
+        'generators span at least 120 elements, so the check "generators '
+        'lie in a group of target_order 60" failed'
+    ),
+    RuntimeError("conjugacy transporter failed recomposition"),
+    AssertionError("distributivity failed"),
+]
+
+
+@pytest.mark.parametrize("failure", INTERNAL_FAILURES, ids=repr)
+def test_internal_check_failure_exits_3(capsys, monkeypatch, failure) -> None:
+    def broken(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "construct", broken)
+    rc, out, err = _run(capsys, ["pc", "psl2:5", "--threads", "1"])
+    assert rc == 3
+    assert out == ""
+    assert err == f"error: internal check failed: {failure}\n"
+
+
+def test_field_axiom_failure_exits_3(capsys, monkeypatch) -> None:
+    from gtpairs import atlas
+
+    def broken(self) -> None:
+        raise AssertionError("multiplicative associativity failed")
+
+    monkeypatch.setattr(atlas.FieldGF, "_verify", broken)
+    rc, _, err = _run(capsys, ["sg", "psl2:7", "--threads", "1"])
+    assert rc == 3
+    assert err.splitlines() == [
+        "error: internal check failed: multiplicative associativity failed"
+    ]

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
-from math import gcd
+from dataclasses import replace
+from math import gcd, lcm
 
 import pytest
 
+import gtpairs.gbar as gbar_module
 from gtpairs.atlas import construct
 from gtpairs.gbar import (
+    GbarError,
     build_gbar,
     delta_images,
     double_coset_survey,
@@ -20,8 +23,14 @@ from gtpairs.permcore import (
     generates,
     identity_perm,
     inverse,
+    perm_order,
 )
-from group_oracles import dihedral_closed_form, direct_product, gt1_order
+from group_oracles import (
+    brute_double_coset_survey,
+    dihedral_closed_form,
+    direct_product,
+    gt1_order,
+)
 
 _CACHE: dict = {}
 
@@ -31,6 +40,13 @@ def _gbar(spec: str):
     if spec not in _CACHE:
         _CACHE[spec] = build_gbar(construct(spec))
     return _CACHE[spec]
+
+
+def _survey_rows(gbar, k: int = 1) -> list[tuple]:
+    return [
+        (r.element, r.word, r.coset_size, r.generates_model, r.theta_ok, r.delta_ok)
+        for r in double_coset_survey(gbar, k)
+    ]
 
 
 def _phi(n: int) -> int:
@@ -171,6 +187,7 @@ def test_coprime_product_multiplicative() -> None:
     group = direct_product(construct("cyclic:3"), construct("dihedral:4"))
     gbar = build_gbar(group)
     assert gbar.order == 288
+    assert _survey_rows(gbar) == brute_double_coset_survey(gbar)
     count, _ = gt1_order(group)
     assert count == 1
 
@@ -190,3 +207,64 @@ def test_model_cap_error_names_flag() -> None:
     with pytest.raises(EnumerationCapError) as err:
         build_gbar(construct("dihedral:9"), cap=100)
     assert "--cap" in str(err.value)
+
+
+ORACLE_SPECS = [f"dihedral:{n}" for n in range(3, 10)] + [
+    "dihedral:12",
+    "alternating:4",
+    "quaternion8",
+    "symmetric:3",
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_survey_matches_brute_oracle(spec) -> None:
+    gbar = _gbar(spec)
+    assert _survey_rows(gbar) == brute_double_coset_survey(gbar)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_one_partition_serves_every_coprime_power(n) -> None:
+    gbar = build_gbar(construct(f"cyclic:{n}"))
+    order = perm_order(gbar.x)
+    for k in range(1, order + 1):
+        if gcd(k, order) == 1:
+            assert _survey_rows(gbar, k) == brute_double_coset_survey(gbar, k)
+    assert set(gbar.partitions) == {(1, 1)}
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "dihedral:6"])
+def test_partition_cache_follows_the_gcds(spec) -> None:
+    """Powers below lcm(ord x, ord y), coprime or not, on one cached model."""
+    gbar = build_gbar(construct(spec))
+    nx, ny = perm_order(gbar.x), perm_order(gbar.y)
+    powers = range(1, lcm(nx, ny))
+    for k in powers:
+        assert _survey_rows(gbar, k) == brute_double_coset_survey(gbar, k)
+    assert set(gbar.partitions) == {(gcd(k, nx), gcd(k, ny)) for k in powers}
+
+
+@pytest.mark.parametrize("spec", ["cyclic:7", "cyclic:9", "cyclic:12", "dihedral:5"])
+def test_gt_full_order_equals_uncached_sum(spec) -> None:
+    group = construct(spec)
+    gbar = build_gbar(group)
+    n = perm_order(gbar.x)
+    total = 0
+    for k in range(1, n + 1):
+        if gcd(k, n) == 1:
+            fresh = replace(gbar, partitions={})
+            total += sum(1 for rep in double_coset_survey(fresh, k) if rep.survives)
+    assert gt_full_order(group) == total
+
+
+def test_left_coset_check_names_the_check(monkeypatch) -> None:
+    """A centralizer listing the identity twice makes a left coset flip fewer
+    flags than it has elements."""
+    true_centralizer = gbar_module._window_centralizer
+
+    def with_identity_twice(gbar, a):
+        return true_centralizer(gbar, a) + [identity_perm(gbar.degree)]
+
+    monkeypatch.setattr(gbar_module, "_window_centralizer", with_identity_twice)
+    with pytest.raises(GbarError, match="left coset check failed"):
+        double_coset_survey(build_gbar(construct("dihedral:3")))

@@ -22,6 +22,8 @@ LADDER = {
     "sg_psl2_7": ["sg", "psl2:7"],
     "sg_quaternion8": ["sg", "quaternion8"],
     "gt1_dihedral_7": ["gt1", "dihedral:7"],
+    "gt1_alternating_4": ["gt1", "alternating:4"],
+    "gt1_cyclic_12": ["gt1", "cyclic:12"],
     "gtfull_cyclic_12": ["gtfull", "cyclic:12"],
     "dessin_tetra_cyclic_3": ["dessin", "tetra.txt", "--cyclic", "3"],
 }
