@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .permcore import Perm, StabilizerChain, parse_cycles, perm_order
+from .structure import factorint
 
 PSL2_FIELD_SIZES = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
 
@@ -40,15 +41,6 @@ def _gate(spec: str, degree: int, generators: list[Perm], order: int) -> Constru
     return ConstructedGroup(spec, degree, generators, order)
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 class FieldGF:
     """GF(p^d) arithmetic on elements 0..q-1, verified exhaustively.
 
@@ -58,14 +50,10 @@ class FieldGF:
     """
 
     def __init__(self, q: int):
-        p = _smallest_prime_factor(q)
-        d = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            d += 1
-        if n != 1:
+        factors = factorint(q)
+        if len(factors) != 1:
             raise GroupSpecError(f"{q} is not a prime power")
+        ((p, d),) = factors.items()
         self.q = q
         self.p = p
         self.d = d

@@ -14,7 +14,7 @@ from functools import cached_property
 from .atlas import ConstructionError, GroupSpecError, atlas_entries, construct
 from .autgroup import OutReps, out_representatives
 from .dessins import DessinError, analyze_dessin, cyclic_structures, load_dessin
-from .gbar import GbarError, build_gbar, double_coset_survey, gt_full_order
+from .gbar import build_gbar, double_coset_survey, gt_full_order
 from .pairs import (
     BlockPartition,
     InducedPerms,
@@ -46,7 +46,6 @@ USER_ERRORS = (
     ConstructionError,
     DessinError,
     CycleFormatError,
-    GbarError,
     EnumerationCapError,
     StructureSizeError,
     PairLookupError,

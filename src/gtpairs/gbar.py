@@ -94,7 +94,7 @@ class DoubleCosetRep:
         return self.generates_model and self.theta_ok and self.delta_ok
 
 
-def _embed(p: Perm, w: int, d: int, total: int) -> list[int]:
+def _embed(p: Perm, w: int, d: int) -> list[int]:
     out = list(range(w * d, w * d + d))
     for i, j in enumerate(p):
         out[i] = w * d + j
@@ -126,8 +126,8 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
     y_parts: list[int] = []
     for w, i in enumerate(reps):
         g_id, h_id = pcset.reps[i]
-        x_parts.extend(_embed(table.elements[g_id], w, d, r * d))
-        y_parts.extend(_embed(table.elements[h_id], w, d, r * d))
+        x_parts.extend(_embed(table.elements[g_id], w, d))
+        y_parts.extend(_embed(table.elements[h_id], w, d))
     x, y = tuple(x_parts), tuple(y_parts)
     # the random fill's bound only: verifying a chain at this degree can take minutes
     at_least = StabilizerChain([x, y], r * d, stop_at=cap + 1).bound

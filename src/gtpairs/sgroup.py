@@ -61,10 +61,6 @@ def h_orbits(h: ElementTable) -> list[HOrbit]:
     return out
 
 
-def _point_stabilizer(h: ElementTable, q: int) -> frozenset[int]:
-    return frozenset(i for i, e in enumerate(h.elements) if e[q] == q)
-
-
 def _equivariant_map(h: ElementTable, o1: HOrbit, q: int) -> dict[int, int]:
     """The map sending e(base of o1) to e(q) for every e in the closure."""
     bij: dict[int, int] = {}
@@ -78,31 +74,22 @@ def _equivariant_map(h: ElementTable, o1: HOrbit, q: int) -> dict[int, int]:
     return bij
 
 
-def orbit_equivalence(
-    h: ElementTable, o1: HOrbit, o2: HOrbit, block_of: list[int]
-) -> dict[int, int] | None:
-    """Equivariant block-respecting bijection from o1 onto o2, if one exists."""
-    if len(o1.points) != len(o2.points):
-        return None
-    for q in o2.points:
-        if _point_stabilizer(h, q) != o1.stabilizer:
-            continue
-        bij = _equivariant_map(h, o1, q)
-        if all(block_of[src] == block_of[dst] for src, dst in bij.items()):
-            return bij
-    return None
+def _point_key(h: ElementTable, q: int, block_of: list[int]) -> tuple:
+    """(stabilizer ids of q, block of e(q) for every e in table order).
+
+    An equivariant block-respecting map between orbits keeps this key, and two
+    points with equal keys are joined by such a map."""
+    stab = tuple(i for i, e in enumerate(h.elements) if e[q] == q)
+    return stab, tuple(block_of[e[q]] for e in h.elements)
 
 
-def _self_equivalences(h: ElementTable, orbit: HOrbit, block_of: list[int]) -> list[Perm]:
-    """All equivariant block-respecting self-bijections of an orbit, as local perms."""
+def _self_maps(h: ElementTable, orbit: HOrbit, targets: list[int]) -> list[Perm]:
+    """The equivariant maps sending the base to each target, as local perms."""
     pos = {p: i for i, p in enumerate(orbit.points)}
     out = []
-    for q in orbit.points:
-        if _point_stabilizer(h, q) != orbit.stabilizer:
-            continue
+    for q in targets:
         bij = _equivariant_map(h, orbit, q)
-        if all(block_of[src] == block_of[dst] for src, dst in bij.items()):
-            out.append(tuple(pos[bij[p]] for p in orbit.points))
+        out.append(tuple(pos[bij[p]] for p in orbit.points))
     known = set(out)
     for a in out:
         for b in out:
@@ -141,58 +128,42 @@ class PacketDecomposition:
     exact_partition: list[list[int]]
 
 
-def _canonical_stabilizer_key(
-    mul: list[list[int]], inv: list[int], stab: frozenset[int]
-) -> tuple[int, ...]:
-    best = None
-    for g in range(len(mul)):
-        conj = tuple(sorted(mul[mul[inv[g]][s]][g] for s in stab))
-        if best is None or conj < best:
-            best = conj
-    return best
-
-
 def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecomposition:
-    """Group the orbits into packets of equivalent orbits and compute each E."""
+    """Group the orbits into packets of equivalent orbits and compute each E.
+
+    An orbit's key is the least point key over its points, so two orbits are
+    equivalent exactly when their keys are equal.  The least stabilizer over
+    an orbit is the least conjugate of its base stabilizer, which with the
+    block-size profile gives the coarse key.
+    """
     orbits = h_orbits(h)
-    mul = [[h.index[compose(a, b)] for b in h.elements] for a in h.elements]
-    inv = [h.inverse_id(g) for g in range(h.order)]
     coarse_groups: dict[tuple, list[int]] = {}
+    packets: dict[tuple, WreathFactor] = {}
     for idx, o in enumerate(orbits):
+        keys = {q: _point_key(h, q, block_of) for q in o.points}
+        key = min(keys.values())
         profile = tuple(sorted(Counter(block_of[p] for p in o.points).values()))
-        key = (_canonical_stabilizer_key(mul, inv, o.stabilizer), profile)
-        coarse_groups.setdefault(key, []).append(idx)
-    coarse_partition = list(coarse_groups.values())
-    classes: list[tuple[list[int], list[dict[int, int]]]] = []
-    for group in coarse_partition:
-        local: list[tuple[list[int], list[dict[int, int]]]] = []
-        for idx in group:
-            for members, bijections in local:
-                bij = orbit_equivalence(h, orbits[members[0]], orbits[idx], block_of)
-                if bij is not None:
-                    members.append(idx)
-                    bijections.append(bij)
-                    break
-            else:
-                ident = {p: p for p in orbits[idx].points}
-                local.append(([idx], [ident]))
-        classes.extend(local)
-    classes.sort(key=lambda cls: orbits[cls[0][0]].base)
-    factors = []
-    for members, bijections in classes:
-        rep = orbits[members[0]]
-        e_elements = _self_equivalences(h, rep, block_of)
-        factors.append(
-            WreathFactor(
-                points=rep.points,
-                e_elements=e_elements,
-                s=len(members),
-                member_orbits=members,
-                bijections=bijections,
+        coarse_groups.setdefault((key[0], profile), []).append(idx)
+        f = packets.get(key)
+        if f is None:
+            targets = [q for q in o.points if keys[q] == keys[o.base]]
+            ident = {p: p for p in o.points}
+            packets[key] = WreathFactor(
+                o.points, _self_maps(h, o, targets), 1, [idx], [ident]
             )
-        )
+            continue
+        rep = orbits[f.member_orbits[0]]
+        # recomputed, not stored, so that only one key per packet is held
+        rep_key = _point_key(h, rep.base, block_of)
+        q = next(q for q in o.points if keys[q] == rep_key)
+        f.s += 1
+        f.member_orbits.append(idx)
+        f.bijections.append(_equivariant_map(h, rep, q))
+    factors = list(packets.values())
     exact_partition = [f.member_orbits for f in factors]
-    return PacketDecomposition(orbits, factors, coarse_partition, exact_partition)
+    return PacketDecomposition(
+        orbits, factors, list(coarse_groups.values()), exact_partition
+    )
 
 
 def _lift_local(perm: Perm, points: list[int], ell: int) -> Perm:

@@ -1,10 +1,12 @@
 """Test-only oracles: a direct product, a transitivity test, the dihedral
-and GT1 counts, a brute-force double-coset survey and an exhaustive S
-search, kept out of the library they check."""
+and GT1 counts, a brute-force double-coset survey, a pairwise packet
+decomposition and an exhaustive S search, kept out of the library they
+check."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import factorial
 
 from sympy.combinatorics import Permutation, PermutationGroup
@@ -26,6 +28,13 @@ from gtpairs.permcore import (
     generates,
     inverse,
     orbit,
+)
+from gtpairs.sgroup import (
+    HOrbit,
+    PacketDecomposition,
+    WreathFactor,
+    _equivariant_map,
+    h_orbits,
 )
 from gtpairs.structure import mul_power
 
@@ -135,3 +144,96 @@ def brute_force_sg(
         if all(compose(g, hp) == compose(hp, g) for hp in h.generators):
             out.append(g)
     return out
+
+
+def _point_stabilizer(h: ElementTable, q: int) -> frozenset[int]:
+    return frozenset(i for i, e in enumerate(h.elements) if e[q] == q)
+
+
+def orbit_equivalence(
+    h: ElementTable, o1: HOrbit, o2: HOrbit, block_of: list[int]
+) -> dict[int, int] | None:
+    """Equivariant block-respecting bijection from o1 onto o2, if one exists."""
+    if len(o1.points) != len(o2.points):
+        return None
+    for q in o2.points:
+        if _point_stabilizer(h, q) != o1.stabilizer:
+            continue
+        bij = _equivariant_map(h, o1, q)
+        if all(block_of[src] == block_of[dst] for src, dst in bij.items()):
+            return bij
+    return None
+
+
+def _self_equivalences(h: ElementTable, orbit: HOrbit, block_of: list[int]) -> list[Perm]:
+    """All equivariant block-respecting self-bijections of an orbit, as local perms."""
+    pos = {p: i for i, p in enumerate(orbit.points)}
+    out = []
+    for q in orbit.points:
+        if _point_stabilizer(h, q) != orbit.stabilizer:
+            continue
+        bij = _equivariant_map(h, orbit, q)
+        if all(block_of[src] == block_of[dst] for src, dst in bij.items()):
+            out.append(tuple(pos[bij[p]] for p in orbit.points))
+    known = set(out)
+    for a in out:
+        for b in out:
+            if compose(a, b) not in known:
+                raise RuntimeError("self-equivalence set is not closed")
+    return out
+
+
+def _canonical_stabilizer_key(
+    mul: list[list[int]], inv: list[int], stab: frozenset[int]
+) -> tuple[int, ...]:
+    best = None
+    for g in range(len(mul)):
+        conj = tuple(sorted(mul[mul[inv[g]][s]][g] for s in stab))
+        if best is None or conj < best:
+            best = conj
+    return best
+
+
+def brute_packet_decomposition(
+    h: ElementTable, block_of: list[int]
+) -> PacketDecomposition:
+    """Packets by comparing each orbit with the first member of every packet
+    in its coarse group, one equivalence search per comparison."""
+    orbits = h_orbits(h)
+    mul = [[h.index[compose(a, b)] for b in h.elements] for a in h.elements]
+    inv = [h.inverse_id(g) for g in range(h.order)]
+    coarse_groups: dict[tuple, list[int]] = {}
+    for idx, o in enumerate(orbits):
+        profile = tuple(sorted(Counter(block_of[p] for p in o.points).values()))
+        key = (_canonical_stabilizer_key(mul, inv, o.stabilizer), profile)
+        coarse_groups.setdefault(key, []).append(idx)
+    coarse_partition = list(coarse_groups.values())
+    classes: list[tuple[list[int], list[dict[int, int]]]] = []
+    for group in coarse_partition:
+        local: list[tuple[list[int], list[dict[int, int]]]] = []
+        for idx in group:
+            for members, bijections in local:
+                bij = orbit_equivalence(h, orbits[members[0]], orbits[idx], block_of)
+                if bij is not None:
+                    members.append(idx)
+                    bijections.append(bij)
+                    break
+            else:
+                ident = {p: p for p in orbits[idx].points}
+                local.append(([idx], [ident]))
+        classes.extend(local)
+    classes.sort(key=lambda cls: orbits[cls[0][0]].base)
+    factors = []
+    for members, bijections in classes:
+        rep = orbits[members[0]]
+        factors.append(
+            WreathFactor(
+                points=rep.points,
+                e_elements=_self_equivalences(h, rep, block_of),
+                s=len(members),
+                member_orbits=members,
+                bijections=bijections,
+            )
+        )
+    exact_partition = [f.member_orbits for f in factors]
+    return PacketDecomposition(orbits, factors, coarse_partition, exact_partition)

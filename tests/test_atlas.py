@@ -88,8 +88,9 @@ def test_field_prime() -> None:
 
 
 def test_field_rejects_non_prime_power() -> None:
-    with pytest.raises(GroupSpecError):
-        FieldGF(6)
+    for q in (6, 1, 0):
+        with pytest.raises(GroupSpecError, match="is not a prime power"):
+            FieldGF(q)
 
 
 def test_direct_product() -> None:

@@ -230,6 +230,22 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch, failure) -> None:
     assert err == f"error: internal check failed: {failure}\n"
 
 
+def test_model_self_check_failure_exits_3(capsys, monkeypatch) -> None:
+    from gtpairs import gbar
+
+    true_centralizer = gbar._window_centralizer
+
+    def with_identity_twice(model, a):
+        return true_centralizer(model, a) + [tuple(range(model.degree))]
+
+    monkeypatch.setattr(gbar, "_window_centralizer", with_identity_twice)
+    rc, out, err = _run(capsys, ["gt1", "dihedral:3", "--threads", "1"])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: left coset check failed")
+    assert len(err.splitlines()) == 1
+
+
 def test_field_axiom_failure_exits_3(capsys, monkeypatch) -> None:
     from gtpairs import atlas
 

@@ -20,6 +20,7 @@ TETRA = (
 LADDER = {
     "pc_psl2_5": ["pc", "psl2:5"],
     "sg_psl2_7": ["sg", "psl2:7"],
+    "sg_psl2_11": ["sg", "psl2:11"],
     "sg_quaternion8": ["sg", "quaternion8"],
     "gt1_dihedral_7": ["gt1", "dihedral:7"],
     "gt1_alternating_4": ["gt1", "alternating:4"],

@@ -8,11 +8,7 @@ import pytest
 
 from gtpairs.cli import pair_stages
 from gtpairs.permcore import ElementTable, compose, identity_perm
-from gtpairs.sgroup import (
-    h_orbits,
-    orbit_equivalence,
-    packet_decomposition,
-)
+from gtpairs.sgroup import h_orbits, packet_decomposition
 from gtpairs.structure import (
     FactoredOrder,
     GroupFingerprint,
@@ -22,7 +18,12 @@ from gtpairs.structure import (
     center_element_ids,
     fingerprint_recognize,
 )
-from group_oracles import SgBudgetError, brute_force_sg
+from group_oracles import (
+    SgBudgetError,
+    brute_force_sg,
+    brute_packet_decomposition,
+    orbit_equivalence,
+)
 
 _CACHE: dict = {}
 
@@ -110,6 +111,21 @@ def test_orbit_equivalence_rejects_size_mismatch() -> None:
     large = max(orbits, key=lambda o: len(o.points))
     assert len(small.points) != len(large.points)
     assert orbit_equivalence(h, small, large, blocks.block_of) is None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    SMALL_SPECS
+    + ["dihedral:6", "cyclic:12", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11"]
+    + [
+        pytest.param(spec, marks=pytest.mark.extended)
+        for spec in ["psl2:13", "alternating:7", "psl3:3", "m11"]
+    ],
+)
+def test_packets_match_pairwise_oracle(spec) -> None:
+    _, _, _, _, _, blocks, h = _pipeline(spec)
+    decomp = packet_decomposition(h, blocks.block_of)
+    assert decomp == brute_packet_decomposition(h, blocks.block_of)
 
 
 def test_equivalences_respect_blocks_pointwise() -> None:
