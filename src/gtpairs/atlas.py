@@ -370,8 +370,11 @@ def load_group_file(path: str) -> ConstructedGroup:
     "images i1 ... iN" giving 1-based images.  Blank lines and lines starting
     with # are ignored.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as err:
+        raise GroupSpecError(f"{path}: not UTF-8 text ({err.reason})") from None
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].lower().startswith("degree"):
         raise GroupSpecError(f"{path}: first line must be 'degree N'")
@@ -387,7 +390,10 @@ def load_group_file(path: str) -> ConstructedGroup:
             toks = ln.split()[1:]
             if len(toks) != degree:
                 raise GroupSpecError(f"{path}: images line needs {degree} entries")
-            images = tuple(int(t) - 1 for t in toks)
+            try:
+                images = tuple(int(t) - 1 for t in toks)
+            except ValueError:
+                raise GroupSpecError(f"{path}: non-integer entry in {ln!r}") from None
             if sorted(images) != list(range(degree)):
                 raise GroupSpecError(f"{path}: images line is not a permutation")
             gens.append(images)

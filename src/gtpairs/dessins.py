@@ -67,8 +67,11 @@ def load_dessin(path: str) -> DessinXY:
 
     Blank lines and lines starting with # are ignored.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as err:
+        raise DessinError(f"{path}: not UTF-8 text ({err.reason})") from None
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].lower().startswith("darts"):
         raise DessinError(f"{path}: first line must be 'darts N'")

@@ -166,37 +166,44 @@ def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecompos
     )
 
 
-def _lift_local(perm: Perm, points: list[int], ell: int) -> Perm:
-    arr = list(range(ell))
-    for i, p in enumerate(points):
-        arr[p] = points[perm[i]]
-    return tuple(arr)
-
-
 def assemble_generators(
     decomp: PacketDecomposition, h: ElementTable, block_of: list[int]
 ) -> list[Perm]:
-    """Explicit generators on {0..ell-1}: E on one orbit plus member swaps."""
-    gens = []
+    """Explicit generators on {0..ell-1}: E on one orbit plus member swaps.
+
+    Each generator is written on a support P, the representative orbit for
+    E or the two member orbits for a swap.  P is a union of H-orbits, so a
+    generator that fixes every point outside P commutes with H and keeps
+    the blocks exactly when it does so on P.
+    """
+    emitted: list[tuple[dict[int, int], list[int]]] = []
     for f in decomp.factors:
         for loc in f.e_elements:
-            if is_identity(loc):
-                continue
-            gens.append(_lift_local(loc, f.points, h.degree))
+            if not is_identity(loc):
+                moves = {p: f.points[loc[i]] for i, p in enumerate(f.points)}
+                emitted.append((moves, f.points))
         for i in range(1, f.s):
             prev, cur = f.bijections[i - 1], f.bijections[i]
-            arr = list(range(h.degree))
+            moves = {}
             for p in f.points:
-                u, v = prev[p], cur[p]
-                arr[u] = v
-                arr[v] = u
-            gens.append(tuple(arr))
-    for g in gens:
-        for hp in h.generators:
-            if compose(g, hp) != compose(hp, g):
-                raise RuntimeError("emitted generator fails to commute")
-        if any(block_of[g[p]] != block_of[p] for p in range(h.degree)):
+                moves[prev[p]] = cur[p]
+                moves[cur[p]] = prev[p]
+            members = (decomp.orbits[f.member_orbits[j]] for j in (i - 1, i))
+            emitted.append((moves, [p for o in members for p in o.points]))
+    gens = []
+    for moves, support in emitted:
+        if not moves.keys() <= set(support):
+            raise RuntimeError("emitted generator moves a point outside its orbits")
+        arr = list(range(h.degree))
+        for p, img in moves.items():
+            arr[p] = img
+        g = tuple(arr)
+        if any(block_of[g[p]] != block_of[p] for p in support):
             raise RuntimeError("emitted generator moves a point across blocks")
+        for hp in h.generators:
+            if any(g[hp[p]] != hp[g[p]] for p in support):
+                raise RuntimeError("emitted generator fails to commute")
+        gens.append(g)
     return gens
 
 

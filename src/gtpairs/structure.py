@@ -1,13 +1,13 @@
 """Factored orders, composition factors, and group fingerprints.
 
-Groups enter this module as "mul tables": objects with an integer `order`,
-methods mul(a, b), inverse_id(a), element_order(a), and the identity at
-id 0.  ElementTable satisfies the interface; SubgroupTable and
-QuotientTable below provide it for derived constructions.  Fingerprints
-of large products are assembled per factor with closed wreath-product
-formulas instead of materializing the group.  The small integer helpers
-(factorint, isprime, primerange, partitions) are stdlib trial division and
-recursion, sized for the group orders met here.
+Every group here is a permutation group held as an ElementTable.  Subgroups
+come from `normal_closure`, and quotients from `quotient`, the action on the
+cosets of a normal subgroup, so derived subgroups, abelianizations and
+composition series are ElementTables too.  Fingerprints of large products
+are assembled per factor with closed wreath-product formulas instead of
+materializing the group.  The small integer helpers (factorint, isprime,
+primerange, partitions) are stdlib trial division and recursion, sized for
+the group orders met here.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, lcm
 
-from .permcore import ElementTable
+from .permcore import ConjugacyClassTable, ElementTable, Perm, compose, conjugate, inverse
 
 
 class StructureSizeError(RuntimeError):
@@ -119,65 +119,8 @@ class FactoredOrder:
         return " * ".join(parts)
 
 
-class SubgroupTable:
-    """Mul table of a subgroup, reindexed over sorted member ids."""
-
-    def __init__(self, parent, member_ids: list[int]):
-        self.parent = parent
-        self.members = sorted(member_ids)
-        if not self.members or self.members[0] != 0:
-            raise ValueError("subgroup must contain the identity")
-        self._pos = {e: i for i, e in enumerate(self.members)}
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def mul(self, i: int, j: int) -> int:
-        return self._pos[self.parent.mul(self.members[i], self.members[j])]
-
-    def inverse_id(self, i: int) -> int:
-        return self._pos[self.parent.inverse_id(self.members[i])]
-
-    def element_order(self, i: int) -> int:
-        return self.parent.element_order(self.members[i])
-
-
-class QuotientTable:
-    """Mul table of parent modulo a normal subgroup, via coset representatives."""
-
-    def __init__(self, parent, normal_ids: list[int]):
-        self.parent = parent
-        self.coset_of = [-1] * parent.order
-        self.reps: list[int] = []
-        for x in range(parent.order):
-            if self.coset_of[x] != -1:
-                continue
-            cid = len(self.reps)
-            self.reps.append(x)
-            for k in normal_ids:
-                self.coset_of[parent.mul(x, k)] = cid
-
-    @property
-    def order(self) -> int:
-        return len(self.reps)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.coset_of[self.parent.mul(self.reps[i], self.reps[j])]
-
-    def inverse_id(self, i: int) -> int:
-        return self.coset_of[self.parent.inverse_id(self.reps[i])]
-
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != 0:
-            x = self.mul(x, i)
-            k += 1
-        return k
-
-
-def mul_power(t, a: int, k: int) -> int:
-    """Raise element a of a mul table to the k-th power, k >= 0."""
+def mul_power(t: ElementTable, a: int, k: int) -> int:
+    """Raise element a of a table to the k-th power, k >= 0."""
     out, base = 0, a
     while k:
         if k & 1:
@@ -187,60 +130,53 @@ def mul_power(t, a: int, k: int) -> int:
     return out
 
 
-def subgroup_closure(t, seed_ids) -> list[int]:
-    """Ids of the subgroup generated by the seeds, sorted."""
-    seeds = sorted(set(seed_ids) | {t.inverse_id(s) for s in seed_ids})
-    ids = {0}
-    queue = [0]
-    for a in queue:
-        for s in seeds:
-            n = t.mul(a, s)
-            if n not in ids:
-                ids.add(n)
-                queue.append(n)
-    return sorted(ids)
+def normal_closure(t: ElementTable, seeds: list[Perm]) -> ElementTable:
+    """The least normal subgroup of t containing the seeds.
+
+    A candidate already in the closure is skipped; otherwise it becomes a
+    generator and its conjugates by t's generators become candidates.  A
+    subgroup that holds these conjugates of its generators is normal.  Every
+    new generator at least doubles the closure, so there are at most
+    log2 of its order.
+    """
+    n = ElementTable([], t.degree)
+    candidates = list(seeds)
+    for c in candidates:
+        if c not in n.index:
+            n = ElementTable(n.generators + [c], t.degree)
+            candidates += [conjugate(c, x) for x in t.generators]
+    return n
 
 
-def center_element_ids(t) -> list[int]:
-    n = t.order
-    return [
-        a for a in range(n) if all(t.mul(a, b) == t.mul(b, a) for b in range(n))
+def quotient(t: ElementTable, normal: ElementTable) -> ElementTable:
+    """t acting on the right cosets N*x of a normal subgroup N.
+
+    g sends the coset of rep_c to the coset of rep_c * g.  The kernel of
+    this action is N, so the result is isomorphic to t/N.
+    """
+    coset_of = [-1] * t.order
+    reps: list[Perm] = []
+    for x, px in enumerate(t.elements):
+        if coset_of[x] != -1:
+            continue
+        for k in normal.elements:
+            coset_of[t.index[compose(k, px)]] = len(reps)
+        reps.append(px)
+    gens = [
+        tuple(coset_of[t.index[compose(r, g)]] for r in reps) for g in t.generators
     ]
+    return ElementTable(gens, len(reps))
 
 
-def derived_subgroup_ids(t) -> list[int]:
-    """Ids of the commutator subgroup of a mul table."""
-    gen_ids = None
-    if hasattr(t, "generators") and getattr(t, "index", None) is not None:
-        gen_ids = [t.index[tuple(g)] for g in t.generators]
-    if gen_ids:
-        comms = set()
-        for a in gen_ids:
-            for b in gen_ids:
-                comms.add(
-                    t.mul(t.mul(t.inverse_id(a), t.inverse_id(b)), t.mul(a, b))
-                )
-        closure = set(subgroup_closure(t, comms))
-        # normal closure: conjugation-closed under generators suffices
-        while True:
-            fresh = set()
-            for a in closure:
-                for g in gen_ids:
-                    c = t.mul(t.mul(t.inverse_id(g), a), g)
-                    if c not in closure:
-                        fresh.add(c)
-            if not fresh:
-                return sorted(closure)
-            closure = set(subgroup_closure(t, closure | fresh))
-    n = t.order
-    comms = set()
-    for a in range(n):
-        for b in range(n):
-            comms.add(t.mul(t.mul(t.inverse_id(a), t.inverse_id(b)), t.mul(a, b)))
-    return subgroup_closure(t, comms)
+def derived_subgroup(t: ElementTable) -> ElementTable:
+    """The commutator subgroup: the normal closure of the commutators of the
+    generators."""
+    gens = t.generators
+    comms = [compose(inverse(a), conjugate(a, b)) for a in gens for b in gens]
+    return normal_closure(t, comms)
 
 
-def element_order_histogram(t) -> dict[int, int]:
+def element_order_histogram(t: ElementTable) -> dict[int, int]:
     hist: dict[int, int] = {}
     for a in range(t.order):
         o = t.element_order(a)
@@ -248,8 +184,8 @@ def element_order_histogram(t) -> dict[int, int]:
     return hist
 
 
-def abelian_invariants(t) -> tuple[int, ...]:
-    """Elementary divisors of an abelian mul table, sorted ascending."""
+def abelian_invariants(t: ElementTable) -> tuple[int, ...]:
+    """Elementary divisors of an abelian group, sorted ascending."""
     n = t.order
     if n == 1:
         return ()
@@ -303,29 +239,26 @@ class GroupFingerprint:
         return self.derived_exponent is not None and isprime(self.derived_exponent)
 
     @classmethod
-    def from_mul(cls, t, histogram: bool = True) -> GroupFingerprint:
+    def from_mul(cls, t: ElementTable, histogram: bool = True) -> GroupFingerprint:
         hist = element_order_histogram(t)
-        exponent = lcm(*hist)
-        center = center_element_ids(t)
-        center_exp = lcm(*(t.element_order(a) for a in center))
-        derived = derived_subgroup_ids(t)
-        dsub = SubgroupTable(t, derived)
+        center = ConjugacyClassTable(t).center_ids
+        derived = derived_subgroup(t)
         d_abelian = all(
-            dsub.mul(a, b) == dsub.mul(b, a)
-            for a in range(dsub.order)
-            for b in range(dsub.order)
+            compose(a, b) == compose(b, a)
+            for a in derived.generators
+            for b in derived.generators
         )
-        d_exp = lcm(*(dsub.element_order(a) for a in range(dsub.order)))
-        ab = abelian_invariants(QuotientTable(t, derived))
         return cls(
             order=t.order,
-            exponent=exponent,
+            exponent=lcm(*hist),
             center_order=len(center),
-            center_exponent=center_exp,
-            derived_order=len(derived),
+            center_exponent=lcm(*(t.element_order(a) for a in center)),
+            derived_order=derived.order,
             derived_abelian=d_abelian,
-            derived_exponent=d_exp if d_abelian else None,
-            abelianization=ab,
+            derived_exponent=(
+                lcm(*element_order_histogram(derived)) if d_abelian else None
+            ),
+            abelianization=abelian_invariants(quotient(t, derived)),
             order_histogram=hist if histogram else None,
         )
 
@@ -373,8 +306,10 @@ def wreath_order_histogram(base_hist: dict[int, int], s: int) -> dict[int, int]:
     return total
 
 
-def wreath_fingerprint(e_table, s: int, histogram: bool = True) -> GroupFingerprint:
-    """Fingerprint of E wr Sym(s) from the mul table of E, by closed formulas."""
+def wreath_fingerprint(
+    e_table: ElementTable, s: int, histogram: bool = True
+) -> GroupFingerprint:
+    """Fingerprint of E wr Sym(s) from the element table of E, by closed formulas."""
     if s < 1:
         raise ValueError("wreath multiplicity must be at least 1")
     e_fp = GroupFingerprint.from_mul(e_table)
@@ -509,24 +444,7 @@ def sort_factor_labels(labels: list[str]) -> list[str]:
     return sorted(labels, key=_label_key)
 
 
-def _conjugacy_class_lists(t) -> list[list[int]]:
-    n = t.order
-    class_of = [-1] * n
-    out = []
-    for a in range(n):
-        if class_of[a] != -1:
-            continue
-        cid = len(out)
-        cls = set()
-        for g in range(n):
-            cls.add(t.mul(t.mul(t.inverse_id(g), a), g))
-        for e in cls:
-            class_of[e] = cid
-        out.append(sorted(cls))
-    return out
-
-
-def _simple_label(t) -> str:
+def _simple_label(t: ElementTable) -> str:
     n = t.order
     if isprime(n):
         return f"C{n}"
@@ -539,23 +457,21 @@ def _simple_label(t) -> str:
     return f"Other({n})"
 
 
-def composition_factors_small(t, limit: int = 10**4) -> list[str]:
-    """Composition factor labels of a mul table, by minimal normal subgroups."""
+def composition_factors_small(t: ElementTable, limit: int = 10**4) -> list[str]:
+    """Composition factor labels of a group, by minimal normal subgroups: the
+    least normal closure of a conjugacy class, then its quotient."""
     if t.order > limit:
         raise StructureSizeError(
             f"composition factors supported up to order {limit}, got {t.order}"
         )
     if t.order == 1:
         return []
-    best: list[int] | None = None
-    for cls in _conjugacy_class_lists(t):
-        if cls == [0]:
-            continue
-        closure = subgroup_closure(t, cls)
-        if best is None or len(closure) < len(best):
-            best = closure
-    if len(best) == t.order:
+    reps = ConjugacyClassTable(t).reps[1:]
+    best = min(
+        (normal_closure(t, [t.elements[r]]) for r in reps), key=lambda n: n.order
+    )
+    if best.order == t.order:
         return [_simple_label(t)]
-    sub = composition_factors_small(SubgroupTable(t, best), limit)
-    quo = composition_factors_small(QuotientTable(t, best), limit)
+    sub = composition_factors_small(best, limit)
+    quo = composition_factors_small(quotient(t, best), limit)
     return sort_factor_labels(sub + quo)

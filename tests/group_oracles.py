@@ -1,13 +1,13 @@
 """Test-only oracles: a direct product, a transitivity test, the dihedral
 and GT1 counts, a brute-force double-coset survey, a pairwise packet
-decomposition and an exhaustive S search, kept out of the library they
-check."""
+decomposition, an exhaustive S search and mul-table group structure, kept
+out of the library they check."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import factorial
+from math import factorial, lcm
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -36,7 +36,15 @@ from gtpairs.sgroup import (
     _equivariant_map,
     h_orbits,
 )
-from gtpairs.structure import mul_power
+from gtpairs.structure import (
+    GroupFingerprint,
+    StructureSizeError,
+    _simple_label,
+    abelian_invariants,
+    element_order_histogram,
+    mul_power,
+    sort_factor_labels,
+)
 
 DEFAULT_BRUTE_BUDGET = 10**7
 
@@ -237,3 +245,188 @@ def brute_packet_decomposition(
         )
     exact_partition = [f.member_orbits for f in factors]
     return PacketDecomposition(orbits, factors, coarse_partition, exact_partition)
+
+
+# Group structure on duck-typed "mul tables": objects with an integer
+# `order`, methods mul(a, b), inverse_id(a), element_order(a), and the
+# identity at id 0.  ElementTable is one; SubgroupTable and QuotientTable
+# build the others.  Every scan here is over whole tables.
+
+
+class SubgroupTable:
+    """Mul table of a subgroup, reindexed over sorted member ids."""
+
+    def __init__(self, parent, member_ids: list[int]):
+        self.parent = parent
+        self.members = sorted(member_ids)
+        if not self.members or self.members[0] != 0:
+            raise ValueError("subgroup must contain the identity")
+        self._pos = {e: i for i, e in enumerate(self.members)}
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+    def mul(self, i: int, j: int) -> int:
+        return self._pos[self.parent.mul(self.members[i], self.members[j])]
+
+    def inverse_id(self, i: int) -> int:
+        return self._pos[self.parent.inverse_id(self.members[i])]
+
+    def element_order(self, i: int) -> int:
+        return self.parent.element_order(self.members[i])
+
+
+class QuotientTable:
+    """Mul table of parent modulo a normal subgroup, via coset representatives."""
+
+    def __init__(self, parent, normal_ids: list[int]):
+        self.parent = parent
+        self.coset_of = [-1] * parent.order
+        self.reps: list[int] = []
+        for x in range(parent.order):
+            if self.coset_of[x] != -1:
+                continue
+            cid = len(self.reps)
+            self.reps.append(x)
+            for k in normal_ids:
+                self.coset_of[parent.mul(x, k)] = cid
+
+    @property
+    def order(self) -> int:
+        return len(self.reps)
+
+    def mul(self, i: int, j: int) -> int:
+        return self.coset_of[self.parent.mul(self.reps[i], self.reps[j])]
+
+    def inverse_id(self, i: int) -> int:
+        return self.coset_of[self.parent.inverse_id(self.reps[i])]
+
+    def element_order(self, i: int) -> int:
+        k, x = 1, i
+        while x != 0:
+            x = self.mul(x, i)
+            k += 1
+        return k
+
+
+def subgroup_closure(t, seed_ids) -> list[int]:
+    """Ids of the subgroup generated by the seeds, sorted."""
+    seeds = sorted(set(seed_ids) | {t.inverse_id(s) for s in seed_ids})
+    ids = {0}
+    queue = [0]
+    for a in queue:
+        for s in seeds:
+            n = t.mul(a, s)
+            if n not in ids:
+                ids.add(n)
+                queue.append(n)
+    return sorted(ids)
+
+
+def center_element_ids(t) -> list[int]:
+    n = t.order
+    return [
+        a for a in range(n) if all(t.mul(a, b) == t.mul(b, a) for b in range(n))
+    ]
+
+
+def derived_subgroup_ids(t) -> list[int]:
+    """Ids of the commutator subgroup of a mul table: from the generators'
+    commutators when the table has generators, else from all commutators."""
+    gen_ids = None
+    if hasattr(t, "generators") and getattr(t, "index", None) is not None:
+        gen_ids = [t.index[tuple(g)] for g in t.generators]
+    if gen_ids:
+        comms = set()
+        for a in gen_ids:
+            for b in gen_ids:
+                comms.add(
+                    t.mul(t.mul(t.inverse_id(a), t.inverse_id(b)), t.mul(a, b))
+                )
+        closure = set(subgroup_closure(t, comms))
+        # normal closure: conjugation-closed under generators suffices
+        while True:
+            fresh = set()
+            for a in closure:
+                for g in gen_ids:
+                    c = t.mul(t.mul(t.inverse_id(g), a), g)
+                    if c not in closure:
+                        fresh.add(c)
+            if not fresh:
+                return sorted(closure)
+            closure = set(subgroup_closure(t, closure | fresh))
+    n = t.order
+    comms = set()
+    for a in range(n):
+        for b in range(n):
+            comms.add(t.mul(t.mul(t.inverse_id(a), t.inverse_id(b)), t.mul(a, b)))
+    return subgroup_closure(t, comms)
+
+
+def mul_fingerprint(t, histogram: bool = True) -> GroupFingerprint:
+    """GroupFingerprint of a mul table by whole-table scans."""
+    hist = element_order_histogram(t)
+    exponent = lcm(*hist)
+    center = center_element_ids(t)
+    center_exp = lcm(*(t.element_order(a) for a in center))
+    derived = derived_subgroup_ids(t)
+    dsub = SubgroupTable(t, derived)
+    d_abelian = all(
+        dsub.mul(a, b) == dsub.mul(b, a)
+        for a in range(dsub.order)
+        for b in range(dsub.order)
+    )
+    d_exp = lcm(*(dsub.element_order(a) for a in range(dsub.order)))
+    ab = abelian_invariants(QuotientTable(t, derived))
+    return GroupFingerprint(
+        order=t.order,
+        exponent=exponent,
+        center_order=len(center),
+        center_exponent=center_exp,
+        derived_order=len(derived),
+        derived_abelian=d_abelian,
+        derived_exponent=d_exp if d_abelian else None,
+        abelianization=ab,
+        order_histogram=hist if histogram else None,
+    )
+
+
+def _conjugacy_class_lists(t) -> list[list[int]]:
+    n = t.order
+    class_of = [-1] * n
+    out = []
+    for a in range(n):
+        if class_of[a] != -1:
+            continue
+        cid = len(out)
+        cls = set()
+        for g in range(n):
+            cls.add(t.mul(t.mul(t.inverse_id(g), a), g))
+        for e in cls:
+            class_of[e] = cid
+        out.append(sorted(cls))
+    return out
+
+
+def mul_composition_factors(t, limit: int = 10**4) -> list[str]:
+    """Composition factor labels of a mul table, by minimal normal subgroups
+    found from every conjugacy class's subgroup closure."""
+    if t.order > limit:
+        raise StructureSizeError(
+            f"composition factors supported up to order {limit}, got {t.order}"
+        )
+    if t.order == 1:
+        return []
+    best: list[int] | None = None
+    for cls in _conjugacy_class_lists(t):
+        if cls == [0]:
+            continue
+        closure = subgroup_closure(t, cls)
+        if best is None or len(closure) < len(best):
+            best = closure
+    if len(best) == t.order:
+        return [_simple_label(t)]
+    sub = mul_composition_factors(SubgroupTable(t, best), limit)
+    quo = mul_composition_factors(QuotientTable(t, best), limit)
+    return sort_factor_labels(sub + quo)

@@ -30,11 +30,9 @@ from gtpairs.sgroup import build_haction, packet_decomposition
 from gtpairs.structure import (
     FactoredOrder,
     GroupFingerprint,
-    QuotientTable,
-    SubgroupTable,
     abelian_invariants,
-    center_element_ids,
     fingerprint_recognize,
+    quotient,
     simple_factor_order,
 )
 from group_oracles import brute_force_sg, dihedral_closed_form, gt1_order
@@ -86,10 +84,11 @@ def test_criterion_02_psl2_7_decomposition() -> None:
     sg_table = ElementTable(rep.generators, h.degree)
     assert sg_table.order == 512
     assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
-    center = center_element_ids(sg_table)
-    assert len(center) == 32
-    assert abelian_invariants(SubgroupTable(sg_table, center)) == (2,) * 5
-    quo = QuotientTable(sg_table, center)
+    center_ids = ConjugacyClassTable(sg_table).center_ids
+    assert len(center_ids) == 32
+    center = ElementTable([sg_table.elements[i] for i in center_ids], h.degree)
+    assert abelian_invariants(center) == (2,) * 5
+    quo = quotient(sg_table, center)
     assert quo.order == 16
     assert abelian_invariants(quo) == (2, 2, 2, 2)
     elapsed = time.perf_counter() - start

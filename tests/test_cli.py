@@ -7,8 +7,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gtpairs import cli
+from gtpairs.atlas import load_group_file
+from gtpairs.dessins import load_dessin
+from gtpairs.permcore import parse_cycles
 
 TETRA = (
     "darts 12\n"
@@ -122,6 +127,70 @@ def test_missing_file_exits_nonzero(capsys) -> None:
     rc, _, err = _run(capsys, ["dessin", "/no/such/file.txt"])
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("sg", b"degree 3\nimages 1 x 3\n", "non-integer entry in 'images 1 x 3'"),
+        ("sg", b"degree 3\n(1,2\xff)\n", "not UTF-8 text"),
+        ("dessin", b"darts 2\n(1,2)\n(1\xfe)\n", "not UTF-8 text"),
+    ],
+)
+def test_bad_input_file_exits_2(capsys, tmp_path, command, text, message) -> None:
+    path = tmp_path / "input.txt"
+    path.write_bytes(text)
+    arg = f"file:{path}" if command == "sg" else str(path)
+    rc, out, err = _run(capsys, [command, arg, "--threads", "1"])
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {message}")
+
+
+# Counts stay small: parse_cycles allocates one image per point.
+_HEADS = st.sampled_from(["degree", "darts", "DARTS", "images", "", "#"])
+_COUNTS = st.one_of(
+    st.integers(min_value=-1, max_value=12).map(str),
+    st.sampled_from(["", "x", "3.0", "2 9"]),
+)
+_BODIES = st.text(alphabet="0123456789(),; x#-\u00e9", max_size=16)
+
+
+@st.composite
+def _input_files(draw) -> bytes:
+    lines = [f"{draw(_HEADS)} {draw(_COUNTS)}"]
+    lines += draw(
+        st.lists(st.one_of(_BODIES, _BODIES.map("images ".__add__)), max_size=3)
+    )
+    raw = "\n".join(lines).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+@given(raw=_input_files())
+def test_input_files_raise_only_user_errors(tmp_path_factory, raw) -> None:
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_bytes(raw)
+    for load in (load_group_file, load_dessin):
+        try:
+            load(str(path))
+        except cli.USER_ERRORS:
+            pass
+
+
+@given(
+    text=st.text(alphabet=st.characters(), max_size=20),
+    degree=st.integers(min_value=0, max_value=12),
+)
+def test_parse_cycles_raises_only_user_errors(text, degree) -> None:
+    try:
+        perm = parse_cycles(text, degree)
+    except cli.USER_ERRORS:
+        return
+    assert sorted(perm) == list(range(degree))
 
 
 def test_cap_error_names_flag(capsys) -> None:

@@ -21,7 +21,7 @@ from gtpairs.permcore import (
     inverse,
     parse_cycles,
 )
-from gtpairs.structure import derived_subgroup_ids
+from gtpairs.structure import derived_subgroup
 
 TETRA_X = "(1,2,3)(4,5,6)(7,8,9)(10,11,12)"
 TETRA_Y = "(1,4)(2,10)(3,7)(5,9)(6,11)(8,12)"
@@ -101,10 +101,10 @@ def test_tetrahedron_analysis() -> None:
     assert a.transitive
     assert a.regular
     assert a.pair == (d.x, d.y)
-    der = derived_subgroup_ids(a.table)
-    assert len(der) == 4
-    for i in der:
-        assert a.table.element_order(i) in (1, 2)
+    der = derived_subgroup(a.table)
+    assert der.order == 4
+    for i in range(der.order):
+        assert der.element_order(i) in (1, 2)
 
 
 def test_tetrahedron_action_free() -> None:

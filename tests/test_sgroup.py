@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
 
 from gtpairs.cli import pair_stages
-from gtpairs.permcore import ElementTable, compose, identity_perm
-from gtpairs.sgroup import h_orbits, packet_decomposition
+from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, identity_perm
+from gtpairs.sgroup import assemble_generators, h_orbits, packet_decomposition
 from gtpairs.structure import (
     FactoredOrder,
     GroupFingerprint,
-    QuotientTable,
-    SubgroupTable,
     abelian_invariants,
-    center_element_ids,
     fingerprint_recognize,
+    quotient,
 )
 from group_oracles import (
     SgBudgetError,
@@ -178,7 +177,7 @@ def test_wreath_multiplicity_bound() -> None:
     for spec in SMALL_SPECS + ["psl2:7"]:
         table, classes, _, _, _, blocks, h = _pipeline(spec)
         decomp = packet_decomposition(h, blocks.block_of)
-        z = len(center_element_ids(table))
+        z = len(classes.center_ids)
         m = classes.max_class_size
         for f in decomp.factors:
             assert f.s * table.order <= z * m * m, spec
@@ -217,10 +216,11 @@ def test_psl27_materialized_group_matches_formulas() -> None:
     sg_table = ElementTable(rep.generators, h.degree)
     assert sg_table.order == 512
     assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
-    center = center_element_ids(sg_table)
-    assert len(center) == 32
-    assert abelian_invariants(SubgroupTable(sg_table, center)) == (2,) * 5
-    quo = QuotientTable(sg_table, center)
+    center_ids = ConjugacyClassTable(sg_table).center_ids
+    assert len(center_ids) == 32
+    center = ElementTable([sg_table.elements[i] for i in center_ids], h.degree)
+    assert abelian_invariants(center) == (2,) * 5
+    quo = quotient(sg_table, center)
     assert quo.order == 16
     assert abelian_invariants(quo) == (2, 2, 2, 2)
 
@@ -234,3 +234,45 @@ def test_report_order_equals_packet_product() -> None:
                 FactoredOrder.of(p["e_order"]).power(p["s"])
             ).times(FactoredOrder.of_factorial(p["s"]))
         assert rep.factored_order == expected
+
+
+def _psl27_with_swapped_images(same_block: bool):
+    """psl2:7's packets, with the images of two points swapped in the first
+    member bijection that has two such points in the same (or in different)
+    blocks."""
+    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    block_of = blocks.block_of
+    decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
+    for f in decomp.factors:
+        if f.s < 2:
+            continue
+        bij = f.bijections[1]
+        for p in bij:
+            for q in bij:
+                if p != q and (block_of[bij[p]] == block_of[bij[q]]) == same_block:
+                    bij[p], bij[q] = bij[q], bij[p]
+                    return decomp, h, block_of
+    raise AssertionError("no packet with two members")
+
+
+def test_assemble_generators_rejects_a_non_equivariant_bijection() -> None:
+    decomp, h, block_of = _psl27_with_swapped_images(same_block=True)
+    with pytest.raises(RuntimeError, match="fails to commute"):
+        assemble_generators(decomp, h, block_of)
+
+
+def test_assemble_generators_rejects_a_block_crossing_bijection() -> None:
+    decomp, h, block_of = _psl27_with_swapped_images(same_block=False)
+    with pytest.raises(RuntimeError, match="across blocks"):
+        assemble_generators(decomp, h, block_of)
+
+
+def test_assemble_generators_rejects_a_point_outside_the_members() -> None:
+    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
+    f = next(f for f in decomp.factors if f.s >= 2)
+    inside = {p for idx in f.member_orbits[:2] for p in decomp.orbits[idx].points}
+    p = f.points[0]
+    f.bijections[1][p] = next(q for q in range(h.degree) if q not in inside)
+    with pytest.raises(RuntimeError, match="outside its orbits"):
+        assemble_generators(decomp, h, blocks.block_of)

@@ -5,34 +5,33 @@ from __future__ import annotations
 import pytest
 
 from gtpairs.atlas import construct
-from gtpairs.permcore import ElementTable, Perm, identity_perm
+from gtpairs.permcore import ConjugacyClassTable, ElementTable, Perm, identity_perm
 from gtpairs.structure import (
     FactoredOrder,
     GroupFingerprint,
-    QuotientTable,
     StructureSizeError,
-    SubgroupTable,
     abelian_invariants,
     c2_d8_model_fingerprint,
-    center_element_ids,
     composition_factors_small,
-    derived_subgroup_ids,
+    derived_subgroup,
     element_order_histogram,
     factorint,
     fingerprint_recognize,
     isprime,
     lcm_convolve,
     mul_power,
+    normal_closure,
     partitions,
     primerange,
+    quotient,
     simple_factor_order,
     simple_factors_of_symmetric,
     sort_factor_labels,
-    subgroup_closure,
     trivial_fingerprint,
     wreath_fingerprint,
     wreath_order_histogram,
 )
+from group_oracles import SubgroupTable, derived_subgroup_ids
 
 
 def _table(spec: str) -> ElementTable:
@@ -125,32 +124,40 @@ def test_subgroup_closure_of_rotation_in_dihedral() -> None:
     rot = next(
         i for i in range(t.order) if t.element_order(i) == 6
     )
-    ids = subgroup_closure(t, [rot])
-    assert len(ids) == 6
-    assert 0 in ids
+    rotations = normal_closure(t, [t.elements[rot]])
+    assert rotations.order == 6
+    assert set(rotations.elements) <= set(t.elements)
+
+
+def test_normal_closure_adds_conjugates() -> None:
+    t = _table("symmetric:4")
+    transposition = (1, 0, 2, 3)
+    assert ElementTable([transposition], 4).order == 2
+    assert normal_closure(t, [transposition]).order == 24
+    assert normal_closure(t, [(1, 0, 3, 2)]).order == 4
+    assert normal_closure(t, []).order == 1
 
 
 def test_center_of_dihedral_groups() -> None:
-    assert len(center_element_ids(_table("dihedral:5"))) == 1
-    assert len(center_element_ids(_table("dihedral:6"))) == 2
-    assert len(center_element_ids(_table("quaternion8"))) == 2
+    assert len(ConjugacyClassTable(_table("dihedral:5")).center_ids) == 1
+    assert len(ConjugacyClassTable(_table("dihedral:6")).center_ids) == 2
+    assert len(ConjugacyClassTable(_table("quaternion8")).center_ids) == 2
 
 
 def test_derived_subgroup_sizes() -> None:
-    assert len(derived_subgroup_ids(_table("symmetric:3"))) == 3
-    assert len(derived_subgroup_ids(_table("symmetric:4"))) == 12
-    assert len(derived_subgroup_ids(_table("dihedral:4"))) == 2
-    assert len(derived_subgroup_ids(_table("cyclic:7"))) == 1
-    assert len(derived_subgroup_ids(_table("quaternion8"))) == 2
+    assert derived_subgroup(_table("symmetric:3")).order == 3
+    assert derived_subgroup(_table("symmetric:4")).order == 12
+    assert derived_subgroup(_table("dihedral:4")).order == 2
+    assert derived_subgroup(_table("cyclic:7")).order == 1
+    assert derived_subgroup(_table("quaternion8")).order == 2
 
 
 def test_derived_subgroup_generator_path_matches_full_scan() -> None:
     for spec in ["symmetric:4", "dihedral:6", "quaternion8", "alternating:4"]:
         t = _table(spec)
-        fast = derived_subgroup_ids(t)
         plain = SubgroupTable(t, range(t.order))
         slow_set = {t.elements[i] for i in derived_subgroup_ids(plain)}
-        assert {t.elements[i] for i in fast} == slow_set
+        assert set(derived_subgroup(t).elements) == slow_set
 
 
 def test_element_order_histogram_quaternion_vs_dihedral() -> None:
@@ -176,9 +183,17 @@ def test_abelian_invariants_elementary_and_mixed() -> None:
 
 def test_quotient_of_dihedral4_by_center_is_klein() -> None:
     t = _table("dihedral:4")
-    q = QuotientTable(t, center_element_ids(t))
+    center = [t.elements[i] for i in ConjugacyClassTable(t).center_ids]
+    q = quotient(t, normal_closure(t, center))
     assert q.order == 4
     assert abelian_invariants(q) == (2, 2)
+
+
+def test_quotient_by_trivial_and_whole_group() -> None:
+    t = _table("symmetric:4")
+    assert quotient(t, normal_closure(t, [])).order == 24
+    assert quotient(t, t).order == 1
+    assert quotient(t, derived_subgroup(t)).order == 2
 
 
 def test_subgroup_table_reindexes_members() -> None:
@@ -186,6 +201,8 @@ def test_subgroup_table_reindexes_members() -> None:
     sub = SubgroupTable(t, derived_subgroup_ids(t))
     assert sub.order == 3
     assert sorted(sub.element_order(i) for i in range(3)) == [1, 3, 3]
+    derived = derived_subgroup(t)
+    assert sorted(derived.element_order(i) for i in range(3)) == [1, 3, 3]
 
 
 def test_fingerprint_from_mul_quaternion8() -> None:
