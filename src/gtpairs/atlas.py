@@ -45,8 +45,10 @@ class FieldGF:
     """GF(p^d) arithmetic on elements 0..q-1, verified exhaustively.
 
     Element k encodes the polynomial with base-p digits of k as
-    coefficients; for d > 1 multiplication is modulo the first monic
-    irreducible polynomial of degree d in lexicographic coefficient order.
+    coefficients.  Multiplication is modulo the first monic polynomial of
+    degree d, in lexicographic coefficient order, whose multiplication table
+    has no zero divisor.  A finite ring without zero divisors is a field, so
+    that is the first irreducible modulus (x for d = 1).
     """
 
     def __init__(self, q: int):
@@ -57,21 +59,21 @@ class FieldGF:
         self.q = q
         self.p = p
         self.d = d
-        if d == 1:
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self.generator = 1 % q
-        else:
-            self.modulus = self._find_irreducible()
-            self._add = [
-                [self._poly_to_int(self._poly_add(a, b)) for b in range(q)]
-                for a in range(q)
-            ]
+        self._add = [
+            [self._poly_to_int(self._poly_add(a, b)) for b in range(q)]
+            for a in range(q)
+        ]
+        for counter in range(p**d):
+            self.modulus = self._digits(counter) + [1]
             self._mul = [
                 [self._poly_to_int(self._poly_mulmod(a, b)) for b in range(q)]
                 for a in range(q)
             ]
-            self.generator = p  # the class of x generates the extension
+            if all(0 not in row[1:] for row in self._mul[1:]):
+                break
+        else:
+            raise AssertionError(f"no irreducible modulus of degree {d} over GF({p})")
+        self.generator = p if d > 1 else 1  # the class of x generates an extension
         self._verify()
 
     def add(self, a: int, b: int) -> int:
@@ -124,57 +126,6 @@ class FieldGF:
                     idx = top - self.d + k
                     prod[idx] = (prod[idx] - c * m) % self.p
         return prod[: self.d]
-
-    def _find_irreducible(self) -> list[int]:
-        """First monic irreducible of degree d, as coefficient list (low first)."""
-        p, d = self.p, self.d
-        for counter in range(p**d):
-            coeffs = []
-            k = counter
-            for _ in range(d):
-                coeffs.append(k % p)
-                k //= p
-            poly = coeffs + [1]
-            if self._poly_irreducible(poly):
-                return poly
-        raise AssertionError("no irreducible polynomial found")
-
-    def _poly_irreducible(self, poly: list[int]) -> bool:
-        p = self.p
-        deg = len(poly) - 1
-
-        def peval(pol: list[int], x: int) -> int:
-            v = 0
-            for c in reversed(pol):
-                v = (v * x + c) % p
-            return v
-
-        if any(peval(poly, x) == 0 for x in range(p)):
-            return False
-        if deg <= 3:
-            return True
-        # degree 4: also exclude products of two irreducible quadratics
-        for c0 in range(p):
-            for c1 in range(p):
-                quad = [c0, c1, 1]
-                if any(peval(quad, x) == 0 for x in range(p)):
-                    continue
-                if self._poly_divides(quad, poly):
-                    return False
-        return True
-
-    def _poly_divides(self, div: list[int], poly: list[int]) -> bool:
-        p = self.p
-        rem = list(poly)
-        dd = len(div) - 1
-        while len(rem) - 1 >= dd:
-            lead = rem[-1]
-            if lead:
-                shift = len(rem) - 1 - dd
-                for k, m in enumerate(div):
-                    rem[shift + k] = (rem[shift + k] - lead * m) % p
-            rem.pop()
-        return all(c == 0 for c in rem)
 
     def _verify(self) -> None:
         q = self.q

@@ -79,9 +79,6 @@ class OutReps:
     def out_order(self) -> int:
         return len(self.maps)
 
-    def is_inner(self, i: int) -> bool:
-        return self.target_class[i] == self.target_class[0]
-
 
 def _pair_stats(table: ElementTable, classes: ConjugacyClassTable, g: int, h: int) -> tuple:
     """Cheap invariants of a pair preserved by any automorphism."""

@@ -39,7 +39,7 @@ from .sgroup import (
     packet_decomposition,
     sg_report,
 )
-from .structure import StructureSizeError, fingerprint_recognize
+from .structure import StructureSizeError, factored_text, fingerprint_recognize
 
 USER_ERRORS = (
     GroupSpecError,
@@ -210,6 +210,8 @@ def pair_stages(spec: str, cap: int = DEFAULT_CAP, threads: int = 1) -> PairStag
 
 
 def _fingerprint_ab(rep: SgReport) -> list[int] | None:
+    if rep.fingerprint is None:
+        return None
     ab = fingerprint_recognize(rep.fingerprint)
     return None if ab is None else [ab[0], ab[1]]
 
@@ -259,7 +261,7 @@ def _cmd_sg(args: argparse.Namespace) -> dict:
                 for e, s in sorted(packet_counts)
             ],
             "order": rep.order,
-            "order_factored": str(rep.factored_order),
+            "order_factored": factored_text(rep.order),
             "simple_factors": _aggregate_labels(rep.simple_factors),
             "fingerprint_verdict": verdict,
             "fingerprint_ab": ab,
@@ -350,7 +352,7 @@ def _repro_entries(args: argparse.Namespace) -> list[dict]:
         for q in qs:
             _, _, rep = pair_stages(f"psl2:{q}", args.cap, args.threads).decomposition
             want_order, want_ab = PSL2_EXPECTED[q]
-            check(f"psl2-{q}-order", want_order, str(rep.factored_order))
+            check(f"psl2-{q}-order", want_order, factored_text(rep.order))
             check(f"psl2-{q}-fingerprint", want_ab, _fingerprint_ab(rep))
     elif args.table == "dihedral":
         for n in sorted(DIHEDRAL_GT1_EXPECTED):

@@ -138,17 +138,20 @@ def cyclic_structure(
 def cyclic_structures(
     classes: ConjugacyClassTable, pair: tuple[int, int], n: int
 ) -> list[GammaStructure]:
-    """Class representatives of the order-dividing-n structures on a pair."""
+    """Class representatives of the order-dividing-n structures on a pair.
+
+    Every candidate shares the generating pair, and the only automorphism
+    fixing a generating pair is the identity, so two candidates are
+    isomorphic exactly when their images are conjugate: one structure per
+    conjugacy class, on its least element id.
+    """
     table = classes.table
     g_id, h_id = pair
     gens = [table.elements[g_id], table.elements[h_id]]
     if not generates(gens, table.degree, table.order):
         raise DessinError("the pair must generate the group")
-    reps: list[GammaStructure] = []
-    for z in range(table.order):
-        if n % table.element_order(z):
-            continue
-        cand = cyclic_structure(table, g_id, h_id, n, z)
-        if not any(triple_isomorphic(classes, cand, rep) for rep in reps):
-            reps.append(cand)
-    return reps
+    return [
+        cyclic_structure(table, g_id, h_id, n, z)
+        for z in classes.reps
+        if n % table.element_order(z) == 0
+    ]

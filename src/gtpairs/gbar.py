@@ -25,6 +25,7 @@ from .permcore import (
     compose,
     conjugate,
     generates,
+    generating_subset,
     identity_perm,
     inverse,
     orbit,
@@ -205,18 +206,6 @@ def _window_centralizer(gbar: GbarGroup, a: Perm) -> list[Perm]:
     return candidates
 
 
-def _generators(elements: list[Perm], degree: int) -> list[Perm]:
-    """Generators of the subgroup with these elements, each outside the span
-    of the ones before it."""
-    gens: list[Perm] = []
-    span = {identity_perm(degree)}
-    for e in elements:
-        if e not in span:
-            gens.append(e)
-            span = ElementTable(gens, degree).index
-    return gens
-
-
 def _double_cosets(gbar: GbarGroup, xk: Perm, yk: Perm) -> DoubleCosets:
     """Partition the model group into orbits of C(x^k) on the left cosets of C(y^k).
 
@@ -229,7 +218,7 @@ def _double_cosets(gbar: GbarGroup, xk: Perm, yk: Perm) -> DoubleCosets:
     index = table.index
     cx = _window_centralizer(gbar, xk)
     cy = _window_centralizer(gbar, yk)
-    left = _generators(cx, gbar.degree)
+    left = generating_subset(cx, gbar.degree)
     visited = [False] * gbar.order
 
     def materialize(g: Perm) -> int:

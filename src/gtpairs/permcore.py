@@ -115,13 +115,6 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(images)
 
 
-def format_cycles(p: Perm) -> str:
-    cycs = cycles(p)
-    if not cycs:
-        return "()"
-    return "".join("(" + ",".join(str(i + 1) for i in c) + ")" for c in cycs)
-
-
 def orbit(generators: list[Perm], point: int) -> list[int]:
     """Orbit of a point in BFS discovery order."""
     seen = {point}
@@ -338,6 +331,18 @@ class ElementTable:
 
     def element_order(self, i: int) -> int:
         return perm_order(self.elements[i])
+
+
+def generating_subset(elements: list[Perm], degree: int) -> list[Perm]:
+    """Generators of the subgroup with these elements, each outside the span
+    of the ones before it."""
+    gens: list[Perm] = []
+    span = {identity_perm(degree)}
+    for e in elements:
+        if e not in span:
+            gens.append(e)
+            span = ElementTable(gens, degree).index
+    return gens
 
 
 class ConjugacyClassTable:

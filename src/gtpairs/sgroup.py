@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial, prod
 
 from .pairs import InducedPerms
-from .permcore import ElementTable, Perm, compose, is_identity
+from .permcore import ElementTable, Perm, compose, generating_subset, is_identity
 from .structure import (
-    FactoredOrder,
     GroupFingerprint,
     composition_factors_small,
     product_fingerprint,
@@ -112,13 +112,6 @@ class WreathFactor:
     def e_order(self) -> int:
         return len(self.e_elements)
 
-    def factor_order(self) -> FactoredOrder:
-        return (
-            FactoredOrder.of(self.e_order)
-            .power(self.s)
-            .times(FactoredOrder.of_factorial(self.s))
-        )
-
 
 @dataclass
 class PacketDecomposition:
@@ -209,61 +202,56 @@ def assemble_generators(
 
 @dataclass
 class SgReport:
-    factored_order: FactoredOrder
+    order: int
     simple_factors: list[str]
     packets: list[dict]
-    fingerprint: GroupFingerprint
+    fingerprint: GroupFingerprint | None
     generators: list[Perm] | None
-    coarse_partition: list[list[int]]
-    exact_partition: list[list[int]]
     num_orbits: int
-
-    @property
-    def order(self) -> int:
-        return self.factored_order.value()
 
 
 def sg_report(
     decomp: PacketDecomposition, h: ElementTable, block_of: list[int]
 ) -> SgReport:
-    factored = FactoredOrder()
+    """Order, composition factors and packets of S = prod E wr Sym(s).
+
+    The fingerprint is built only when |S| is a power of 2, the only case in
+    which it can match C2^a x D8^b.
+    """
+    order = prod(f.e_order**f.s * factorial(f.s) for f in decomp.factors)
     simple: list[str] = []
     packets = []
-    e_tables = [ElementTable(f.e_elements, len(f.points)) for f in decomp.factors]
+    e_tables = [
+        ElementTable(generating_subset(f.e_elements, len(f.points)), len(f.points))
+        for f in decomp.factors
+    ]
     for f, e_table in zip(decomp.factors, e_tables):
-        factored = factored.times(f.factor_order())
         simple += composition_factors_small(e_table) * f.s
         simple += simple_factors_of_symmetric(f.s)
         packets.append(
             {"e_order": f.e_order, "s": f.s, "orbit_size": len(f.points)}
         )
     simple = sort_factor_labels(simple)
-    check = FactoredOrder()
-    for label in simple:
-        check = check.times(simple_factor_order(label))
-    if check != factored:
+    if prod(simple_factor_order(label) for label in simple) != order:
         raise RuntimeError("simple factor orders do not multiply to the order")
-    with_hist = set(factored.factors) <= {2}
-    fingerprint = product_fingerprint(
-        [
-            wreath_fingerprint(e_table, f.s, histogram=with_hist)
-            for f, e_table in zip(decomp.factors, e_tables)
-        ],
-        histogram=with_hist,
-    )
-    if fingerprint.order != factored.value():
-        raise RuntimeError("fingerprint order disagrees with factored order")
+    fingerprint = None
+    if order & (order - 1) == 0:
+        fingerprint = product_fingerprint(
+            [
+                wreath_fingerprint(e_table, f.s)
+                for f, e_table in zip(decomp.factors, e_tables)
+            ]
+        )
+        if fingerprint.order != order:
+            raise RuntimeError("fingerprint order disagrees with the order")
     generators = None
     if h.degree <= GENERATOR_EMIT_LIMIT:
         generators = assemble_generators(decomp, h, block_of)
     return SgReport(
-        factored_order=factored,
+        order=order,
         simple_factors=simple,
         packets=packets,
         fingerprint=fingerprint,
         generators=generators,
-        coarse_partition=decomp.coarse_partition,
-        exact_partition=decomp.exact_partition,
         num_orbits=len(decomp.orbits),
     )
-

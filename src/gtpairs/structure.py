@@ -1,4 +1,4 @@
-"""Factored orders, composition factors, and group fingerprints.
+"""Composition factors and group fingerprints.
 
 Every group here is a permutation group held as an ElementTable.  Subgroups
 come from `normal_closure`, and quotients from `quotient`, the action on the
@@ -6,8 +6,8 @@ cosets of a normal subgroup, so derived subgroups, abelianizations and
 composition series are ElementTables too.  Fingerprints of large products
 are assembled per factor with closed wreath-product formulas instead of
 materializing the group.  The small integer helpers (factorint, isprime,
-primerange, partitions) are stdlib trial division and recursion, sized for
-the group orders met here.
+partitions) are stdlib trial division and recursion, sized for the group
+orders met here.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def isprime(n: int) -> bool:
     return n >= 2 and factorint(n) == {n: 1}
 
 
-def primerange(a: int, b: int) -> list[int]:
-    """Primes p with a <= p < b."""
-    return [p for p in range(max(a, 2), b) if isprime(p)]
-
-
 def partitions(n: int):
     """Partitions of n as fresh {part: multiplicity} dicts, largest part
     first, in reverse lexicographic order."""
@@ -63,60 +58,10 @@ def partitions(n: int):
     return split(n, n)
 
 
-class FactoredOrder:
-    """Positive integer kept as a prime -> exponent map."""
-
-    def __init__(self, factors: dict[int, int] | None = None):
-        self.factors = {p: e for p, e in sorted((factors or {}).items()) if e}
-
-    @classmethod
-    def of(cls, n: int) -> FactoredOrder:
-        if n < 1:
-            raise ValueError("factored orders are positive integers")
-        return cls({int(p): int(e) for p, e in factorint(n).items()})
-
-    @classmethod
-    def of_factorial(cls, s: int) -> FactoredOrder:
-        """Factor s! by counting prime powers up to s."""
-        out: dict[int, int] = {}
-        for p in primerange(2, s + 1):
-            e, q = 0, p
-            while q <= s:
-                e += s // q
-                q *= p
-            out[p] = e
-        return cls(out)
-
-    def times(self, other: FactoredOrder) -> FactoredOrder:
-        out = dict(self.factors)
-        for p, e in other.factors.items():
-            out[p] = out.get(p, 0) + e
-        return FactoredOrder(out)
-
-    def power(self, k: int) -> FactoredOrder:
-        if k < 0:
-            raise ValueError("negative power of a factored order")
-        return FactoredOrder({p: e * k for p, e in self.factors.items()})
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.factors.items():
-            n *= p**e
-        return n
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FactoredOrder) and self.factors == other.factors
-
-    def __repr__(self) -> str:
-        return f"FactoredOrder({self.factors})"
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for p, e in self.factors.items():
-            parts.append(str(p) if e == 1 else f"{p}^{e}")
-        return " * ".join(parts)
+def factored_text(n: int) -> str:
+    """A positive integer as "p^e * q * ...", primes ascending; "1" for 1."""
+    parts = [str(p) if e == 1 else f"{p}^{e}" for p, e in factorint(n).items()]
+    return " * ".join(parts) or "1"
 
 
 def mul_power(t: ElementTable, a: int, k: int) -> int:
@@ -224,22 +169,10 @@ class GroupFingerprint:
     derived_abelian: bool
     derived_exponent: int | None
     abelianization: tuple[int, ...]
-    order_histogram: dict[int, int] | None
-
-    @property
-    def center_elementary(self) -> bool:
-        return self.center_order == 1 or isprime(self.center_exponent)
-
-    @property
-    def derived_elementary(self) -> bool:
-        if self.derived_order == 1:
-            return True
-        if not self.derived_abelian:
-            return False
-        return self.derived_exponent is not None and isprime(self.derived_exponent)
+    order_histogram: dict[int, int]
 
     @classmethod
-    def from_mul(cls, t: ElementTable, histogram: bool = True) -> GroupFingerprint:
+    def from_mul(cls, t: ElementTable) -> GroupFingerprint:
         hist = element_order_histogram(t)
         center = ConjugacyClassTable(t).center_ids
         derived = derived_subgroup(t)
@@ -259,7 +192,7 @@ class GroupFingerprint:
                 lcm(*element_order_histogram(derived)) if d_abelian else None
             ),
             abelianization=abelian_invariants(quotient(t, derived)),
-            order_histogram=hist if histogram else None,
+            order_histogram=hist,
         )
 
 
@@ -306,9 +239,7 @@ def wreath_order_histogram(base_hist: dict[int, int], s: int) -> dict[int, int]:
     return total
 
 
-def wreath_fingerprint(
-    e_table: ElementTable, s: int, histogram: bool = True
-) -> GroupFingerprint:
+def wreath_fingerprint(e_table: ElementTable, s: int) -> GroupFingerprint:
     """Fingerprint of E wr Sym(s) from the element table of E, by closed formulas."""
     if s < 1:
         raise ValueError("wreath multiplicity must be at least 1")
@@ -334,7 +265,6 @@ def wreath_fingerprint(
         derived_abelian = False
         derived_exp = None
     ab = tuple(sorted(e_fp.abelianization + (2,)))
-    hist = wreath_order_histogram(e_fp.order_histogram, s) if histogram else None
     return GroupFingerprint(
         order=order,
         exponent=exponent,
@@ -344,13 +274,11 @@ def wreath_fingerprint(
         derived_abelian=derived_abelian,
         derived_exponent=derived_exp,
         abelianization=ab,
-        order_histogram=hist,
+        order_histogram=wreath_order_histogram(e_fp.order_histogram, s),
     )
 
 
-def product_fingerprint(
-    fps: list[GroupFingerprint], histogram: bool = True
-) -> GroupFingerprint:
+def product_fingerprint(fps: list[GroupFingerprint]) -> GroupFingerprint:
     """Fingerprint of the direct product of the given fingerprints."""
     out = trivial_fingerprint()
     for fp in fps:
@@ -359,10 +287,6 @@ def product_fingerprint(
             d_exp = lcm(out.derived_exponent, fp.derived_exponent)
         else:
             d_exp = None
-        if histogram and out.order_histogram is not None and fp.order_histogram:
-            hist = lcm_convolve(out.order_histogram, fp.order_histogram)
-        else:
-            hist = None
         out = GroupFingerprint(
             order=out.order * fp.order,
             exponent=lcm(out.exponent, fp.exponent),
@@ -372,7 +296,7 @@ def product_fingerprint(
             derived_abelian=d_abelian,
             derived_exponent=d_exp,
             abelianization=tuple(sorted(out.abelianization + fp.abelianization)),
-            order_histogram=hist,
+            order_histogram=lcm_convolve(out.order_histogram, fp.order_histogram),
         )
     return out
 
@@ -402,8 +326,6 @@ def fingerprint_recognize(fp: GroupFingerprint) -> tuple[int, int] | None:
     a = big_b - b
     if a < 0:
         return None
-    if fp.order_histogram is None:
-        return None
     model = c2_d8_model_fingerprint(a, b)
     if fp == model:
         return (a, b)
@@ -423,21 +345,18 @@ def simple_factors_of_symmetric(s: int) -> list[str]:
     return sorted([f"A{s}", "C2"], key=_label_key)
 
 
-def simple_factor_order(label: str) -> FactoredOrder:
+def simple_factor_order(label: str) -> int:
     if label.startswith("Other(") and label.endswith(")"):
-        return FactoredOrder.of(int(label[6:-1]))
+        return int(label[6:-1])
     if label.startswith("A"):
-        n = int(label[1:])
-        factors = dict(FactoredOrder.of_factorial(n).factors)
-        factors[2] -= 1
-        return FactoredOrder(factors)
+        return factorial(int(label[1:])) // 2
     if label.startswith("C"):
-        return FactoredOrder.of(int(label[1:]))
+        return int(label[1:])
     raise ValueError(f"unknown simple factor label {label!r}")
 
 
 def _label_key(label: str) -> tuple[int, str]:
-    return (simple_factor_order(label).value(), label)
+    return (simple_factor_order(label), label)
 
 
 def sort_factor_labels(labels: list[str]) -> list[str]:

@@ -364,7 +364,7 @@ def derived_subgroup_ids(t) -> list[int]:
     return subgroup_closure(t, comms)
 
 
-def mul_fingerprint(t, histogram: bool = True) -> GroupFingerprint:
+def mul_fingerprint(t) -> GroupFingerprint:
     """GroupFingerprint of a mul table by whole-table scans."""
     hist = element_order_histogram(t)
     exponent = lcm(*hist)
@@ -388,7 +388,7 @@ def mul_fingerprint(t, histogram: bool = True) -> GroupFingerprint:
         derived_abelian=d_abelian,
         derived_exponent=d_exp if d_abelian else None,
         abelianization=ab,
-        order_histogram=hist if histogram else None,
+        order_histogram=hist,
     )
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -28,9 +28,9 @@ from gtpairs.permcore import (
 )
 from gtpairs.sgroup import build_haction, packet_decomposition
 from gtpairs.structure import (
-    FactoredOrder,
     GroupFingerprint,
     abelian_invariants,
+    factorint,
     fingerprint_recognize,
     quotient,
     simple_factor_order,
@@ -78,7 +78,6 @@ def test_criterion_02_psl2_7_decomposition() -> None:
     start = time.perf_counter()
     rep, _, _, _, _, _, h, _ = _sg("psl2:7")
     assert rep.order == 512
-    assert rep.factored_order == FactoredOrder.of(2**9)
     assert fingerprint_recognize(rep.fingerprint) == (3, 2)
     assert rep.generators is not None
     sg_table = ElementTable(rep.generators, h.degree)
@@ -108,10 +107,10 @@ def test_criterion_03_trivial_cases() -> None:
 def test_criterion_04_psl2_9_and_11() -> None:
     start = time.perf_counter()
     rep9 = _sg("psl2:9", threads=THREADS)[0]
-    assert rep9.factored_order == FactoredOrder.of(2**15)
+    assert rep9.order == 2**15
     assert fingerprint_recognize(rep9.fingerprint) == (12, 1)
     rep11 = _sg("psl2:11", threads=THREADS)[0]
-    assert rep11.factored_order == FactoredOrder.of(2**48)
+    assert rep11.order == 2**48
     assert fingerprint_recognize(rep11.fingerprint) == (27, 7)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
@@ -267,17 +266,14 @@ M11_PACKET_SHAPES = {
 }
 
 
-def _factor_product(multiset: dict[str, int]) -> FactoredOrder:
-    product = FactoredOrder()
-    for label, count in multiset.items():
-        product = product.times(simple_factor_order(label).power(count))
-    return product
+def _factor_product(multiset: dict[str, int]) -> int:
+    return prod(simple_factor_order(label) ** n for label, n in multiset.items())
 
 
 @pytest.mark.extended
 def test_criterion_11_extended_tier() -> None:
     rep13, *_ = _sg("psl2:13", threads=THREADS)
-    assert rep13.factored_order == FactoredOrder.of(2**105)
+    assert rep13.order == 2**105
     assert fingerprint_recognize(rep13.fingerprint) == (54, 17)
 
     rep16, _, _, pc16, *_ = _sg("psl2:16", threads=THREADS)
@@ -285,22 +281,22 @@ def test_criterion_11_extended_tier() -> None:
     assert rep16.order == 1
 
     rep17, *_ = _sg("psl2:17", threads=THREADS)
-    assert rep17.factored_order == FactoredOrder.of(2**254)
+    assert rep17.order == 2**254
     assert fingerprint_recognize(rep17.fingerprint) == (104, 50)
 
     rep19, *_ = _sg("psl2:19", threads=THREADS)
-    assert rep19.factored_order == FactoredOrder.of(2**355)
+    assert rep19.order == 2**355
     assert fingerprint_recognize(rep19.fingerprint) == (133, 74)
 
     rep_a7, _, _, pc_a7, *_ = _sg("alternating:7", threads=THREADS)
     assert pc_a7.ell == 1832
     assert dict(Counter(rep_a7.simple_factors)) == A7_FACTORS
-    assert rep_a7.factored_order == _factor_product(A7_FACTORS)
+    assert rep_a7.order == _factor_product(A7_FACTORS)
 
     rep_l33, _, _, pc_l33, *_ = _sg("psl3:3", threads=THREADS)
     assert pc_l33.ell == 4848
     assert dict(Counter(rep_l33.simple_factors)) == PSL33_FACTORS
-    assert rep_l33.factored_order == _factor_product(PSL33_FACTORS)
+    assert rep_l33.order == _factor_product(PSL33_FACTORS)
 
     rep_m11, _, _, pc_m11, outs_m11, _, _, _ = _sg("m11", threads=THREADS)
     assert pc_m11.ell == 6478
@@ -309,9 +305,9 @@ def test_criterion_11_extended_tier() -> None:
     shapes = Counter((p["e_order"], p["s"]) for p in rep_m11.packets)
     assert dict(shapes) == M11_PACKET_SHAPES
     assert dict(Counter(rep_m11.simple_factors)) == M11_FACTORS
-    factored = rep_m11.factored_order
-    assert factored == _factor_product(M11_FACTORS)
-    big = {p: e for p, e in factored.factors.items() if p >= 5}
+    assert rep_m11.order == _factor_product(M11_FACTORS)
+    factored = factorint(rep_m11.order)
+    big = {p: e for p, e in factored.items() if p >= 5}
     assert big == {5: 165, 7: 98, 11: 43, 13: 34, 17: 23, 19: 8, 23: 5, 29: 3, 31: 3}
-    assert factored.factors[2] == 1153
-    assert factored.factors[3] == 413
+    assert factored[2] == 1153
+    assert factored[3] == 413

@@ -87,6 +87,47 @@ def test_field_prime() -> None:
     assert f.generator == 1
 
 
+def _monic(p: int, d: int) -> list[tuple[int, ...]]:
+    """Monic degree-d polynomials over GF(p), low coefficient first, in the
+    lexicographic order of their base-p counters."""
+    out = []
+    for k in range(p**d):
+        coeffs = []
+        for _ in range(d):
+            coeffs.append(k % p)
+            k //= p
+        out.append(tuple(coeffs) + (1,))
+    return out
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def test_field_moduli_are_first_irreducibles() -> None:
+    pinned = {4: [1, 1, 1], 8: [1, 1, 0, 1], 9: [1, 0, 1], 16: [1, 1, 0, 0, 1]}
+    for q, modulus in pinned.items():
+        assert FieldGF(q).modulus == modulus
+    for q, (p, d) in {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4),
+                      25: (5, 2), 27: (3, 3), 32: (2, 5)}.items():
+        reducible = {
+            _poly_mul(a, b, p)
+            for i in range(1, d // 2 + 1)
+            for a in _monic(p, i)
+            for b in _monic(p, d - i)
+        }
+        first = next(m for m in _monic(p, d) if m not in reducible)
+        f = FieldGF(q)
+        assert f.modulus == list(first), q
+        assert f.generator == p
+        for a in range(1, q):
+            assert f.mul(a, f.inv(a)) == 1
+
+
 def test_field_rejects_non_prime_power() -> None:
     for q in (6, 1, 0):
         with pytest.raises(GroupSpecError, match="is not a prime power"):

@@ -90,9 +90,9 @@ def test_first_entry_identity_and_inner() -> None:
     for spec in ("cyclic:5", "dihedral:4", "quaternion8"):
         outs, _, _ = _out_order(spec)
         assert outs.maps[0].is_identity()
-        assert outs.is_inner(0)
-        for i in range(1, outs.out_order):
-            assert not outs.is_inner(i)
+        # entry 0 maps the base pair to its own class, and only entry 0 does
+        assert outs.target_class[0] == 0
+        assert len(set(outs.target_class)) == outs.out_order
 
 
 def test_out_maps_are_automorphisms() -> None:

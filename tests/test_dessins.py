@@ -17,6 +17,7 @@ from gtpairs.pairs import build_pc
 from gtpairs.permcore import (
     ConjugacyClassTable,
     ElementTable,
+    compose,
     generates,
     inverse,
     parse_cycles,
@@ -200,6 +201,39 @@ def test_cyclic_structures_trivial_and_coprime() -> None:
     assert len(ones) == 1
     assert ones[0].image_ids == (0,)
     assert len(cyclic_structures(cls, pair, 5)) == 1
+
+
+def _regular_dessin(spec: str) -> DessinXY:
+    """The regular dessin of a group: its generators acting on the right of
+    its own elements."""
+    g = construct(spec)
+    t = ElementTable(g.generators, g.degree)
+    x, y = (
+        tuple(t.index[compose(e, gen)] for e in t.elements) for gen in g.generators
+    )
+    return DessinXY(t.order, x, y)
+
+
+def test_cyclic_structures_match_pairwise_isomorphism_oracle() -> None:
+    """One structure per conjugacy class, as the pairwise triple test finds."""
+    tetra, _ = _tetrahedron()
+    for d in (tetra, _regular_dessin("alternating:5"), _regular_dessin("symmetric:4")):
+        a = analyze_dessin(d)
+        assert a.regular
+        t = a.table
+        cls = ConjugacyClassTable(t)
+        pair = (t.index[d.x], t.index[d.y])
+        for n in range(1, 7):
+            oracle: list[GammaStructure] = []
+            for z in range(t.order):
+                if n % t.element_order(z):
+                    continue
+                cand = cyclic_structure(t, pair[0], pair[1], n, z)
+                if not any(triple_isomorphic(cls, cand, r) for r in oracle):
+                    oracle.append(cand)
+            got = cyclic_structures(cls, pair, n)
+            assert [r.image_ids for r in got] == [r.image_ids for r in oracle]
+            assert all((r.g_id, r.h_id) == pair for r in got)
 
 
 def test_cyclic_structures_requires_generating_pair() -> None:

