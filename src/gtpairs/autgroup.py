@@ -73,7 +73,6 @@ class OutReps:
     """One automorphism per outer class; entry 0 is the identity."""
 
     maps: list[AutMap]
-    target_class: list[int]
 
     @property
     def out_order(self) -> int:
@@ -86,12 +85,13 @@ def _pair_stats(table: ElementTable, classes: ConjugacyClassTable, g: int, h: in
     h_inv = table.inverse_id(h)
     gh_inv = table.mul(g, h_inv)
     comm = table.mul(table.mul(table.inverse_id(g), h_inv), gh)
+    orders, sizes, class_of = classes.class_orders, classes.sizes, classes.class_of
     out = []
     for e in (g, h, gh):
-        out.append(table.element_order(e))
-        out.append(classes.sizes[classes.class_of[e]])
-    out.append(table.element_order(gh_inv))
-    out.append(table.element_order(comm))
+        out.append(orders[class_of[e]])
+        out.append(sizes[class_of[e]])
+    out.append(orders[class_of[gh_inv]])
+    out.append(orders[class_of[comm]])
     return tuple(out)
 
 
@@ -107,14 +107,12 @@ def out_representatives(classes: ConjugacyClassTable, pcset: PcSet) -> OutReps:
     base = pcset.reps[0]
     base_stats = _pair_stats(table, classes, *base)
     maps: list[AutMap] = []
-    target_class: list[int] = []
-    for i, (g, h) in enumerate(pcset.reps):
+    for g, h in pcset.reps:
         if _pair_stats(table, classes, g, h) != base_stats:
             continue
         m = extend_pair_map(table, base, (g, h))
         if m is not None:
             maps.append(m)
-            target_class.append(i)
     if not maps or not maps[0].is_identity():
         raise RuntimeError("identity extension missing; pair-class reps corrupt")
-    return OutReps(maps, target_class)
+    return OutReps(maps)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autgroup import extend_pair_map
+# extend_pair_map is re-exported: perfbench/spans.py traces it under this name
+from .autgroup import extend_pair_map  # noqa: F401
 from .permcore import (
     DEFAULT_CAP,
     ConjugacyClassTable,
@@ -20,7 +21,6 @@ from .permcore import (
     generates,
     orbit,
     parse_cycles,
-    transporter_tuple,
 )
 
 
@@ -102,26 +102,6 @@ def analyze_dessin(d: DessinXY, cap: int = DEFAULT_CAP) -> DessinAnalysis:
         table=table,
         pair=(d.x, d.y) if regular else None,
     )
-
-
-def triple_isomorphic(
-    classes: ConjugacyClassTable, t1: GammaStructure, t2: GammaStructure
-) -> bool:
-    """Decide isomorphism of two structure triples over one group.
-
-    The unique candidate map sends the first pair to the second; it must be
-    an automorphism, and a single conjugator must carry the mapped images
-    onto the images of the second structure simultaneously.
-    """
-    if t1.table is not t2.table or classes.table is not t1.table:
-        raise DessinError("triples must live over one shared group table")
-    if len(t1.image_ids) != len(t2.image_ids):
-        raise DessinError("structures declare different generator counts")
-    alpha = extend_pair_map(t1.table, (t1.g_id, t1.h_id), (t2.g_id, t2.h_id))
-    if alpha is None:
-        return False
-    moved = tuple(alpha.images[i] for i in t1.image_ids)
-    return transporter_tuple(classes, t2.image_ids, moved) is not None
 
 
 def cyclic_structure(

@@ -3,7 +3,8 @@
 A pair class is the conjugation orbit of an ordered generating pair (g, h).
 Classes are canonically numbered: sweep conjugacy classes of g in table
 order; within one sweep, h runs over element ids ascending and a whole
-C(g)-orbit of h is settled by a single generation test.  The canonical
+C(g)-orbit of h is settled at once.  One generation test settles every h in
+<g> h^C(g) <g> and the inverses of that set.  The canonical
 representative of a class is (class rep of g, smallest h in its C(g)-orbit).
 """
 
@@ -63,32 +64,51 @@ def _init_sweep(table: ElementTable, classes: ConjugacyClassTable, transitive: b
 
 
 def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
-    """Settle all pairs (rep of class cid, h); returns (h reps, h -> local idx)."""
+    """Settle all pairs (rep of class cid, h); returns (h reps, h -> local idx).
+
+    <g, h> is also <g, h g> and <g, h^-1>, so one verdict holds for every h
+    reached by those two moves, i.e. on the <g>-double coset of h and its
+    inverses.  A C(g)-orbit takes the verdict of any member that has one,
+    and only an orbit without one runs a generation test.
+    """
     table: ElementTable = _SWEEP_STATE["table"]
     classes: ConjugacyClassTable = _SWEEP_STATE["classes"]
     transitive: bool = _SWEEP_STATE["transitive"]
     n = table.order
     degree = table.degree
+    elements, index = table.elements, table.index
     g_id = classes.reps[cid]
-    g_perm = table.elements[g_id]
-    cent = [table.elements[c] for c in classes.centralizer_ids(g_id)]
+    g_perm = elements[g_id]
+    cent = [elements[c] for c in classes.centralizer_ids(g_id)]
     cent_invs = [inverse(c) for c in cent]
+    right = [index[tuple([g_perm[i] for i in e])] for e in elements]  # e -> e g
+    inv = table.inverse_ids
+    verdict = [0] * n  # 1 generates, -1 does not, 0 unknown
     assign = [-1] * n
     local_reps: list[int] = []
     for h in range(n):
         if assign[h] != -1:
             continue
-        h_perm = table.elements[h]
+        h_perm = elements[h]
         # h^c = c^-1 h c, written as one relabelling of h
         orbit_ids = {
-            table.index[tuple([c[h_perm[j]] for j in ci])]
+            index[tuple([c[h_perm[j]] for j in ci])]
             for c, ci in zip(cent, cent_invs)
         }
-        if transitive and len(orbit([g_perm, h_perm], 0)) != degree:
-            gen = False
-        else:
-            gen = generates([g_perm, h_perm], degree, n)
-        if gen:
+        gen = next((verdict[e] for e in orbit_ids if verdict[e]), 0)
+        if not gen:
+            if transitive and len(orbit([g_perm, h_perm], 0)) != degree:
+                gen = -1
+            else:
+                gen = 1 if generates([g_perm, h_perm], degree, n) else -1
+            verdict[h] = gen
+            queue = [h]
+            for e in queue:
+                for f in (right[e], inv[e]):
+                    if not verdict[f]:
+                        verdict[f] = gen
+                        queue.append(f)
+        if gen > 0:
             mark = len(local_reps)
             local_reps.append(h)
         else:
@@ -103,7 +123,7 @@ def build_pc(
     classes: ConjugacyClassTable,
     threads: int = 1,
 ) -> PcSet:
-    """Enumerate pair classes; one generation test per C(g)-orbit of h."""
+    """Enumerate pair classes; one generation test per <g>-double coset."""
     transitive = (
         len(orbit(table.generators, 0)) == table.degree if table.generators else False
     )

@@ -26,6 +26,10 @@ class EnumerationCapError(RuntimeError):
     pass
 
 
+class CentralizerCheckError(RuntimeError):
+    pass
+
+
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
@@ -324,10 +328,15 @@ class ElementTable:
     def mul(self, i: int, j: int) -> int:
         return self.index[compose(self.elements[i], self.elements[j])]
 
-    def inverse_id(self, i: int) -> int:
+    @property
+    def inverse_ids(self) -> list[int]:
+        """The id of each element's inverse, built on first use."""
         if self._inverse_ids is None:
             self._inverse_ids = [self.index[inverse(e)] for e in self.elements]
-        return self._inverse_ids[i]
+        return self._inverse_ids
+
+    def inverse_id(self, i: int) -> int:
+        return self.inverse_ids[i]
 
     def element_order(self, i: int) -> int:
         return perm_order(self.elements[i])
@@ -350,7 +359,8 @@ class ConjugacyClassTable:
 
     transporters[e] is a permutation t with rep^t = element e, where rep is
     the class representative; every transporter is re-verified by
-    recomposition during construction.
+    recomposition during construction.  class_orders[c] is the element
+    order shared by every member of class c.
     """
 
     def __init__(self, table: ElementTable):
@@ -387,6 +397,7 @@ class ConjugacyClassTable:
             self.reps[c] for c in range(len(self.reps)) if self.sizes[c] == 1
         )
         self.max_class_size = max(self.sizes)
+        self.class_orders = [perm_order(table.elements[r]) for r in self.reps]
         self._centralizers: dict[int, list[int]] = {}
 
     @property
@@ -394,39 +405,78 @@ class ConjugacyClassTable:
         return len(self.reps)
 
     def centralizer_ids(self, e: int) -> list[int]:
-        """Element ids commuting with element e, ascending."""
+        """Element ids commuting with element e, ascending.
+
+        C(e) = C(rep)^t for the class rep and the transporter t of e.
+        """
         cached = self._centralizers.get(e)
         if cached is not None:
             return cached
-        pe = self.table.elements[e]
-        out = [
-            f
-            for f, pf in enumerate(self.table.elements)
-            if compose(pe, pf) == compose(pf, pe)
-        ]
-        self._centralizers[e] = out
+        cid = self.class_of[e]
+        rep = self.reps[cid]
+        out = self._centralizers.get(rep)
+        if out is None:
+            out = self._centralizers[rep] = self._rep_centralizer(cid)
+        if e != rep:
+            elements, index = self.table.elements, self.table.index
+            t = self.transporters[e]
+            t_inv = inverse(t)
+            # c^t = t^-1 c t, written as one relabelling of c
+            out = sorted(index[tuple([t[elements[c][j]] for j in t_inv])] for c in out)
+            self._centralizers[e] = out
         return out
 
+    def _schreier_generators(self, cid: int) -> Iterator[Perm]:
+        """t_x s t_y^-1 for each member x of class cid, in BFS order, and
+        each table generator s, where y = x^s."""
+        table = self.table
+        gens = [(s, inverse(s)) for s in table.generators]
+        seen = {self.reps[cid]}
+        queue = [self.reps[cid]]
+        for x in queue:
+            px, tx = table.elements[x], self.transporters[x]
+            for s, s_inv in gens:
+                y = table.index[tuple([s[px[j]] for j in s_inv])]
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                ty_inv = inverse(self.transporters[y])
+                yield tuple([ty_inv[s[i]] for i in tx])
 
-def transporter_tuple(
-    classes: ConjugacyClassTable,
-    tup_a: tuple[int, ...],
-    tup_b: tuple[int, ...],
-) -> Perm | None:
-    """Simultaneous conjugator for two equal-length element-id tuples."""
-    if len(tup_a) != len(tup_b):
-        raise ValueError("tuples must have equal length")
-    if not tup_a:
-        return identity_perm(classes.table.degree)
-    a, a2 = tup_a[0], tup_b[0]
-    if classes.class_of[a] != classes.class_of[a2]:
-        return None
-    table = classes.table
-    t0 = compose(inverse(classes.transporters[a]), classes.transporters[a2])
-    rest_a = [table.elements[e] for e in tup_a[1:]]
-    rest_b = [table.elements[e] for e in tup_b[1:]]
-    for c in classes.centralizer_ids(a):
-        t = compose(table.elements[c], t0)
-        if all(conjugate(pa, t) == pb for pa, pb in zip(rest_a, rest_b)):
-            return t
-    return None
+    def _rep_centralizer(self, cid: int) -> list[int]:
+        """C(rep) of class cid, closed from Schreier generators.
+
+        |C(rep)| = |G| / |class| is known.  For a class member x and a
+        generator s with x^s = y, t_x s t_y^-1 fixes rep under conjugation
+        (Schreier's lemma), and these elements generate C(rep).  They are
+        closed one at a time until the closure reaches the known order.
+        """
+        table = self.table
+        rep = table.elements[self.reps[cid]]
+        known = table.order // self.sizes[cid]
+
+        def check(w: Perm) -> None:
+            if compose(rep, w) != compose(w, rep):
+                raise CentralizerCheckError(
+                    f"centralizer check failed: a Schreier generator of class "
+                    f"{cid} does not commute with its representative"
+                )
+
+        if known == table.order:
+            for s in table.generators:
+                check(s)
+            return list(range(table.order))
+        closure = ElementTable([], table.degree)
+        for w in self._schreier_generators(cid):
+            if w in closure.index:
+                continue
+            check(w)
+            closure = ElementTable(closure.generators + [w], table.degree)
+            if closure.order >= known:
+                break
+        if closure.order != known:
+            raise CentralizerCheckError(
+                f"centralizer check failed: class {cid} closes to order "
+                f"{closure.order}, not |G|/|class| = {known}"
+            )
+        return sorted(table.index[p] for p in closure.elements)

@@ -1,7 +1,8 @@
 """Test-only oracles: a direct product, a transitivity test, the dihedral
 and GT1 counts, a brute-force double-coset survey, a pairwise packet
-decomposition, an exhaustive S search and mul-table group structure, kept
-out of the library they check."""
+decomposition, an exhaustive S search, a per-orbit pair sweep, scanned
+centralizers, structure-triple isomorphism and mul-table group structure,
+kept out of the library they check."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from math import factorial, lcm
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from gtpairs.atlas import ConstructedGroup
+from gtpairs.autgroup import extend_pair_map
+from gtpairs.dessins import DessinError, GammaStructure
 from gtpairs.gbar import (
     GbarGroup,
     build_gbar,
@@ -20,12 +23,15 @@ from gtpairs.gbar import (
     evaluate_endo,
     theta_images,
 )
+from gtpairs.pairs import PcSet
 from gtpairs.permcore import (
+    ConjugacyClassTable,
     ElementTable,
     Perm,
     compose,
     conjugate,
     generates,
+    identity_perm,
     inverse,
     orbit,
 )
@@ -245,6 +251,99 @@ def brute_packet_decomposition(
         )
     exact_partition = [f.member_orbits for f in factors]
     return PacketDecomposition(orbits, factors, coarse_partition, exact_partition)
+
+
+# Pair classes and structure triples, settled one C(g)-orbit at a time.
+
+
+def scan_centralizer_ids(table: ElementTable, e: int) -> list[int]:
+    """Element ids commuting with element e, from a whole-group scan."""
+    pe = table.elements[e]
+    return [
+        f for f, pf in enumerate(table.elements) if compose(pe, pf) == compose(pf, pe)
+    ]
+
+
+def brute_build_pc(table: ElementTable, classes: ConjugacyClassTable) -> PcSet:
+    """Pair classes numbered like build_pc, with one generation test per
+    C(g)-orbit of h and centralizers from whole-group scans."""
+    n, degree = table.order, table.degree
+    transitive = bool(table.generators) and len(orbit(table.generators, 0)) == degree
+    reps: list[tuple[int, int]] = []
+    g_class: list[int] = []
+    h_class: list[int] = []
+    lookup: list[list[int]] = []
+    for cid, g_id in enumerate(classes.reps):
+        g_perm = table.elements[g_id]
+        cent = [table.elements[c] for c in scan_centralizer_ids(table, g_id)]
+        cent_invs = [inverse(c) for c in cent]
+        assign = [-1] * n
+        for h in range(n):
+            if assign[h] != -1:
+                continue
+            h_perm = table.elements[h]
+            orbit_ids = {
+                table.index[tuple([c[h_perm[j]] for j in ci])]
+                for c, ci in zip(cent, cent_invs)
+            }
+            if transitive and len(orbit([g_perm, h_perm], 0)) != degree:
+                gen = False
+            else:
+                gen = generates([g_perm, h_perm], degree, n)
+            mark = -2
+            if gen:
+                mark = len(reps)
+                reps.append((g_id, h))
+                g_class.append(cid)
+                h_class.append(classes.class_of[h])
+            for e in orbit_ids:
+                assign[e] = mark
+        lookup.append(assign)
+    return PcSet(table, classes, reps, g_class, h_class, lookup)
+
+
+def transporter_tuple(
+    classes: ConjugacyClassTable,
+    tup_a: tuple[int, ...],
+    tup_b: tuple[int, ...],
+) -> Perm | None:
+    """Simultaneous conjugator for two equal-length element-id tuples."""
+    if len(tup_a) != len(tup_b):
+        raise ValueError("tuples must have equal length")
+    if not tup_a:
+        return identity_perm(classes.table.degree)
+    a, a2 = tup_a[0], tup_b[0]
+    if classes.class_of[a] != classes.class_of[a2]:
+        return None
+    table = classes.table
+    t0 = compose(inverse(classes.transporters[a]), classes.transporters[a2])
+    rest_a = [table.elements[e] for e in tup_a[1:]]
+    rest_b = [table.elements[e] for e in tup_b[1:]]
+    for c in classes.centralizer_ids(a):
+        t = compose(table.elements[c], t0)
+        if all(conjugate(pa, t) == pb for pa, pb in zip(rest_a, rest_b)):
+            return t
+    return None
+
+
+def triple_isomorphic(
+    classes: ConjugacyClassTable, t1: GammaStructure, t2: GammaStructure
+) -> bool:
+    """Decide isomorphism of two structure triples over one group.
+
+    The unique candidate map sends the first pair to the second; it must be
+    an automorphism, and a single conjugator must carry the mapped images
+    onto the images of the second structure simultaneously.
+    """
+    if t1.table is not t2.table or classes.table is not t1.table:
+        raise DessinError("triples must live over one shared group table")
+    if len(t1.image_ids) != len(t2.image_ids):
+        raise DessinError("structures declare different generator counts")
+    alpha = extend_pair_map(t1.table, (t1.g_id, t1.h_id), (t2.g_id, t2.h_id))
+    if alpha is None:
+        return False
+    moved = tuple(alpha.images[i] for i in t1.image_ids)
+    return transporter_tuple(classes, t2.image_ids, moved) is not None
 
 
 # Group structure on duck-typed "mul tables": objects with an integer

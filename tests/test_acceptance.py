@@ -14,7 +14,6 @@ from gtpairs.dessins import (
     GammaStructure,
     analyze_dessin,
     cyclic_structures,
-    triple_isomorphic,
 )
 from gtpairs.gbar import build_gbar, double_coset_survey, gt_full_order
 from gtpairs.pairs import build_pc
@@ -35,7 +34,12 @@ from gtpairs.structure import (
     quotient,
     simple_factor_order,
 )
-from group_oracles import brute_force_sg, dihedral_closed_form, gt1_order
+from group_oracles import (
+    brute_force_sg,
+    dihedral_closed_form,
+    gt1_order,
+    triple_isomorphic,
+)
 
 THREADS = os.cpu_count() or 1
 

@@ -88,11 +88,13 @@ def test_out_order_psl28_frozen_oracle() -> None:
 
 def test_first_entry_identity_and_inner() -> None:
     for spec in ("cyclic:5", "dihedral:4", "quaternion8"):
-        outs, _, _ = _out_order(spec)
+        outs, pcset, _ = _out_order(spec)
         assert outs.maps[0].is_identity()
-        # entry 0 maps the base pair to its own class, and only entry 0 does
-        assert outs.target_class[0] == 0
-        assert len(set(outs.target_class)) == outs.out_order
+        # entry 0 maps the base pair to itself, and the maps land in
+        # pairwise distinct pair classes
+        assert outs.maps[0].dst_pair == pcset.reps[0]
+        targets = {pcset.locate(*m.dst_pair) for m in outs.maps}
+        assert len(targets) == outs.out_order
 
 
 def test_out_maps_are_automorphisms() -> None:

@@ -315,6 +315,22 @@ def test_model_self_check_failure_exits_3(capsys, monkeypatch) -> None:
     assert len(err.splitlines()) == 1
 
 
+def test_centralizer_check_failure_exits_3(capsys, monkeypatch) -> None:
+    true_classes = cli.ConjugacyClassTable
+
+    def with_wrong_size(table):
+        classes = true_classes(table)
+        classes.sizes[1] //= 2
+        return classes
+
+    monkeypatch.setattr(cli, "ConjugacyClassTable", with_wrong_size)
+    rc, out, err = _run(capsys, ["sg", "psl2:5", "--threads", "1"])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: centralizer check failed")
+    assert len(err.splitlines()) == 1
+
+
 def test_field_axiom_failure_exits_3(capsys, monkeypatch) -> None:
     from gtpairs import atlas
 

@@ -11,7 +11,6 @@ from gtpairs.dessins import (
     cyclic_structure,
     cyclic_structures,
     load_dessin,
-    triple_isomorphic,
 )
 from gtpairs.pairs import build_pc
 from gtpairs.permcore import (
@@ -23,6 +22,7 @@ from gtpairs.permcore import (
     parse_cycles,
 )
 from gtpairs.structure import derived_subgroup
+from group_oracles import triple_isomorphic
 
 TETRA_X = "(1,2,3)(4,5,6)(7,8,9)(10,11,12)"
 TETRA_Y = "(1,4)(2,10)(3,7)(5,9)(6,11)(8,12)"

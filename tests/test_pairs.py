@@ -9,6 +9,7 @@ from gtpairs.autgroup import out_representatives
 from gtpairs.cli import pair_stages
 from gtpairs.pairs import PairLookupError, block_partition, build_pc, induced_perms
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, conjugate
+from group_oracles import brute_build_pc
 
 
 def _tables(spec):
@@ -141,7 +142,7 @@ def test_trivial_group_pcset() -> None:
 
 
 def test_threads_match_serial() -> None:
-    for spec in ("symmetric:3", "dihedral:5"):
+    for spec in ("symmetric:3", "dihedral:5", "psl2:13"):
         table, classes = _tables(spec)
         a = build_pc(table, classes, threads=1)
         b = build_pc(table, classes, threads=2)
@@ -149,6 +150,30 @@ def test_threads_match_serial() -> None:
         assert a.g_class == b.g_class
         assert a.h_class == b.h_class
         assert a._lookup == b._lookup
+
+
+ORACLE_SPECS = [
+    "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11", "psl2:13",
+    "alternating:5", "alternating:6", "alternating:7",
+    "symmetric:4", "symmetric:5", "symmetric:6",
+    "dihedral:6", "dihedral:15", "quaternion8", "cyclic:12", "psl3:3",
+] + [
+    pytest.param(spec, marks=pytest.mark.extended)
+    for spec in ("m11", "psl2:16", "psl2:17", "psl2:19")
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_sweep_matches_per_orbit_oracle(spec) -> None:
+    # one test per <g>-double coset numbers the classes exactly like one
+    # test per C(g)-orbit with scanned centralizers
+    table, classes = _tables(spec)
+    got = build_pc(table, classes)
+    want = brute_build_pc(table, classes)
+    assert got.reps == want.reps
+    assert got.g_class == want.g_class
+    assert got.h_class == want.h_class
+    assert got._lookup == want._lookup
 
 
 def test_s3_induced_theta_delta() -> None:

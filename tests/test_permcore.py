@@ -4,8 +4,12 @@ import itertools
 
 import pytest
 
+from sympy.combinatorics import Permutation, PermutationGroup
+
 from gtpairs import permcore
+from gtpairs.atlas import construct
 from gtpairs.permcore import (
+    CentralizerCheckError,
     ConjugacyClassTable,
     CycleFormatError,
     ElementTable,
@@ -20,8 +24,8 @@ from gtpairs.permcore import (
     inverse,
     parse_cycles,
     perm_order,
-    transporter_tuple,
 )
+from group_oracles import scan_centralizer_ids, transporter_tuple
 
 
 def _mul(p, q):
@@ -249,6 +253,44 @@ def test_centralizer() -> None:
         assert compose(table.elements[c], table.elements[rot]) == compose(
             table.elements[rot], table.elements[c]
         )
+
+
+def _class_tables(spec):
+    g = construct(spec)
+    table = ElementTable(g.generators, g.degree)
+    return g, table, ConjugacyClassTable(table)
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:4", "alternating:5", "dihedral:6", "quaternion8", "psl2:7"]
+)
+def test_centralizer_of_every_element_matches_scan(spec) -> None:
+    _, table, classes = _class_tables(spec)
+    for e in range(table.order):
+        assert classes.centralizer_ids(e) == scan_centralizer_ids(table, e)
+
+
+@pytest.mark.parametrize("spec", ["psl2:13", "alternating:7", "psl3:3"])
+def test_class_centralizer_orders_match_sympy(spec) -> None:
+    g, table, classes = _class_tables(spec)
+    group = PermutationGroup([Permutation(list(p)) for p in g.generators])
+    for rep in classes.reps:
+        want = group.centralizer(Permutation(list(table.elements[rep]))).order()
+        assert len(classes.centralizer_ids(rep)) == want
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "psl2:7"])
+def test_class_orders_hold_for_every_member(spec) -> None:
+    _, table, classes = _class_tables(spec)
+    for e, p in enumerate(table.elements):
+        assert classes.class_orders[classes.class_of[e]] == perm_order(p)
+
+
+def test_centralizer_check_names_wrong_class_size() -> None:
+    _, table, classes = _class_tables("psl2:5")
+    classes.sizes[1] //= 2
+    with pytest.raises(CentralizerCheckError, match="centralizer check failed"):
+        classes.centralizer_ids(classes.reps[1])
 
 
 def test_transporter_pair_s3_example() -> None:
