@@ -28,10 +28,6 @@ class AutMap:
         return all(i == img for i, img in enumerate(self.images))
 
 
-def _cayley_column(table: ElementTable, by: int) -> list[int]:
-    return [table.mul(e, by) for e in range(table.order)]
-
-
 def extend_pair_map(
     table: ElementTable,
     pair: tuple[int, int],
@@ -44,10 +40,10 @@ def extend_pair_map(
     x, y = pair
     x2, y2 = target
     n = table.order
-    col_x = _cayley_column(table, x)
-    col_y = _cayley_column(table, y)
-    col_x2 = _cayley_column(table, x2)
-    col_y2 = _cayley_column(table, y2)
+    col_x = table.right_column(x)
+    col_y = table.right_column(y)
+    col_x2 = table.right_column(x2)
+    col_y2 = table.right_column(y2)
     images = [-1] * n
     images[0] = 0
     queue = [0]

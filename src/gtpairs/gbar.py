@@ -2,9 +2,10 @@
 
 The model group lives inside G^r, one coordinate per orbit of the outer
 automorphisms on pair classes, generated by the tuple of first members and
-the tuple of second members.  Elements carry discovery words over the
-alphabet {x, y, x^-1, y^-1}, so images under an endomorphism given on the
-two generators can be computed by word substitution.
+the tuple of second members.  The model table's BFS tree gives every
+element a word over the alphabet {x, y, x^-1, y^-1}, so images under an
+endomorphism given on the two generators can be computed by word
+substitution.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class DoubleCosets:
 
 @dataclass
 class GbarGroup:
-    """The model group with its word table and canonical generators."""
+    """The model group with its element table and canonical generators."""
 
     spec: str
     r: int
@@ -103,7 +104,7 @@ def _embed(p: Perm, w: int, d: int) -> list[int]:
 
 
 def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
-    """Enumerate the model group with words, one window per outer orbit."""
+    """Enumerate the model group, one window per outer orbit."""
     table = ElementTable(group.generators, group.degree)
     classes = ConjugacyClassTable(table)
     pcset = build_pc(table, classes)
@@ -138,7 +139,7 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
             "raise --cap to allow a larger group"
         )
     gens = [x, y, inverse(x), inverse(y)]
-    model = ElementTable(gens, r * d, cap=cap, record_words=True)
+    model = ElementTable(gens, r * d, cap=cap)
     if group.order**r % model.order:
         raise GbarError("model order fails to divide the full power order")
     for w in range(r):
@@ -177,7 +178,7 @@ def evaluate_endo(gbar: GbarGroup, endo: EndoImages, element: Perm) -> Perm:
         inverse(endo.y_image),
     ]
     acc = identity_perm(gbar.degree)
-    for letter in gbar.table.words[gbar.table.index[element]]:
+    for letter in gbar.table.word(gbar.table.index[element]):
         acc = compose(acc, letters[letter])
     return acc
 
@@ -306,7 +307,7 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
         reps.append(
             DoubleCosetRep(
                 element=f,
-                word=table.words[fid],
+                word=table.word(fid),
                 coset_size=size,
                 generates_model=gen_ok,
                 theta_ok=theta_ok,

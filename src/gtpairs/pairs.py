@@ -11,17 +11,9 @@ representative of a class is (class rep of g, smallest h in its C(g)-orbit).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .permcore import (
-    ConjugacyClassTable,
-    ElementTable,
-    Perm,
-    conjugate,
-    generates,
-    inverse,
-    orbit,
-)
+from .permcore import ConjugacyClassTable, ElementTable, Perm, generates, orbit
 
 
 class PairLookupError(KeyError):
@@ -38,17 +30,32 @@ class PcSet:
     g_class: list[int]
     h_class: list[int]
     _lookup: list[list[int]]  # per g-conjugacy-class: h id -> pc index or -1
+    # per table generator s: e -> id(s e s^-1), built on the first locate
+    _unconj: list[list[int]] | None = field(default=None, repr=False)
 
     @property
     def ell(self) -> int:
         return len(self.reps)
 
     def locate(self, g: int, h: int) -> int:
-        """Pair-class index of a generating pair, by conjugating g to its rep."""
-        cid = self.classes.class_of[g]
-        t_inv = inverse(self.classes.transporters[g])
-        h_moved = self.table.index[conjugate(self.table.elements[h], t_inv)]
-        idx = self._lookup[cid][h_moved]
+        """Pair-class index of a generating pair, by conjugating g to its rep.
+
+        The transporter t of g has tree word s_1..s_m, and (g, h)^(t^-1)
+        = (rep, t h t^-1) is reached by one inverse generator-conjugation
+        column per letter, last letter first.
+        """
+        table = self.table
+        if self._unconj is None:
+            inv = table.inverse_ids
+            self._unconj = [
+                table.conjugation_column(inv[table.index[s]]) for s in table.generators
+            ]
+        t, moved = self.classes.transporter_ids[g], h
+        parent, letter, unconj = table.parent, table.letter, self._unconj
+        while t:
+            moved = unconj[letter[t]][moved]
+            t = parent[t]
+        idx = self._lookup[self.classes.class_of[g]][moved]
         if idx < 0:
             raise PairLookupError(f"pair ({g}, {h}) does not generate the group")
         return idx
@@ -68,35 +75,39 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
 
     <g, h> is also <g, h g> and <g, h^-1>, so one verdict holds for every h
     reached by those two moves, i.e. on the <g>-double coset of h and its
-    inverses.  A C(g)-orbit takes the verdict of any member that has one,
-    and only an orbit without one runs a generation test.
+    inverses.  A C(g)-orbit, walked through the conjugation columns of the
+    generators of C(g), takes the verdict of any member that has one, and
+    only an orbit without one runs a generation test.
     """
     table: ElementTable = _SWEEP_STATE["table"]
     classes: ConjugacyClassTable = _SWEEP_STATE["classes"]
     transitive: bool = _SWEEP_STATE["transitive"]
     n = table.order
     degree = table.degree
-    elements, index = table.elements, table.index
+    elements = table.elements
     g_id = classes.reps[cid]
     g_perm = elements[g_id]
-    cent = [elements[c] for c in classes.centralizer_ids(g_id)]
-    cent_invs = [inverse(c) for c in cent]
-    right = [index[tuple([g_perm[i] for i in e])] for e in elements]  # e -> e g
+    classes.centralizer_ids(g_id)  # closes C(g) and fills centralizer_gens[cid]
+    conj = [table.conjugation_column(c) for c in classes.centralizer_gens[cid]]
+    right = table.right_column(g_id)  # e -> e g
     inv = table.inverse_ids
     verdict = [0] * n  # 1 generates, -1 does not, 0 unknown
-    assign = [-1] * n
+    assign = [-1] * n  # -1 unseen, -3 in the current orbit
     local_reps: list[int] = []
     for h in range(n):
         if assign[h] != -1:
             continue
-        h_perm = elements[h]
-        # h^c = c^-1 h c, written as one relabelling of h
-        orbit_ids = {
-            index[tuple([c[h_perm[j]] for j in ci])]
-            for c, ci in zip(cent, cent_invs)
-        }
+        assign[h] = -3
+        orbit_ids = [h]
+        for e in orbit_ids:
+            for col in conj:
+                f = col[e]
+                if assign[f] == -1:
+                    assign[f] = -3
+                    orbit_ids.append(f)
         gen = next((verdict[e] for e in orbit_ids if verdict[e]), 0)
         if not gen:
+            h_perm = elements[h]
             if transitive and len(orbit([g_perm, h_perm], 0)) != degree:
                 gen = -1
             else:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 import re
+from array import array
 from collections.abc import Iterator
-from itertools import count
+from itertools import count, islice
 from math import inf, lcm
 
 Perm = tuple[int, ...]
@@ -27,6 +28,10 @@ class EnumerationCapError(RuntimeError):
 
 
 class CentralizerCheckError(RuntimeError):
+    pass
+
+
+class TransporterCheckError(RuntimeError):
     pass
 
 
@@ -287,38 +292,38 @@ class ElementTable:
     """Full element list of a permutation group in BFS discovery order.
 
     Generators are explored in declared order, so element numbering is
-    deterministic.  Optionally records, for each element, a shortest word in
-    the generators (as a tuple of generator indices) found by the BFS.
+    deterministic.  The BFS keeps one id column per generator,
+    gen_cols[s][e] = id(e*s), and its discovery tree: element i > 0 is
+    element parent[i] times generator letter[i].  Left, right and
+    conjugation columns of any element are integer work on these.
     """
 
-    def __init__(
-        self,
-        generators: list[Perm],
-        degree: int,
-        cap: int = DEFAULT_CAP,
-        record_words: bool = False,
-    ):
+    def __init__(self, generators: list[Perm], degree: int, cap: int = DEFAULT_CAP):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         ident = identity_perm(degree)
-        self.elements: list[Perm] = [ident]
-        self.index: dict[Perm, int] = {ident: 0}
-        self.words: list[tuple[int, ...]] | None = [()] if record_words else None
-        for e in self.elements:
-            base_word = self.words[self.index[e]] if record_words else None
-            for gi, g in enumerate(self.generators):
-                n = compose(e, g)
-                if n not in self.index:
-                    self.index[n] = len(self.elements)
-                    self.elements.append(n)
-                    if record_words:
-                        self.words.append(base_word + (gi,))
-                    if len(self.elements) > cap:
+        elements = self.elements = [ident]
+        index = self.index = {ident: 0}
+        self.gen_cols: list[list[int]] = [[] for _ in self.generators]
+        self.parent = array("i", [-1])
+        self.letter = array("i", [-1])
+        steps = list(enumerate(zip(self.generators, [c.append for c in self.gen_cols])))
+        for e_id, e in enumerate(elements):
+            for gi, (g, put) in steps:
+                n = tuple([g[j] for j in e])  # compose(e, g), inlined
+                i = index.get(n)
+                if i is None:
+                    i = index[n] = len(elements)
+                    elements.append(n)
+                    self.parent.append(e_id)
+                    self.letter.append(gi)
+                    if i >= cap:
                         raise EnumerationCapError(
                             f"element enumeration passed {cap} elements "
-                            f"(partial count {len(self.elements)}); "
+                            f"(partial count {i + 1}); "
                             "raise --cap to allow a larger group"
                         )
+                put(i)
         self._inverse_ids: list[int] | None = None
 
     @property
@@ -341,6 +346,34 @@ class ElementTable:
     def element_order(self, i: int) -> int:
         return perm_order(self.elements[i])
 
+    def word(self, i: int) -> tuple[int, ...]:
+        """The BFS tree's word for element i, a shortest one, as generator indices."""
+        out = []
+        while i:
+            out.append(self.letter[i])
+            i = self.parent[i]
+        return tuple(reversed(out))
+
+    def left_column(self, x: int) -> list[int]:
+        """col[e] = id(x*e), down the BFS tree: x*(p*s) = (x*p)*s."""
+        col = [x]
+        cols = self.gen_cols
+        for p, s in zip(islice(self.parent, 1, None), islice(self.letter, 1, None)):
+            col.append(cols[s][col[p]])
+        return col
+
+    def right_column(self, x: int) -> list[int]:
+        """col[e] = id(e*x) = the inverse of x^-1 * e^-1."""
+        inv = self.inverse_ids
+        left = self.left_column(inv[x])
+        return [inv[left[i]] for i in inv]
+
+    def conjugation_column(self, x: int) -> list[int]:
+        """col[e] = id(x^-1*e*x), the right column of x after the left of x^-1."""
+        inv = self.inverse_ids
+        left = self.left_column(inv[x])
+        return [inv[left[inv[f]]] for f in left]
+
 
 def generating_subset(elements: list[Perm], degree: int) -> list[Perm]:
     """Generators of the subgroup with these elements, each outside the span
@@ -357,10 +390,13 @@ def generating_subset(elements: list[Perm], degree: int) -> list[Perm]:
 class ConjugacyClassTable:
     """Conjugacy classes of an ElementTable with per-element transporters.
 
-    transporters[e] is a permutation t with rep^t = element e, where rep is
-    the class representative; every transporter is re-verified by
+    transporter_ids[e] is the id of an element t with rep^t = element e,
+    where rep is the class representative.  The classes are walked through
+    the conjugation columns of the table generators, so the transporter of
+    x^s is gen_cols[s][t_x]; every transporter is re-verified by tuple
     recomposition during construction.  class_orders[c] is the element
-    order shared by every member of class c.
+    order shared by every member of class c.  centralizer_gens[c] lists ids
+    generating C(rep of c), filled by centralizer_ids.
     """
 
     def __init__(self, table: ElementTable):
@@ -369,36 +405,47 @@ class ConjugacyClassTable:
         self.class_of = [-1] * n
         self.reps: list[int] = []
         self.sizes: list[int] = []
-        self.transporters: list[Perm] = [()] * n
-        ident = identity_perm(table.degree)
+        self.transporter_ids = [0] * n
+        steps = [
+            (table.conjugation_column(table.index[g]), col)
+            for g, col in zip(table.generators, table.gen_cols)
+        ]
         for start in range(n):
             if self.class_of[start] != -1:
                 continue
             cid = len(self.reps)
             self.reps.append(start)
             self.class_of[start] = cid
-            self.transporters[start] = ident
             queue = [start]
             for e in queue:
-                t = self.transporters[e]
-                pe = table.elements[e]
-                for g in table.generators:
-                    img = table.index[conjugate(pe, g)]
+                t = self.transporter_ids[e]
+                for col, gcol in steps:
+                    img = col[e]
                     if self.class_of[img] == -1:
                         self.class_of[img] = cid
-                        self.transporters[img] = compose(t, g)
+                        self.transporter_ids[img] = gcol[t]
                         queue.append(img)
             self.sizes.append(len(queue))
-        for e in range(n):
-            rep = table.elements[self.reps[self.class_of[e]]]
-            if conjugate(rep, self.transporters[e]) != table.elements[e]:
-                raise RuntimeError("conjugacy transporter failed recomposition")
+        self._check_transporters()
         self.center_ids = sorted(
             self.reps[c] for c in range(len(self.reps)) if self.sizes[c] == 1
         )
         self.max_class_size = max(self.sizes)
         self.class_orders = [perm_order(table.elements[r]) for r in self.reps]
+        self.centralizer_gens: dict[int, list[int]] = {}
         self._centralizers: dict[int, list[int]] = {}
+
+    def _check_transporters(self) -> None:
+        """rep^t = e, checked as rep*t = t*e in tuple arithmetic for every e."""
+        elements = self.table.elements
+        for e, pe in enumerate(elements):
+            rep = elements[self.reps[self.class_of[e]]]
+            t = elements[self.transporter_ids[e]]
+            if [t[j] for j in rep] != [pe[j] for j in t]:
+                raise TransporterCheckError(
+                    f"transporter check failed: the transporter of element {e} "
+                    "does not conjugate its class representative onto it"
+                )
 
     @property
     def num_classes(self) -> int:
@@ -407,7 +454,8 @@ class ConjugacyClassTable:
     def centralizer_ids(self, e: int) -> list[int]:
         """Element ids commuting with element e, ascending.
 
-        C(e) = C(rep)^t for the class rep and the transporter t of e.
+        C(e) = C(rep)^t for the class rep and the transporter t of e, read
+        off the conjugation column of t.
         """
         cached = self._centralizers.get(e)
         if cached is not None:
@@ -418,12 +466,8 @@ class ConjugacyClassTable:
         if out is None:
             out = self._centralizers[rep] = self._rep_centralizer(cid)
         if e != rep:
-            elements, index = self.table.elements, self.table.index
-            t = self.transporters[e]
-            t_inv = inverse(t)
-            # c^t = t^-1 c t, written as one relabelling of c
-            out = sorted(index[tuple([t[elements[c][j]] for j in t_inv])] for c in out)
-            self._centralizers[e] = out
+            col = self.table.conjugation_column(self.transporter_ids[e])
+            out = self._centralizers[e] = sorted(col[c] for c in out)
         return out
 
     def _schreier_generators(self, cid: int) -> Iterator[Perm]:
@@ -434,13 +478,14 @@ class ConjugacyClassTable:
         seen = {self.reps[cid]}
         queue = [self.reps[cid]]
         for x in queue:
-            px, tx = table.elements[x], self.transporters[x]
+            px = table.elements[x]
+            tx = table.elements[self.transporter_ids[x]]
             for s, s_inv in gens:
                 y = table.index[tuple([s[px[j]] for j in s_inv])]
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
-                ty_inv = inverse(self.transporters[y])
+                ty_inv = inverse(table.elements[self.transporter_ids[y]])
                 yield tuple([ty_inv[s[i]] for i in tx])
 
     def _rep_centralizer(self, cid: int) -> list[int]:
@@ -449,7 +494,8 @@ class ConjugacyClassTable:
         |C(rep)| = |G| / |class| is known.  For a class member x and a
         generator s with x^s = y, t_x s t_y^-1 fixes rep under conjugation
         (Schreier's lemma), and these elements generate C(rep).  They are
-        closed one at a time until the closure reaches the known order.
+        closed one at a time until the closure reaches the known order; the
+        ids of the ones kept go to centralizer_gens[cid].
         """
         table = self.table
         rep = table.elements[self.reps[cid]]
@@ -465,6 +511,7 @@ class ConjugacyClassTable:
         if known == table.order:
             for s in table.generators:
                 check(s)
+            self.centralizer_gens[cid] = [table.index[s] for s in table.generators]
             return list(range(table.order))
         closure = ElementTable([], table.degree)
         for w in self._schreier_generators(cid):
@@ -479,4 +526,5 @@ class ConjugacyClassTable:
                 f"centralizer check failed: class {cid} closes to order "
                 f"{closure.order}, not |G|/|class| = {known}"
             )
+        self.centralizer_gens[cid] = [table.index[w] for w in closure.generators]
         return sorted(table.index[p] for p in closure.elements)

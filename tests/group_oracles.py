@@ -1,8 +1,8 @@
 """Test-only oracles: a direct product, a transitivity test, the dihedral
 and GT1 counts, a brute-force double-coset survey, a pairwise packet
-decomposition, an exhaustive S search, a per-orbit pair sweep, scanned
-centralizers, structure-triple isomorphism and mul-table group structure,
-kept out of the library they check."""
+decomposition, an exhaustive S search, a per-orbit pair sweep, a tuple
+pair locator, scanned centralizers, structure-triple isomorphism and
+mul-table group structure, kept out of the library they check."""
 
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ def brute_double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[tuple]:
             lhs = conjugate(prod_inv_k, evaluate_endo(gbar, delta, f))
             rhs = compose(inverse(yk), inverse(xkf))
             delta_ok = any(conjugate(lhs, c) == rhs for c in cy)
-        out.append((f, table.words[fid], len(coset), gen_ok, theta_ok, delta_ok))
+        out.append((f, table.word(fid), len(coset), gen_ok, theta_ok, delta_ok))
     assert len(visited) == gbar.order
     out.sort(key=lambda rep: (len(rep[1]), rep[1]))
     return out
@@ -302,6 +302,17 @@ def brute_build_pc(table: ElementTable, classes: ConjugacyClassTable) -> PcSet:
     return PcSet(table, classes, reps, g_class, h_class, lookup)
 
 
+def tuple_locate(pcset: PcSet, g: int, h: int) -> int | None:
+    """Pair-class index of (g, h) by tuple arithmetic, or None if the pair
+    does not generate: h is conjugated by the inverse of g's transporter
+    as one permutation and looked up in the element index."""
+    table, classes = pcset.table, pcset.classes
+    t_inv = inverse(table.elements[classes.transporter_ids[g]])
+    h_moved = table.index[conjugate(table.elements[h], t_inv)]
+    idx = pcset._lookup[classes.class_of[g]][h_moved]
+    return idx if idx >= 0 else None
+
+
 def transporter_tuple(
     classes: ConjugacyClassTable,
     tup_a: tuple[int, ...],
@@ -316,7 +327,10 @@ def transporter_tuple(
     if classes.class_of[a] != classes.class_of[a2]:
         return None
     table = classes.table
-    t0 = compose(inverse(classes.transporters[a]), classes.transporters[a2])
+    t0 = compose(
+        inverse(table.elements[classes.transporter_ids[a]]),
+        table.elements[classes.transporter_ids[a2]],
+    )
     rest_a = [table.elements[e] for e in tup_a[1:]]
     rest_b = [table.elements[e] for e in tup_b[1:]]
     for c in classes.centralizer_ids(a):

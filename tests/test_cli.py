@@ -331,6 +331,25 @@ def test_centralizer_check_failure_exits_3(capsys, monkeypatch) -> None:
     assert len(err.splitlines()) == 1
 
 
+def test_transporter_check_failure_exits_3(capsys, monkeypatch) -> None:
+    from gtpairs.permcore import ConjugacyClassTable
+
+    true_check = ConjugacyClassTable._check_transporters
+
+    def with_one_wrong_id(classes):
+        # a member that is not its class rep now claims the identity
+        e = next(e for e, c in enumerate(classes.class_of) if classes.reps[c] != e)
+        classes.transporter_ids[e] = 0
+        true_check(classes)
+
+    monkeypatch.setattr(ConjugacyClassTable, "_check_transporters", with_one_wrong_id)
+    rc, out, err = _run(capsys, ["sg", "psl2:5", "--threads", "1"])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: transporter check failed")
+    assert len(err.splitlines()) == 1
+
+
 def test_field_axiom_failure_exits_3(capsys, monkeypatch) -> None:
     from gtpairs import atlas
 

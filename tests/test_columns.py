@@ -1,0 +1,134 @@
+"""Integer id columns of ElementTable against tuple arithmetic.
+
+The BFS keeps one column per generator and its discovery tree; left,
+right and conjugation columns, tree words, transporter ids and the pair
+locator are all built from them and checked here against compose and the
+element index, on small groups in full and on a model table by sample.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from gtpairs.atlas import construct
+from gtpairs.gbar import build_gbar, double_coset_survey
+from gtpairs.pairs import PairLookupError, build_pc
+from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, conjugate
+from group_oracles import tuple_locate
+
+KERNEL_SPECS = ["symmetric:4", "alternating:5", "psl2:7", "dihedral:6", "quaternion8"]
+MODEL_SAMPLES = 500
+
+
+def _table(spec: str) -> ElementTable:
+    g = construct(spec)
+    return ElementTable(g.generators, g.degree)
+
+
+def _check_columns(table: ElementTable, x: int, es) -> None:
+    el, index = table.elements, table.index
+    px, px_inv = el[x], el[table.inverse_id(x)]
+    left = table.left_column(x)
+    right = table.right_column(x)
+    conj = table.conjugation_column(x)
+    for e in es:
+        assert left[e] == index[compose(px, el[e])]
+        assert right[e] == index[compose(el[e], px)]
+        assert conj[e] == index[conjugate(el[e], px)]
+        assert conj[e] == index[compose(compose(px_inv, el[e]), px)]
+
+
+def _check_generator_columns_and_words(table: ElementTable) -> None:
+    el, index = table.elements, table.index
+    for s, g in enumerate(table.generators):
+        assert table.gen_cols[s] == [index[compose(e, g)] for e in el]
+    for i, e in enumerate(el):
+        built = el[0]
+        for s in table.word(i):
+            built = compose(built, table.generators[s])
+        assert built == e
+        if i:
+            assert len(table.word(i)) == len(table.word(table.parent[i])) + 1
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_columns_match_tuple_arithmetic(spec) -> None:
+    table = _table(spec)
+    _check_generator_columns_and_words(table)
+    every = range(table.order)
+    for x in every:
+        _check_columns(table, x, every)
+
+
+def test_model_table_columns_match_tuple_arithmetic() -> None:
+    table = build_gbar(construct("alternating:4")).table
+    _check_generator_columns_and_words(table)
+    rng = random.Random(12)
+    for _ in range(MODEL_SAMPLES):
+        x, e = rng.randrange(table.order), rng.randrange(table.order)
+        _check_columns(table, x, [e])
+
+
+def _new_locate(pcset, g, h):
+    try:
+        return pcset.locate(g, h)
+    except PairLookupError as err:
+        assert f"pair ({g}, {h})" in str(err)
+        return None
+
+
+@pytest.mark.parametrize("spec, samples", [
+    ("psl2:7", None), ("symmetric:4", None), ("alternating:7", 2000),
+])
+def test_locate_matches_tuple_oracle(spec, samples) -> None:
+    table = _table(spec)
+    pcset = build_pc(table, ConjugacyClassTable(table))
+    n = table.order
+    if samples is None:
+        pairs = [(g, h) for g in range(n) for h in range(n)]
+    else:
+        rng = random.Random(34)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+    located = 0
+    for g, h in pairs:
+        got = _new_locate(pcset, g, h)
+        assert got == tuple_locate(pcset, g, h)
+        located += got is not None
+    assert located > 0
+
+
+def test_tables_are_freed_without_the_cycle_collector() -> None:
+    # a back-reference from a table's contents to the table would keep dead
+    # tables alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        table = _table("psl2:7")
+        classes = ConjugacyClassTable(table)
+        classes.centralizer_ids(table.order - 1)
+        pcset = build_pc(table, classes)
+        pcset.locate(*pcset.reps[-1])
+        gbar = build_gbar(construct("dihedral:5"))
+        double_coset_survey(gbar)
+        refs = {
+            "PcSet": weakref.ref(pcset),
+            "ConjugacyClassTable": weakref.ref(classes),
+            "ElementTable": weakref.ref(table),
+            "GbarGroup": weakref.ref(gbar),
+            "model ElementTable": weakref.ref(gbar.table),
+        }
+        del pcset
+        assert refs["PcSet"]() is None
+        del classes
+        assert refs["ConjugacyClassTable"]() is None
+        del table
+        assert refs["ElementTable"]() is None
+        del gbar
+        assert refs["GbarGroup"]() is None
+        assert refs["model ElementTable"]() is None
+    finally:
+        gc.enable()
