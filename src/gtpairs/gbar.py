@@ -1,11 +1,14 @@
 """Diagonal model group on pair-orbit representatives and double-coset counts.
 
-The model group lives inside G^r, one coordinate per orbit of the outer
+The model group lives inside G^r, one window per orbit of the outer
 automorphisms on pair classes, generated by the tuple of first members and
-the tuple of second members.  The model table's BFS tree gives every
-element a word over the alphabet {x, y, x^-1, y^-1}, so images under an
-endomorphism given on the two generators can be computed by word
-substitution.
+the tuple of second members.  The model table holds each element as its r
+base-group element ids, window w's shifted by w*|G|: the image of the
+points w*|G| when the generators act on r copies of G by right
+multiplication.  G acts regularly on itself, so these r points determine
+the element.  Products walk the model table's generator columns along BFS
+tree words over the alphabet {x, y, x^-1, y^-1}, so images under an
+endomorphism given on the two generators are word substitutions.
 """
 
 from __future__ import annotations
@@ -23,16 +26,10 @@ from .permcore import (
     EnumerationCapError,
     Perm,
     StabilizerChain,
-    compose,
-    conjugate,
     generates,
-    generating_subset,
-    identity_perm,
-    inverse,
     orbit,
     perm_order,
 )
-from .structure import mul_power
 
 
 class GbarError(RuntimeError):
@@ -47,23 +44,22 @@ class DoubleCosets:
     same gcds with the generator orders.
     """
 
-    cx: list[Perm]
-    cy: list[Perm]
+    cx: list[int]  # model ids, ascending
+    cy: list[int]
     reps: list[tuple[int, int]]  # (element id, coset size), ascending ids
 
 
 @dataclass
 class GbarGroup:
-    """The model group with its element table and canonical generators."""
+    """The model group with its element table, the base group's table and
+    the generators as permutations of degree r*d."""
 
     spec: str
     r: int
-    base_degree: int
-    degree: int
     x: Perm
     y: Perm
+    base: ElementTable
     table: ElementTable
-    base_order: int
     # double-coset partitions keyed by (gcd(k, ord x), gcd(k, ord y))
     partitions: dict[tuple[int, int], DoubleCosets] = field(
         default_factory=dict, repr=False
@@ -73,11 +69,31 @@ class GbarGroup:
     def order(self) -> int:
         return self.table.order
 
+    @property
+    def degree(self) -> int:
+        return self.r * self.base.degree
 
-@dataclass
+    def window_ids(self, i: int) -> list[int]:
+        """The base-group ids of model element i, one per window."""
+        n = self.base.order
+        return [p - w * n for w, p in enumerate(self.table.elements[i])]
+
+    def perm(self, i: int) -> Perm:
+        """Model element i as a permutation of degree r*d."""
+        return _windows(self.base, self.window_ids(i))
+
+
+@dataclass(frozen=True)
 class EndoImages:
-    x_image: Perm
-    y_image: Perm
+    """The words of the images of x and y over the letters 0 = x, 1 = y,
+    2 = x^-1, 3 = y^-1."""
+
+    x_image: tuple[int, ...]
+    y_image: tuple[int, ...]
+
+
+THETA = EndoImages(x_image=(1,), y_image=(0,))  # x <-> y
+DELTA = EndoImages(x_image=(3, 2), y_image=(1,))  # x -> y^-1 x^-1, y -> y
 
 
 @dataclass
@@ -96,18 +112,34 @@ class DoubleCosetRep:
         return self.generates_model and self.theta_ok and self.delta_ok
 
 
-def _embed(p: Perm, w: int, d: int) -> list[int]:
-    out = list(range(w * d, w * d + d))
-    for i, j in enumerate(p):
-        out[i] = w * d + j
+def _windows(base: ElementTable, ids: list[int]) -> Perm:
+    """The permutation of degree r*d acting as base element ids[w] on window w."""
+    d = base.degree
+    return tuple([w * d + j for w, e in enumerate(ids) for j in base.elements[e]])
+
+
+def _right_actions(base: ElementTable, windows: list[list[int]]) -> list[list[int]]:
+    """Right multiplication by base element ids[w] on window w, for each ids
+    in windows, as permutations of the r*|G| window points."""
+    n = base.order
+    columns: dict[int, list[int]] = {}
+    out = []
+    for ids in windows:
+        action: list[int] = []
+        for w, e in enumerate(ids):
+            col = columns.get(e)
+            if col is None:
+                col = columns[e] = base.right_column(e)
+            action.extend([w * n + c for c in col])
+        out.append(action)
     return out
 
 
 def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
     """Enumerate the model group, one window per outer orbit."""
-    table = ElementTable(group.generators, group.degree)
-    classes = ConjugacyClassTable(table)
-    pcset = build_pc(table, classes)
+    base = ElementTable(group.generators, group.degree, cap=cap)
+    classes = ConjugacyClassTable(base)
+    pcset = build_pc(base, classes)
     outs = out_representatives(classes, pcset)
     if pcset.ell % outs.out_order:
         raise GbarError("pair classes do not split evenly into outer orbits")
@@ -123,110 +155,93 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
     r = len(reps)
     if r != pcset.ell // outs.out_order:
         raise GbarError("outer orbit count disagrees with the free-action count")
-    d = group.degree
-    x_parts: list[int] = []
-    y_parts: list[int] = []
-    for w, i in enumerate(reps):
-        g_id, h_id = pcset.reps[i]
-        x_parts.extend(_embed(table.elements[g_id], w, d))
-        y_parts.extend(_embed(table.elements[h_id], w, d))
-    x, y = tuple(x_parts), tuple(y_parts)
+    xs = [pcset.reps[i][0] for i in reps]
+    ys = [pcset.reps[i][1] for i in reps]
+    x, y = _windows(base, xs), _windows(base, ys)
     # the random fill's bound only: verifying a chain at this degree can take minutes
-    at_least = StabilizerChain([x, y], r * d, stop_at=cap + 1).bound
+    at_least = StabilizerChain([x, y], r * base.degree, stop_at=cap + 1).bound
     if at_least > cap:
         raise EnumerationCapError(
             f"model group has at least {at_least} elements, more than --cap {cap}; "
             "raise --cap to allow a larger group"
         )
-    gens = [x, y, inverse(x), inverse(y)]
-    model = ElementTable(gens, r * d, cap=cap)
+    inv = base.inverse_ids
+    gens = _right_actions(base, [xs, ys, [inv[g] for g in xs], [inv[h] for h in ys]])
+    n = base.order
+    model = ElementTable(gens, r * n, cap=cap, start=tuple(range(0, r * n, n)))
     if group.order**r % model.order:
         raise GbarError("model order fails to divide the full power order")
-    for w in range(r):
-        xs = tuple(x[w * d + i] - w * d for i in range(d))
-        ys = tuple(y[w * d + i] - w * d for i in range(d))
-        if not generates([xs, ys], d, group.order):
+    for w, (g, h) in enumerate(zip(xs, ys)):
+        if not generates([base.elements[g], base.elements[h]], base.degree, n):
             raise GbarError(f"window {w} projection fails to cover the base group")
-    return GbarGroup(
-        spec=group.spec,
-        r=r,
-        base_degree=d,
-        degree=r * d,
-        x=x,
-        y=y,
-        table=model,
-        base_order=group.order,
-    )
+    return GbarGroup(spec=group.spec, r=r, x=x, y=y, base=base, table=model)
 
 
-def theta_images(gbar: GbarGroup) -> EndoImages:
-    return EndoImages(x_image=gbar.y, y_image=gbar.x)
+def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([(s + 2) % 4 for s in reversed(word)])
 
 
-def delta_images(gbar: GbarGroup) -> EndoImages:
-    return EndoImages(
-        x_image=compose(inverse(gbar.y), inverse(gbar.x)), y_image=gbar.y
-    )
+def _walk(table: ElementTable, e: int, word: tuple[int, ...]) -> int:
+    """The id of element e times the word, through the generator columns."""
+    cols = table.gen_cols
+    for s in word:
+        e = cols[s][e]
+    return e
 
 
-def evaluate_endo(gbar: GbarGroup, endo: EndoImages, element: Perm) -> Perm:
-    """Substitute the endomorphism images into the element's stored word."""
-    letters = [
-        endo.x_image,
-        endo.y_image,
-        inverse(endo.x_image),
-        inverse(endo.y_image),
-    ]
-    acc = identity_perm(gbar.degree)
-    for letter in gbar.table.word(gbar.table.index[element]):
-        acc = compose(acc, letters[letter])
-    return acc
+def evaluate_endo(gbar: GbarGroup, endo: EndoImages, i: int) -> int:
+    """Substitute the endomorphism images into element i's tree word."""
+    x, y = endo.x_image, endo.y_image
+    images = [x, y, _inverse_word(x), _inverse_word(y)]
+    word = tuple([s for letter in gbar.table.word(i) for s in images[letter]])
+    return _walk(gbar.table, 0, word)
 
 
-def _window_centralizer(gbar: GbarGroup, a: Perm) -> list[Perm]:
-    """The model elements commuting with a, in table order.
+def _window_centralizer(gbar: GbarGroup, a: int) -> list[int]:
+    """Ids of the model elements commuting with model element a, ascending.
 
     Model elements act window by window, so e commutes with a exactly when
-    every window slice of e commutes with the same slice of a.  The verdict
-    is memoized per distinct slice; a window has at most |G| of them.
+    every window entry of e commutes in G with the same entry of a.
     """
-    candidates = gbar.table.elements
-    for lo in range(0, gbar.degree, gbar.base_degree):
-        hi = lo + gbar.base_degree
-        verdict: dict[Perm, bool] = {}
-        kept = []
-        for e in candidates:
-            s = e[lo:hi]
-            ok = verdict.get(s)
-            if ok is None:
-                ok = all(a[s[j - lo]] == s[a[j] - lo] for j in range(lo, hi))
-                verdict[s] = ok
-            if ok:
-                kept.append(e)
-        candidates = kept
-    return candidates
+    base, n = gbar.base, gbar.base.order
+    allowed: set[int] = set()
+    for w, b in enumerate(gbar.window_ids(a)):
+        left, right = base.left_column(b), base.right_column(b)
+        allowed.update(w * n + e for e in range(n) if left[e] == right[e])
+    return [i for i, e in enumerate(gbar.table.elements) if allowed.issuperset(e)]
 
 
-def _double_cosets(gbar: GbarGroup, xk: Perm, yk: Perm) -> DoubleCosets:
+def _double_cosets(gbar: GbarGroup, xk: int, yk: int) -> DoubleCosets:
     """Partition the model group into orbits of C(x^k) on the left cosets of C(y^k).
 
     Each double coset starts from its least unvisited element f.  The left
     coset f C(y^k) is materialized, then a BFS multiplies left-coset
-    representatives on the left by generators of C(x^k) and materializes
-    the left coset of every unvisited product.
+    representatives on the left by generators of C(x^k), walking each
+    representative's tree word from the generator, and materializes the
+    left coset of every unvisited product.
     """
     table = gbar.table
-    index = table.index
+    index, elements, word = table.index, table.elements, table.word
     cx = _window_centralizer(gbar, xk)
     cy = _window_centralizer(gbar, yk)
-    left = generating_subset(cx, gbar.degree)
+    gens: list[int] = []  # generators of C(x^k), each outside the span before it
+    on_cx: list[dict[int, int]] = []  # right multiplication by each, on C(x^k)
+    span = {0}
+    for s in cx:
+        if s not in span:
+            gens.append(s)
+            w = word(s)
+            on_cx.append({c: _walk(table, c, w) for c in cx})
+            span = set(orbit(on_cx, 0))
+    rights = _right_actions(gbar.base, [gbar.window_ids(t) for t in cy])
     visited = [False] * gbar.order
 
-    def materialize(g: Perm) -> int:
+    def materialize(g: int) -> int:
         """Mark the left coset g C(y^k) visited and return the flags it flipped."""
         flipped = 0
-        for t in cy:
-            i = index[compose(g, t)]
+        image = elements[g]
+        for right in rights:
+            i = index[tuple([right[p] for p in image])]
             if not visited[i]:
                 visited[i] = True
                 flipped += 1
@@ -239,15 +254,16 @@ def _double_cosets(gbar: GbarGroup, xk: Perm, yk: Perm) -> DoubleCosets:
 
     covered = 0
     reps: list[tuple[int, int]] = []
-    for fid, f in enumerate(table.elements):
+    for fid in range(gbar.order):
         if visited[fid]:
             continue
-        size = materialize(f)
-        queue = [f]
+        size = materialize(fid)
+        queue = [fid]
         for g in queue:
-            for s in left:
-                n = compose(s, g)
-                if not visited[index[n]]:
+            w = word(g)
+            for s in gens:
+                n = _walk(table, s, w)
+                if not visited[n]:
                     size += materialize(n)
                     queue.append(n)
         reps.append((fid, size))
@@ -264,50 +280,42 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
     """Flag every double coset of the centralizers of the k-th generator powers.
 
     The partition is cached on gbar, keyed by (gcd(k, ord x), gcd(k, ord y));
-    only the generation, theta and delta flags depend on k itself.
+    only the generation, theta and delta flags depend on k itself.  The
+    flags are model-id arithmetic; the generation test runs on permutations
+    of degree r*d.
     """
     table = gbar.table
-
-    def power(p: Perm) -> Perm:
-        return table.elements[mul_power(table, table.index[p], k)]
-
-    xk = power(gbar.x)
-    yk = power(gbar.y)
+    word = table.word
+    xk_word, yk_word = (0,) * k, (1,) * k
+    xk, yk = _walk(table, 0, xk_word), _walk(table, 0, yk_word)
     key = (gcd(k, perm_order(gbar.x)), gcd(k, perm_order(gbar.y)))
     cosets = gbar.partitions.get(key)
     if cosets is None:
         cosets = gbar.partitions[key] = _double_cosets(gbar, xk, yk)
     cx, cy = cosets.cx, cosets.cy
     cy_set = set(cy)
-    theta = theta_images(gbar)
-    delta = delta_images(gbar)
-    prod_inv_k = power(compose(inverse(gbar.y), inverse(gbar.x)))
-    yk_inv = inverse(yk)
+    prod_inv_k = DELTA.x_image * k  # (y^-1 x^-1)^k
+    yk_perm = gbar.perm(yk)
     reps: list[DoubleCosetRep] = []
     for fid, size in cosets.reps:
-        f = table.elements[fid]
-        xkf = conjugate(xk, f)
-        gen_ok = generates([xkf, yk], gbar.degree, gbar.order)
+        f = word(fid)
+        xkf = _walk(table, _walk(table, 0, _inverse_word(f)), xk_word + f)
+        gen_ok = generates([gbar.perm(xkf), yk_perm], gbar.degree, gbar.order)
         theta_ok = False
         delta_ok = False
         if gen_ok:
-            tf = evaluate_endo(gbar, theta, f)
-            for s in cx:
-                if compose(compose(tf, s), f) in cy_set:
-                    theta_ok = True
-                    break
-        if gen_ok and theta_ok:
-            df = evaluate_endo(gbar, delta, f)
-            lhs = conjugate(prod_inv_k, df)
-            rhs = compose(yk_inv, inverse(xkf))
-            for c in cy:
-                if conjugate(lhs, c) == rhs:
-                    delta_ok = True
-                    break
+            tf = evaluate_endo(gbar, THETA, fid)
+            theta_ok = any(_walk(table, tf, word(s) + f) in cy_set for s in cx)
+        if theta_ok:
+            # c^-1 lhs c = rhs, tested as lhs c = c rhs
+            df = word(evaluate_endo(gbar, DELTA, fid))
+            lhs = _walk(table, 0, _inverse_word(df) + prod_inv_k + df)
+            rhs = word(_walk(table, 0, _inverse_word(word(xkf) + yk_word)))
+            delta_ok = any(_walk(table, lhs, word(c)) == _walk(table, c, rhs) for c in cy)
         reps.append(
             DoubleCosetRep(
-                element=f,
-                word=table.word(fid),
+                element=gbar.perm(fid),
+                word=f,
                 coset_size=size,
                 generates_model=gen_ok,
                 theta_ok=theta_ok,

@@ -35,6 +35,10 @@ class TransporterCheckError(RuntimeError):
     pass
 
 
+class BaseImageError(RuntimeError):
+    pass
+
+
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
@@ -296,12 +300,26 @@ class ElementTable:
     gen_cols[s][e] = id(e*s), and its discovery tree: element i > 0 is
     element parent[i] times generator letter[i].  Left, right and
     conjugation columns of any element are integer work on these.
+
+    Given a start tuple of points, the table holds base images instead:
+    elements[i] is the image of start under element i, which determines the
+    element when the group acts regularly on the orbits of those points.
+    Words, gen_cols and left columns stay valid; mul, inverse_ids (and so
+    right and conjugation columns) and element_order need permutations and
+    raise BaseImageError.
     """
 
-    def __init__(self, generators: list[Perm], degree: int, cap: int = DEFAULT_CAP):
+    def __init__(
+        self,
+        generators: list[Perm],
+        degree: int,
+        cap: int = DEFAULT_CAP,
+        start: Perm | None = None,
+    ):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
-        ident = identity_perm(degree)
+        self.base_images = start is not None
+        ident = identity_perm(degree) if start is None else tuple(start)
         elements = self.elements = [ident]
         index = self.index = {ident: 0}
         self.gen_cols: list[list[int]] = [[] for _ in self.generators]
@@ -330,13 +348,21 @@ class ElementTable:
     def order(self) -> int:
         return len(self.elements)
 
+    def _need_perms(self, what: str) -> None:
+        if self.base_images:
+            raise BaseImageError(
+                f"{what} needs permutations, but this table holds base images"
+            )
+
     def mul(self, i: int, j: int) -> int:
+        self._need_perms("mul")
         return self.index[compose(self.elements[i], self.elements[j])]
 
     @property
     def inverse_ids(self) -> list[int]:
         """The id of each element's inverse, built on first use."""
         if self._inverse_ids is None:
+            self._need_perms("inverse_ids")
             self._inverse_ids = [self.index[inverse(e)] for e in self.elements]
         return self._inverse_ids
 
@@ -344,6 +370,7 @@ class ElementTable:
         return self.inverse_ids[i]
 
     def element_order(self, i: int) -> int:
+        self._need_perms("element_order")
         return perm_order(self.elements[i])
 
     def word(self, i: int) -> tuple[int, ...]:

@@ -15,14 +15,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from gtpairs.atlas import ConstructedGroup
 from gtpairs.autgroup import extend_pair_map
 from gtpairs.dessins import DessinError, GammaStructure
-from gtpairs.gbar import (
-    GbarGroup,
-    build_gbar,
-    delta_images,
-    double_coset_survey,
-    evaluate_endo,
-    theta_images,
-)
+from gtpairs.gbar import GbarGroup, build_gbar, double_coset_survey
 from gtpairs.pairs import PcSet
 from gtpairs.permcore import (
     ConjugacyClassTable,
@@ -48,7 +41,6 @@ from gtpairs.structure import (
     _simple_label,
     abelian_invariants,
     element_order_histogram,
-    mul_power,
     sort_factor_labels,
 )
 
@@ -79,26 +71,46 @@ def gt1_order(group: ConstructedGroup) -> tuple[int, list]:
     return len(survivors), survivors
 
 
+def tuple_model_table(gbar: GbarGroup) -> ElementTable:
+    """The model group enumerated as permutations of degree r*d from gbar.x
+    and gbar.y, with the generators in the model table's order."""
+    x, y = gbar.x, gbar.y
+    return ElementTable([x, y, inverse(x), inverse(y)], gbar.degree)
+
+
 def brute_double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[tuple]:
     """Every double coset C(x^k) f C(y^k) from all |C(x^k)| * |C(y^k)|
-    products, with centralizers from a full scan of the model group.
+    products, with centralizers from a full scan of the model group, all in
+    permutation arithmetic on a table of its own.
 
     Returns (element, word, coset size, generates, theta, delta) for the
     least element of each double coset, sorted by word.
     """
-    table = gbar.table
+    table = tuple_model_table(gbar)
+    x, y = gbar.x, gbar.y
+    ident = identity_perm(gbar.degree)
 
     def power(p: Perm) -> Perm:
-        return table.elements[mul_power(table, table.index[p], k)]
+        acc = ident
+        for _ in range(k):
+            acc = compose(acc, p)
+        return acc
+
+    def substitute(x_image: Perm, y_image: Perm, fid: int) -> Perm:
+        letters = [x_image, y_image, inverse(x_image), inverse(y_image)]
+        acc = ident
+        for s in table.word(fid):
+            acc = compose(acc, letters[s])
+        return acc
 
     def centralizer(a: Perm) -> list[Perm]:
         return [e for e in table.elements if compose(e, a) == compose(a, e)]
 
-    xk, yk = power(gbar.x), power(gbar.y)
+    xk, yk = power(x), power(y)
     cx, cy = centralizer(xk), centralizer(yk)
     cy_set = set(cy)
-    theta, delta = theta_images(gbar), delta_images(gbar)
-    prod_inv_k = power(compose(inverse(gbar.y), inverse(gbar.x)))
+    y_inv_x_inv = compose(inverse(y), inverse(x))
+    prod_inv_k = power(y_inv_x_inv)
     visited: set[Perm] = set()
     out = []
     for fid, f in enumerate(table.elements):
@@ -110,16 +122,16 @@ def brute_double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[tuple]:
             coset.update(compose(sf, t) for t in cy)
         visited |= coset
         xkf = conjugate(xk, f)
-        gen_ok = generates([xkf, yk], gbar.degree, gbar.order)
-        tf = evaluate_endo(gbar, theta, f)
+        gen_ok = generates([xkf, yk], gbar.degree, table.order)
+        tf = substitute(y, x, fid)
         theta_ok = gen_ok and any(compose(compose(tf, s), f) in cy_set for s in cx)
         delta_ok = False
         if theta_ok:
-            lhs = conjugate(prod_inv_k, evaluate_endo(gbar, delta, f))
+            lhs = conjugate(prod_inv_k, substitute(y_inv_x_inv, y, fid))
             rhs = compose(inverse(yk), inverse(xkf))
             delta_ok = any(conjugate(lhs, c) == rhs for c in cy)
         out.append((f, table.word(fid), len(coset), gen_ok, theta_ok, delta_ok))
-    assert len(visited) == gbar.order
+    assert len(visited) == table.order
     out.sort(key=lambda rep: (len(rep[1]), rep[1]))
     return out
 

@@ -211,6 +211,34 @@ def test_oversized_model_refused_before_enumeration(capsys) -> None:
     assert "model group has at least" in lines[0] and "--cap" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["gt1", "gtfull"])
+def test_model_commands_cap_the_base_group(capsys, monkeypatch, command) -> None:
+    # psl3:3 has 5,616 elements: the base table refuses before any pair sweep
+    from gtpairs import gbar
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_pc ran on a base group past --cap")
+
+    monkeypatch.setattr(gbar, "build_pc", unreachable)
+    rc, out, err = _run(capsys, [command, "psl3:3", "--cap", "1000", "--threads", "1"])
+    assert rc == 2
+    assert not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "passed 1000 elements" in lines[0] and "raise --cap" in lines[0]
+
+
+def test_small_base_group_leaves_the_model_refusal(capsys) -> None:
+    # 168 < 20000, so only the model's lower bound refuses
+    rc, out, err = _run(capsys, ["gt1", "psl2:7", "--cap", "20000", "--threads", "1"])
+    assert rc == 2
+    assert not out
+    assert err == (
+        "error: model group has at least 28224 elements, more than --cap 20000; "
+        "raise --cap to allow a larger group\n"
+    )
+
+
 def test_bad_thread_count(capsys) -> None:
     rc, _, err = _run(capsys, ["pc", "cyclic:4", "--threads", "-1"])
     assert rc == 2
@@ -305,7 +333,7 @@ def test_model_self_check_failure_exits_3(capsys, monkeypatch) -> None:
     true_centralizer = gbar._window_centralizer
 
     def with_identity_twice(model, a):
-        return true_centralizer(model, a) + [tuple(range(model.degree))]
+        return true_centralizer(model, a) + [0]
 
     monkeypatch.setattr(gbar, "_window_centralizer", with_identity_twice)
     rc, out, err = _run(capsys, ["gt1", "dihedral:3", "--threads", "1"])

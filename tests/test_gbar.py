@@ -8,15 +8,17 @@ import pytest
 import gtpairs.gbar as gbar_module
 from gtpairs.atlas import construct
 from gtpairs.gbar import (
+    DELTA,
+    THETA,
+    EndoImages,
     GbarError,
     build_gbar,
-    delta_images,
     double_coset_survey,
     evaluate_endo,
     gt_full_order,
-    theta_images,
 )
 from gtpairs.permcore import (
+    BaseImageError,
     EnumerationCapError,
     compose,
     conjugate,
@@ -30,6 +32,7 @@ from group_oracles import (
     dihedral_closed_form,
     direct_product,
     gt1_order,
+    tuple_model_table,
 )
 
 _CACHE: dict = {}
@@ -74,53 +77,91 @@ def test_dihedral_model_order_formula() -> None:
 
 def test_window_projections_cover_base() -> None:
     gbar = _gbar("dihedral:5")
-    d = gbar.base_degree
+    d = gbar.base.degree
     for w in range(gbar.r):
         xs = tuple(gbar.x[w * d + i] - w * d for i in range(d))
         ys = tuple(gbar.y[w * d + i] - w * d for i in range(d))
-        assert generates([xs, ys], d, gbar.base_order)
+        assert generates([xs, ys], d, gbar.base.order)
 
 
 def test_model_order_divides_power() -> None:
     for spec in ["cyclic:5", "dihedral:3", "dihedral:5", "quaternion8"]:
         gbar = _gbar(spec)
-        assert gbar.base_order**gbar.r % gbar.order == 0
+        assert gbar.base.order**gbar.r % gbar.order == 0
+
+
+def _generator_ids(gbar) -> tuple[int, int]:
+    cols = gbar.table.gen_cols
+    return cols[0][0], cols[1][0]
 
 
 def test_word_reevaluation_reproduces_elements() -> None:
     """Substituting the generators for themselves must return each element."""
-    from gtpairs.gbar import EndoImages
-
     for spec in ["cyclic:5", "dihedral:3"]:
         gbar = _gbar(spec)
-        ident = EndoImages(x_image=gbar.x, y_image=gbar.y)
-        for e in gbar.table.elements:
-            assert evaluate_endo(gbar, ident, e) == e
+        ident = EndoImages(x_image=(0,), y_image=(1,))
+        for i in range(gbar.order):
+            assert evaluate_endo(gbar, ident, i) == i
 
 
 def test_theta_swaps_generators() -> None:
     gbar = _gbar("dihedral:5")
-    theta = theta_images(gbar)
-    assert evaluate_endo(gbar, theta, gbar.x) == gbar.y
-    assert evaluate_endo(gbar, theta, gbar.y) == gbar.x
+    x, y = _generator_ids(gbar)
+    assert (gbar.perm(x), gbar.perm(y)) == (gbar.x, gbar.y)
+    assert evaluate_endo(gbar, THETA, x) == y
+    assert evaluate_endo(gbar, THETA, y) == x
 
 
 def test_delta_on_generators() -> None:
     gbar = _gbar("dihedral:5")
-    delta = delta_images(gbar)
+    x, y = _generator_ids(gbar)
     expected = compose(inverse(gbar.y), inverse(gbar.x))
-    assert evaluate_endo(gbar, delta, gbar.x) == expected
-    assert evaluate_endo(gbar, delta, gbar.y) == gbar.y
+    assert gbar.perm(evaluate_endo(gbar, DELTA, x)) == expected
+    assert evaluate_endo(gbar, DELTA, y) == y
 
 
 def test_delta_squared_is_conjugation() -> None:
     """Applying the product-inverting map twice conjugates x by y."""
     for spec in ["dihedral:3", "dihedral:5", "quaternion8"]:
         gbar = _gbar(spec)
-        delta = delta_images(gbar)
-        once = evaluate_endo(gbar, delta, gbar.x)
-        twice = evaluate_endo(gbar, delta, once)
-        assert twice == conjugate(gbar.x, gbar.y)
+        x, _ = _generator_ids(gbar)
+        twice = evaluate_endo(gbar, DELTA, evaluate_endo(gbar, DELTA, x))
+        assert gbar.perm(twice) == conjugate(gbar.x, gbar.y)
+
+
+TUPLE_MODEL_SPECS = [f"dihedral:{n}" for n in range(3, 10)] + [
+    "alternating:4",
+    "quaternion8",
+    "cyclic:6",
+    "cyclic:12",
+]
+
+
+@pytest.mark.parametrize("spec", TUPLE_MODEL_SPECS)
+def test_model_table_matches_tuple_model(spec) -> None:
+    """The base-image table has the permutation table's BFS: the same tree,
+    columns and, rebuilt as permutations, the same element at every id."""
+    gbar = _gbar(spec)
+    table, tuples = gbar.table, tuple_model_table(gbar)
+    assert table.parent == tuples.parent
+    assert table.letter == tuples.letter
+    assert table.gen_cols == tuples.gen_cols
+    assert [gbar.perm(i) for i in range(table.order)] == tuples.elements
+
+
+def test_tuple_only_methods_refuse_base_images() -> None:
+    table = _gbar("dihedral:3").table
+    calls = [
+        ("mul", lambda: table.mul(1, 2)),
+        ("inverse_ids", lambda: table.inverse_ids),
+        ("inverse_ids", lambda: table.inverse_id(1)),
+        ("inverse_ids", lambda: table.right_column(1)),
+        ("inverse_ids", lambda: table.conjugation_column(1)),
+        ("element_order", lambda: table.element_order(1)),
+    ]
+    for name, call in calls:
+        with pytest.raises(BaseImageError, match=f"^{name} needs permutations"):
+            call()
 
 
 def test_double_cosets_partition_model() -> None:
@@ -263,7 +304,7 @@ def test_left_coset_check_names_the_check(monkeypatch) -> None:
     true_centralizer = gbar_module._window_centralizer
 
     def with_identity_twice(gbar, a):
-        return true_centralizer(gbar, a) + [identity_perm(gbar.degree)]
+        return true_centralizer(gbar, a) + [0]
 
     monkeypatch.setattr(gbar_module, "_window_centralizer", with_identity_twice)
     with pytest.raises(GbarError, match="left coset check failed"):

@@ -24,11 +24,15 @@ LADDER = {
     "sg_quaternion8": ["sg", "quaternion8"],
     "sg_symmetric_6": ["sg", "symmetric:6"],
     "gt1_dihedral_7": ["gt1", "dihedral:7"],
+    "gt1_dihedral_15": ["gt1", "dihedral:15"],
     "gt1_alternating_4": ["gt1", "alternating:4"],
     "gt1_cyclic_12": ["gt1", "cyclic:12"],
     "gtfull_cyclic_12": ["gtfull", "cyclic:12"],
     "dessin_tetra_cyclic_3": ["dessin", "tetra.txt", "--cyclic", "3"],
 }
+
+# 442,368 model elements
+EXTENDED = {"gt1_symmetric_4": ["gt1", "symmetric:4"]}
 
 STAGE_TIMINGS = {
     "pc": {"tables", "pairs", "action"},
@@ -36,11 +40,15 @@ STAGE_TIMINGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LADDER))
+@pytest.mark.parametrize(
+    "name",
+    sorted(LADDER)
+    + [pytest.param(name, marks=pytest.mark.extended) for name in sorted(EXTENDED)],
+)
 def test_report_matches_golden(name, tmp_path, monkeypatch, capsys) -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tetra.txt").write_text(TETRA, encoding="utf-8")
-    assert cli.run(LADDER[name] + ["--threads", "1", "--json", "out.json"]) == 0
+    assert cli.run({**LADDER, **EXTENDED}[name] + ["--threads", "1", "--json", "out.json"]) == 0
     report = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
     timings = report.pop("timings")
     assert set(timings) == STAGE_TIMINGS.get(report["command"], {"total"})
