@@ -8,6 +8,7 @@ fails loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial, gcd
 
 from .permcore import Perm, StabilizerChain, parse_cycles, perm_order
@@ -218,35 +219,33 @@ def quaternion_group() -> ConstructedGroup:
     return group
 
 
+def _projective_perms(
+    field: FieldGF, points: list[tuple[int, ...]], matrices: list[list[list[int]]]
+) -> list[Perm]:
+    """Matrices acting on projective points by v -> v*m, as permutations of
+    the point list.  Every point is scaled so its last nonzero coordinate is 1."""
+    index = {pt: i for i, pt in enumerate(points)}
+
+    def image(v: tuple[int, ...], m: list[list[int]]) -> tuple[int, ...]:
+        w = [0] * len(v)
+        for vi, row in zip(v, m):
+            w = [field.add(c, field.mul(vi, mij)) for c, mij in zip(w, row)]
+        s = field.inv(next(c for c in reversed(w) if c))
+        return tuple(field.mul(c, s) for c in w)
+
+    return [tuple(index[image(v, m)] for v in points) for m in matrices]
+
+
 def psl2_group(q: int) -> ConstructedGroup:
     if q not in PSL2_FIELD_SIZES:
         raise GroupSpecError(
             f"psl2:q supports q in {PSL2_FIELD_SIZES}, not {q}"
         )
     field = FieldGF(q)
-    points: list[tuple[int, int]] = [(x, 1) for x in range(q)] + [(1, 0)]
-    pindex = {pt: i for i, pt in enumerate(points)}
-
-    def normalize(u: int, v: int) -> tuple[int, int]:
-        if v != 0:
-            return (field.mul(u, field.inv(v)), 1)
-        return (1, 0)
-
-    def matrix_perm(m: tuple[int, int, int, int]) -> Perm:
-        a, b, c, d = m
-        images = []
-        for (u, v) in points:
-            nu = field.add(field.mul(u, a), field.mul(v, c))
-            nv = field.add(field.mul(u, b), field.mul(v, d))
-            images.append(pindex[normalize(nu, nv)])
-        return tuple(images)
-
+    points = [(x, 1) for x in range(q)] + [(1, 0)]
     alpha = field.generator
-    gens = [
-        matrix_perm((1, 1, 0, 1)),
-        matrix_perm((1, alpha, 0, 1)),
-        matrix_perm((0, field.neg(1), 1, 0)),
-    ]
+    matrices = [[[1, 1], [0, 1]], [[1, alpha], [0, 1]], [[0, field.neg(1)], [1, 0]]]
+    gens = _projective_perms(field, points, matrices)
     unique = []
     for g in gens:
         if g not in unique:
@@ -257,43 +256,16 @@ def psl2_group(q: int) -> ConstructedGroup:
 
 def psl3_3_group() -> ConstructedGroup:
     field = FieldGF(3)
-    points = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                if (a, b, c) == (0, 0, 0):
-                    continue
-                last = c if c else (b if b else a)
-                if last == 1:
-                    points.append((a, b, c))
-    pindex = {pt: i for i, pt in enumerate(points)}
-
-    def normalize(v: tuple[int, int, int]) -> tuple[int, int, int]:
-        last = v[2] if v[2] else (v[1] if v[1] else v[0])
-        s = field.inv(last)
-        return tuple(field.mul(x, s) for x in v)
-
-    def matrix_perm(m: list[list[int]]) -> Perm:
-        images = []
-        for v in points:
-            w = tuple(
-                field.add(
-                    field.add(field.mul(v[0], m[0][j]), field.mul(v[1], m[1][j])),
-                    field.mul(v[2], m[2][j]),
-                )
-                for j in range(3)
-            )
-            images.append(pindex[normalize(w)])
-        return tuple(images)
-
-    gens = []
+    # nonzero vectors whose last nonzero coordinate is 1, lexicographic
+    points = [v for v in product(range(3), repeat=3) if [c for c in v if c][-1:] == [1]]
+    matrices = []
     for i in range(3):
         for j in range(3):
             if i != j:
                 m = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
                 m[i][j] = 1
-                gens.append(matrix_perm(m))
-    return _gate("psl3:3", 13, gens, 5616)
+                matrices.append(m)
+    return _gate("psl3:3", 13, _projective_perms(field, points, matrices), 5616)
 
 
 def m11_group() -> ConstructedGroup:

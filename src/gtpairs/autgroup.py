@@ -97,8 +97,6 @@ def out_representatives(classes: ConjugacyClassTable, pcset: PcSet) -> OutReps:
     Successes correspond one to one with outer automorphism classes; the
     base class itself yields the identity map and is listed first.
     """
-    if pcset.ell == 0:
-        raise ValueError("group is not generated by any pair")
     table = pcset.table
     base = pcset.reps[0]
     base_stats = _pair_stats(table, classes, *base)

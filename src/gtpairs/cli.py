@@ -11,10 +11,16 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .atlas import ConstructionError, GroupSpecError, atlas_entries, construct
+from .atlas import (
+    ConstructedGroup,
+    ConstructionError,
+    GroupSpecError,
+    atlas_entries,
+    construct,
+)
 from .autgroup import OutReps, out_representatives
 from .dessins import DessinError, analyze_dessin, cyclic_structures, load_dessin
-from .gbar import build_gbar, double_coset_survey, gt_full_order
+from .gbar import GbarGroup, build_gbar, double_coset_survey, gt_full_order
 from .pairs import (
     BlockPartition,
     InducedPerms,
@@ -188,17 +194,20 @@ class PairStages:
         return h, decomp, rep
 
 
-def pair_stages(spec: str, cap: int = DEFAULT_CAP, threads: int = 1) -> PairStages:
-    """Run the pair-class chain for a group spec up to the block partition."""
+def pair_stages(
+    group: ConstructedGroup, cap: int = DEFAULT_CAP, threads: int = 1
+) -> PairStages:
+    """Run the pair-class chain of a group up to the block partition."""
     timings = {}
     start = time.perf_counter()
-    group = construct(spec)
     table = ElementTable(group.generators, group.degree, cap=cap)
     classes = ConjugacyClassTable(table)
     timings["tables"] = time.perf_counter() - start
     start = time.perf_counter()
     pcset = build_pc(table, classes, threads=threads)
     timings["pairs"] = time.perf_counter() - start
+    if not pcset.ell:
+        raise GroupSpecError(f"{group.spec}: no pair of elements generates the group")
     start = time.perf_counter()
     outs = out_representatives(classes, pcset)
     ind = induced_perms(pcset, outs.maps)
@@ -207,6 +216,18 @@ def pair_stages(spec: str, cap: int = DEFAULT_CAP, threads: int = 1) -> PairStag
     if pcset.ell % outs.out_order:
         raise RuntimeError("pair classes do not split evenly into outer orbits")
     return PairStages(table, classes, pcset, outs, ind, blocks, timings)
+
+
+def model_stages(
+    group: ConstructedGroup, cap: int = DEFAULT_CAP, threads: int = 1
+) -> tuple[PairStages, GbarGroup]:
+    """The pair-class chain of a group, then its model group on the outer
+    orbits; the model build is timed as stage `model`."""
+    st = pair_stages(group, cap, threads)
+    start = time.perf_counter()
+    gbar = build_gbar(st.pcset, st.ind.out_perms, cap)
+    st.timings["model"] = time.perf_counter() - start
+    return st, gbar
 
 
 def _fingerprint_ab(rep: SgReport) -> list[int] | None:
@@ -238,11 +259,12 @@ def _pc_report(command: str, spec: str, st: PairStages) -> dict:
 
 
 def _cmd_pc(args: argparse.Namespace) -> dict:
-    return _pc_report("pc", args.spec, pair_stages(args.spec, args.cap, args.threads))
+    st = pair_stages(construct(args.spec), args.cap, args.threads)
+    return _pc_report("pc", args.spec, st)
 
 
 def _cmd_sg(args: argparse.Namespace) -> dict:
-    st = pair_stages(args.spec, args.cap, args.threads)
+    st = pair_stages(construct(args.spec), args.cap, args.threads)
     _, _, rep = st.decomposition
     report = _pc_report("sg", args.spec, st)
     packet_counts = Counter(
@@ -271,11 +293,10 @@ def _cmd_sg(args: argparse.Namespace) -> dict:
 
 
 def _cmd_gt1(args: argparse.Namespace) -> dict:
+    st, gbar = model_stages(construct(args.spec), args.cap, args.threads)
     start = time.perf_counter()
-    group = construct(args.spec)
-    gbar = build_gbar(group, cap=args.cap)
     reps = double_coset_survey(gbar)
-    elapsed = time.perf_counter() - start
+    st.timings["survey"] = time.perf_counter() - start
     survivors = [rep for rep in reps if rep.survives]
     return {
         "schema": 1,
@@ -286,22 +307,22 @@ def _cmd_gt1(args: argparse.Namespace) -> dict:
         "double_cosets": len(reps),
         "count": len(survivors),
         "survivors": [_word_text(rep.word) for rep in survivors],
-        "timings": {"total": elapsed},
+        "timings": st.timings,
     }
 
 
 def _cmd_gtfull(args: argparse.Namespace) -> dict:
+    st, gbar = model_stages(construct(args.spec), args.cap, args.threads)
     start = time.perf_counter()
-    group = construct(args.spec)
-    total = gt_full_order(group, cap=args.cap)
-    elapsed = time.perf_counter() - start
+    total = gt_full_order(gbar)
+    st.timings["survey"] = time.perf_counter() - start
     return {
         "schema": 1,
         "command": "gtfull",
         "spec": args.spec,
         "total": total,
         "note": "experimental beyond cyclic groups",
-        "timings": {"total": elapsed},
+        "timings": st.timings,
     }
 
 
@@ -350,13 +371,14 @@ def _repro_entries(args: argparse.Namespace) -> list[dict]:
     if args.table == "psl2":
         qs = PSL2_DEFAULT + (PSL2_EXTENDED if args.extended else ())
         for q in qs:
-            _, _, rep = pair_stages(f"psl2:{q}", args.cap, args.threads).decomposition
+            st = pair_stages(construct(f"psl2:{q}"), args.cap, args.threads)
+            _, _, rep = st.decomposition
             want_order, want_ab = PSL2_EXPECTED[q]
             check(f"psl2-{q}-order", want_order, factored_text(rep.order))
             check(f"psl2-{q}-fingerprint", want_ab, _fingerprint_ab(rep))
     elif args.table == "dihedral":
         for n in sorted(DIHEDRAL_GT1_EXPECTED):
-            gbar = build_gbar(construct(f"dihedral:{n}"), cap=args.cap)
+            _, gbar = model_stages(construct(f"dihedral:{n}"), args.cap, args.threads)
             count = sum(1 for rep in double_coset_survey(gbar) if rep.survives)
             check(f"dihedral-{n}-gt1", DIHEDRAL_GT1_EXPECTED[n], count)
             if n in DIHEDRAL_ORDER_EXPECTED:
@@ -367,9 +389,8 @@ def _repro_entries(args: argparse.Namespace) -> list[dict]:
                 )
     else:
         for n in sorted(CYCLIC_FULL_EXPECTED):
-            group = construct(f"cyclic:{n}")
-            check(f"cyclic-{n}-full", CYCLIC_FULL_EXPECTED[n], gt_full_order(group, cap=args.cap))
-            gbar = build_gbar(group, cap=args.cap)
+            _, gbar = model_stages(construct(f"cyclic:{n}"), args.cap, args.threads)
+            check(f"cyclic-{n}-full", CYCLIC_FULL_EXPECTED[n], gt_full_order(gbar))
             count = sum(1 for rep in double_coset_survey(gbar) if rep.survives)
             check(f"cyclic-{n}-gt1", 1, count)
     return entries

@@ -49,7 +49,6 @@ class DessinAnalysis:
     transitive: bool
     regular: bool
     table: ElementTable
-    pair: tuple[Perm, Perm] | None
 
 
 @dataclass
@@ -100,7 +99,6 @@ def analyze_dessin(d: DessinXY, cap: int = DEFAULT_CAP) -> DessinAnalysis:
         transitive=transitive,
         regular=regular,
         table=table,
-        pair=(d.x, d.y) if regular else None,
     )
 
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .atlas import ConstructedGroup
-from .autgroup import out_representatives
-from .pairs import build_pc, induced_perms
+# ConjugacyClassTable, build_pc and out_representatives are re-exported:
+# perfbench/spans.py traces them under these names
+from .autgroup import out_representatives  # noqa: F401
+from .pairs import PcSet, build_pc  # noqa: F401
 from .permcore import (
     DEFAULT_CAP,
-    ConjugacyClassTable,
+    ConjugacyClassTable,  # noqa: F401
     ElementTable,
     EnumerationCapError,
     Perm,
@@ -54,7 +55,6 @@ class GbarGroup:
     """The model group with its element table, the base group's table and
     the generators as permutations of degree r*d."""
 
-    spec: str
     r: int
     x: Perm
     y: Perm
@@ -135,15 +135,10 @@ def _right_actions(base: ElementTable, windows: list[list[int]]) -> list[list[in
     return out
 
 
-def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
-    """Enumerate the model group, one window per outer orbit."""
-    base = ElementTable(group.generators, group.degree, cap=cap)
-    classes = ConjugacyClassTable(base)
-    pcset = build_pc(base, classes)
-    outs = out_representatives(classes, pcset)
-    if pcset.ell % outs.out_order:
-        raise GbarError("pair classes do not split evenly into outer orbits")
-    out_perms = induced_perms(pcset, outs.maps).out_perms
+def build_gbar(pcset: PcSet, out_perms: list[Perm], cap: int = DEFAULT_CAP) -> GbarGroup:
+    """Enumerate the model group, one window per orbit of the outer
+    automorphisms (out_perms, on pair-class indices) on the pair classes."""
+    base = pcset.table
     seen = [False] * pcset.ell
     reps = []
     for i in range(pcset.ell):
@@ -153,7 +148,7 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
             seen[q] = True
         reps.append(i)
     r = len(reps)
-    if r != pcset.ell // outs.out_order:
+    if r != pcset.ell // len(out_perms):
         raise GbarError("outer orbit count disagrees with the free-action count")
     xs = [pcset.reps[i][0] for i in reps]
     ys = [pcset.reps[i][1] for i in reps]
@@ -169,12 +164,12 @@ def build_gbar(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
     gens = _right_actions(base, [xs, ys, [inv[g] for g in xs], [inv[h] for h in ys]])
     n = base.order
     model = ElementTable(gens, r * n, cap=cap, start=tuple(range(0, r * n, n)))
-    if group.order**r % model.order:
+    if n**r % model.order:
         raise GbarError("model order fails to divide the full power order")
     for w, (g, h) in enumerate(zip(xs, ys)):
         if not generates([base.elements[g], base.elements[h]], base.degree, n):
             raise GbarError(f"window {w} projection fails to cover the base group")
-    return GbarGroup(spec=group.spec, r=r, x=x, y=y, base=base, table=model)
+    return GbarGroup(r=r, x=x, y=y, base=base, table=model)
 
 
 def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -326,14 +321,13 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
     return reps
 
 
-def gt_full_order(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> int:
+def gt_full_order(gbar: GbarGroup) -> int:
     """Sum the surviving double cosets over all powers coprime to the order.
 
     C(x^k) = C(x) when gcd(k, ord x) = 1, so every survey after the first
     reuses the partition cached on the model group and recomputes only the
     flags.  Validated against cyclic targets only; experimental elsewhere.
     """
-    gbar = build_gbar(group, cap)
     n = perm_order(gbar.x)
     if perm_order(gbar.y) != n:
         raise GbarError("generator tuples have different orders")

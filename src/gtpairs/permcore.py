@@ -457,7 +457,6 @@ class ConjugacyClassTable:
         self.center_ids = sorted(
             self.reps[c] for c in range(len(self.reps)) if self.sizes[c] == 1
         )
-        self.max_class_size = max(self.sizes)
         self.class_orders = [perm_order(table.elements[r]) for r in self.reps]
         self.centralizer_gens: dict[int, list[int]] = {}
         self._centralizers: dict[int, list[int]] = {}

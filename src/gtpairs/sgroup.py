@@ -8,7 +8,6 @@ This module computes that decomposition exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial, prod
 
@@ -117,26 +116,19 @@ class WreathFactor:
 class PacketDecomposition:
     orbits: list[HOrbit]
     factors: list[WreathFactor]
-    coarse_partition: list[list[int]]
-    exact_partition: list[list[int]]
 
 
 def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecomposition:
     """Group the orbits into packets of equivalent orbits and compute each E.
 
     An orbit's key is the least point key over its points, so two orbits are
-    equivalent exactly when their keys are equal.  The least stabilizer over
-    an orbit is the least conjugate of its base stabilizer, which with the
-    block-size profile gives the coarse key.
+    equivalent exactly when their keys are equal.
     """
     orbits = h_orbits(h)
-    coarse_groups: dict[tuple, list[int]] = {}
     packets: dict[tuple, WreathFactor] = {}
     for idx, o in enumerate(orbits):
         keys = {q: _point_key(h, q, block_of) for q in o.points}
         key = min(keys.values())
-        profile = tuple(sorted(Counter(block_of[p] for p in o.points).values()))
-        coarse_groups.setdefault((key[0], profile), []).append(idx)
         f = packets.get(key)
         if f is None:
             targets = [q for q in o.points if keys[q] == keys[o.base]]
@@ -152,11 +144,7 @@ def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecompos
         f.s += 1
         f.member_orbits.append(idx)
         f.bijections.append(_equivariant_map(h, rep, q))
-    factors = list(packets.values())
-    exact_partition = [f.member_orbits for f in factors]
-    return PacketDecomposition(
-        orbits, factors, list(coarse_groups.values()), exact_partition
-    )
+    return PacketDecomposition(orbits, list(packets.values()))
 
 
 def assemble_generators(

@@ -64,17 +64,6 @@ def factored_text(n: int) -> str:
     return " * ".join(parts) or "1"
 
 
-def mul_power(t: ElementTable, a: int, k: int) -> int:
-    """Raise element a of a table to the k-th power, k >= 0."""
-    out, base = 0, a
-    while k:
-        if k & 1:
-            out = t.mul(out, base)
-        base = t.mul(base, base)
-        k >>= 1
-    return out
-
-
 def normal_closure(t: ElementTable, seeds: list[Perm]) -> ElementTable:
     """The least normal subgroup of t containing the seeds.
 
@@ -130,10 +119,14 @@ def element_order_histogram(t: ElementTable) -> dict[int, int]:
 
 
 def abelian_invariants(t: ElementTable) -> tuple[int, ...]:
-    """Elementary divisors of an abelian group, sorted ascending."""
+    """Elementary divisors of an abelian group, sorted ascending.
+
+    The elements with a^(p^k) = 1 are those whose order divides p^k.
+    """
     n = t.order
     if n == 1:
         return ()
+    hist = element_order_histogram(t)
     out: list[int] = []
     for p, e_tot in sorted(factorint(n).items()):
         counts = []  # counts[k-1] = number of invariants with exponent >= k
@@ -141,7 +134,7 @@ def abelian_invariants(t: ElementTable) -> tuple[int, ...]:
         k = 1
         while prev_val < e_tot:
             pk = p**k
-            cnt = sum(1 for a in range(n) if mul_power(t, a, pk) == 0)
+            cnt = sum(c for o, c in hist.items() if pk % o == 0)
             val = 0
             while cnt % p == 0:
                 cnt //= p

@@ -2,7 +2,8 @@
 and GT1 counts, a brute-force double-coset survey, a pairwise packet
 decomposition, an exhaustive S search, a per-orbit pair sweep, a tuple
 pair locator, scanned centralizers, structure-triple isomorphism and
-mul-table group structure, kept out of the library they check."""
+mul-table group structure, kept out of the library they check.  Tests get
+a model group through `model_group`, the command line's chain."""
 
 from __future__ import annotations
 
@@ -14,10 +15,12 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from gtpairs.atlas import ConstructedGroup
 from gtpairs.autgroup import extend_pair_map
+from gtpairs.cli import model_stages
 from gtpairs.dessins import DessinError, GammaStructure
-from gtpairs.gbar import GbarGroup, build_gbar, double_coset_survey
+from gtpairs.gbar import GbarGroup, double_coset_survey
 from gtpairs.pairs import PcSet
 from gtpairs.permcore import (
+    DEFAULT_CAP,
     ConjugacyClassTable,
     ElementTable,
     Perm,
@@ -65,9 +68,14 @@ def is_transitive(group: ConstructedGroup) -> bool:
     return len(orbit(group.generators, 0)) == group.degree
 
 
+def model_group(group: ConstructedGroup, cap: int = DEFAULT_CAP) -> GbarGroup:
+    """The model group of a group, built by the command-line pair chain."""
+    return model_stages(group, cap)[1]
+
+
 def gt1_order(group: ConstructedGroup) -> tuple[int, list]:
     """Count surviving double cosets for the identity power."""
-    survivors = [rep for rep in double_coset_survey(build_gbar(group)) if rep.survives]
+    survivors = [rep for rep in double_coset_survey(model_group(group)) if rep.survives]
     return len(survivors), survivors
 
 
@@ -233,9 +241,8 @@ def brute_packet_decomposition(
         profile = tuple(sorted(Counter(block_of[p] for p in o.points).values()))
         key = (_canonical_stabilizer_key(mul, inv, o.stabilizer), profile)
         coarse_groups.setdefault(key, []).append(idx)
-    coarse_partition = list(coarse_groups.values())
     classes: list[tuple[list[int], list[dict[int, int]]]] = []
-    for group in coarse_partition:
+    for group in coarse_groups.values():
         local: list[tuple[list[int], list[dict[int, int]]]] = []
         for idx in group:
             for members, bijections in local:
@@ -261,8 +268,7 @@ def brute_packet_decomposition(
                 bijections=bijections,
             )
         )
-    exact_partition = [f.member_orbits for f in factors]
-    return PacketDecomposition(orbits, factors, coarse_partition, exact_partition)
+    return PacketDecomposition(orbits, factors)
 
 
 # Pair classes and structure triples, settled one C(g)-orbit at a time.

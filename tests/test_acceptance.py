@@ -15,7 +15,7 @@ from gtpairs.dessins import (
     analyze_dessin,
     cyclic_structures,
 )
-from gtpairs.gbar import build_gbar, double_coset_survey, gt_full_order
+from gtpairs.gbar import double_coset_survey, gt_full_order
 from gtpairs.pairs import build_pc
 from gtpairs.permcore import (
     ConjugacyClassTable,
@@ -38,6 +38,7 @@ from group_oracles import (
     brute_force_sg,
     dihedral_closed_form,
     gt1_order,
+    model_group,
     triple_isomorphic,
 )
 
@@ -45,12 +46,12 @@ THREADS = os.cpu_count() or 1
 
 
 def _pipeline(spec: str, threads: int = 1):
-    st = pair_stages(spec, threads=threads)
+    st = pair_stages(construct(spec), threads=threads)
     return st.table, st.classes, st.pcset, st.outs, st.ind, st.blocks
 
 
 def _sg(spec: str, threads: int = 1):
-    st = pair_stages(spec, threads=threads)
+    st = pair_stages(construct(spec), threads=threads)
     h, decomp, rep = st.decomposition
     return rep, st.table, st.classes, st.pcset, st.outs, st.blocks, h, decomp
 
@@ -125,7 +126,7 @@ def test_criterion_05_dihedral_survivor_counts() -> None:
     values = []
     for n in range(3, 16):
         group = construct(f"dihedral:{n}")
-        gbar = build_gbar(group)
+        gbar = model_group(group)
         count = sum(1 for rep in double_coset_survey(gbar) if rep.survives)
         values.append(count)
         assert count == dihedral_closed_form(n)
@@ -141,7 +142,7 @@ def test_criterion_06_cyclic_counts() -> None:
     for n in range(2, 13):
         group = construct(f"cyclic:{n}")
         phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-        assert gt_full_order(group) == phi
+        assert gt_full_order(model_group(group)) == phi
         assert gt1_order(group)[0] == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -199,7 +200,7 @@ def test_criterion_09_relation_suite() -> None:
         h = build_haction(ind)
         decomp = packet_decomposition(h, blocks.block_of)
         z = len(classes.center_ids)
-        m = classes.max_class_size
+        m = max(classes.sizes)
         for f in decomp.factors:
             assert f.s * table.order <= z * m * m
     elapsed = time.perf_counter() - start

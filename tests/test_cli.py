@@ -148,6 +148,17 @@ def test_bad_input_file_exits_2(capsys, tmp_path, command, text, message) -> Non
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {message}")
 
 
+@pytest.mark.parametrize("command", ["pc", "sg", "gt1", "gtfull"])
+def test_group_without_generating_pair_exits_2(capsys, tmp_path, command) -> None:
+    # C2^3 needs three generators, so it has no pair classes
+    path = tmp_path / "c2cubed.txt"
+    path.write_text("degree 6\n(1,2)\n(3,4)\n(5,6)\n", encoding="utf-8")
+    rc, out, err = _run(capsys, [command, f"file:{path}", "--threads", "1"])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: file:{path}: no pair of elements generates the group\n"
+
+
 # Counts stay small: parse_cycles allocates one image per point.
 _HEADS = st.sampled_from(["degree", "darts", "DARTS", "images", "", "#"])
 _COUNTS = st.one_of(
@@ -214,12 +225,10 @@ def test_oversized_model_refused_before_enumeration(capsys) -> None:
 @pytest.mark.parametrize("command", ["gt1", "gtfull"])
 def test_model_commands_cap_the_base_group(capsys, monkeypatch, command) -> None:
     # psl3:3 has 5,616 elements: the base table refuses before any pair sweep
-    from gtpairs import gbar
-
     def unreachable(*args, **kwargs):
         raise AssertionError("build_pc ran on a base group past --cap")
 
-    monkeypatch.setattr(gbar, "build_pc", unreachable)
+    monkeypatch.setattr(cli, "build_pc", unreachable)
     rc, out, err = _run(capsys, [command, "psl3:3", "--cap", "1000", "--threads", "1"])
     assert rc == 2
     assert not out
@@ -275,6 +284,19 @@ def test_threads_flag_deterministic(capsys) -> None:
         return [ln for ln in s.splitlines() if not ln.startswith("timings")]
 
     assert strip(out1) == strip(out2)
+
+
+@pytest.mark.parametrize("argv", [["gt1", "dihedral:9"], ["gtfull", "cyclic:12"]])
+def test_model_commands_deterministic_across_threads(capsys, tmp_path, argv) -> None:
+    reports = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.json"
+        rc, _, _ = _run(capsys, argv + ["--threads", threads, "--json", str(path)])
+        assert rc == 0
+        report = json.loads(path.read_text(encoding="utf-8"))
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_repro_cyclic_table(capsys) -> None:

@@ -16,10 +16,10 @@ import weakref
 import pytest
 
 from gtpairs.atlas import construct
-from gtpairs.gbar import build_gbar, double_coset_survey
+from gtpairs.gbar import double_coset_survey
 from gtpairs.pairs import PairLookupError, build_pc
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, conjugate
-from group_oracles import tuple_locate, tuple_model_table
+from group_oracles import model_group, tuple_locate, tuple_model_table
 
 KERNEL_SPECS = ["symmetric:4", "alternating:5", "psl2:7", "dihedral:6", "quaternion8"]
 MODEL_SAMPLES = 500
@@ -68,7 +68,7 @@ def test_columns_match_tuple_arithmetic(spec) -> None:
 def test_model_table_columns_match_tuple_arithmetic() -> None:
     """The base-image model table's generator columns, words and left
     columns, against products in the permutation model table."""
-    gbar = build_gbar(construct("alternating:4"))
+    gbar = model_group(construct("alternating:4"))
     table, tuples = gbar.table, tuple_model_table(gbar)
     _check_generator_columns_and_words(table)
     el, index = tuples.elements, tuples.index
@@ -118,7 +118,7 @@ def test_tables_are_freed_without_the_cycle_collector() -> None:
         classes.centralizer_ids(table.order - 1)
         pcset = build_pc(table, classes)
         pcset.locate(*pcset.reps[-1])
-        gbar = build_gbar(construct("dihedral:5"))
+        gbar = model_group(construct("dihedral:5"))
         double_coset_survey(gbar)
         refs = {
             "PcSet": weakref.ref(pcset),

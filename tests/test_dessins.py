@@ -86,14 +86,12 @@ def test_one_dart_regular() -> None:
     assert a.monodromy_order == 1
     assert a.transitive
     assert a.regular
-    assert a.pair == ((0,), (0,))
 
 
 def test_two_darts_not_transitive() -> None:
     a = analyze_dessin(DessinXY(2, (0, 1), (0, 1)))
     assert not a.transitive
     assert not a.regular
-    assert a.pair is None
 
 
 def test_tetrahedron_analysis() -> None:
@@ -101,7 +99,6 @@ def test_tetrahedron_analysis() -> None:
     assert a.monodromy_order == 12
     assert a.transitive
     assert a.regular
-    assert a.pair == (d.x, d.y)
     der = derived_subgroup(a.table)
     assert der.order == 4
     for i in range(der.order):

@@ -12,7 +12,6 @@ from gtpairs.gbar import (
     THETA,
     EndoImages,
     GbarError,
-    build_gbar,
     double_coset_survey,
     evaluate_endo,
     gt_full_order,
@@ -32,6 +31,7 @@ from group_oracles import (
     dihedral_closed_form,
     direct_product,
     gt1_order,
+    model_group,
     tuple_model_table,
 )
 
@@ -41,7 +41,7 @@ _CACHE: dict = {}
 def _gbar(spec: str):
     """Build the model group for a spec once and reuse it."""
     if spec not in _CACHE:
-        _CACHE[spec] = build_gbar(construct(spec))
+        _CACHE[spec] = model_group(construct(spec))
     return _CACHE[spec]
 
 
@@ -212,7 +212,7 @@ def test_two_group_counts_are_powers_of_two() -> None:
 def test_cyclic_full_counts_subset() -> None:
     for n in [2, 3, 4, 6, 8, 12]:
         group = construct(f"cyclic:{n}")
-        assert gt_full_order(group) == _phi(n)
+        assert gt_full_order(model_group(group)) == _phi(n)
         count, _ = gt1_order(group)
         assert count == 1
 
@@ -221,12 +221,12 @@ def test_trivial_group_counts() -> None:
     group = construct("cyclic:1")
     count, _ = gt1_order(group)
     assert count == 1
-    assert gt_full_order(group) == 1
+    assert gt_full_order(model_group(group)) == 1
 
 
 def test_coprime_product_multiplicative() -> None:
     group = direct_product(construct("cyclic:3"), construct("dihedral:4"))
-    gbar = build_gbar(group)
+    gbar = model_group(group)
     assert gbar.order == 288
     assert _survey_rows(gbar) == brute_double_coset_survey(gbar)
     count, _ = gt1_order(group)
@@ -246,7 +246,7 @@ def test_closed_form_values() -> None:
 
 def test_model_cap_error_names_flag() -> None:
     with pytest.raises(EnumerationCapError) as err:
-        build_gbar(construct("dihedral:9"), cap=100)
+        model_group(construct("dihedral:9"), cap=100)
     assert "--cap" in str(err.value)
 
 
@@ -266,7 +266,7 @@ def test_survey_matches_brute_oracle(spec) -> None:
 
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_one_partition_serves_every_coprime_power(n) -> None:
-    gbar = build_gbar(construct(f"cyclic:{n}"))
+    gbar = model_group(construct(f"cyclic:{n}"))
     order = perm_order(gbar.x)
     for k in range(1, order + 1):
         if gcd(k, order) == 1:
@@ -277,7 +277,7 @@ def test_one_partition_serves_every_coprime_power(n) -> None:
 @pytest.mark.parametrize("spec", ["dihedral:4", "dihedral:6"])
 def test_partition_cache_follows_the_gcds(spec) -> None:
     """Powers below lcm(ord x, ord y), coprime or not, on one cached model."""
-    gbar = build_gbar(construct(spec))
+    gbar = model_group(construct(spec))
     nx, ny = perm_order(gbar.x), perm_order(gbar.y)
     powers = range(1, lcm(nx, ny))
     for k in powers:
@@ -287,15 +287,14 @@ def test_partition_cache_follows_the_gcds(spec) -> None:
 
 @pytest.mark.parametrize("spec", ["cyclic:7", "cyclic:9", "cyclic:12", "dihedral:5"])
 def test_gt_full_order_equals_uncached_sum(spec) -> None:
-    group = construct(spec)
-    gbar = build_gbar(group)
+    gbar = model_group(construct(spec))
     n = perm_order(gbar.x)
     total = 0
     for k in range(1, n + 1):
         if gcd(k, n) == 1:
             fresh = replace(gbar, partitions={})
             total += sum(1 for rep in double_coset_survey(fresh, k) if rep.survives)
-    assert gt_full_order(group) == total
+    assert gt_full_order(gbar) == total
 
 
 def test_left_coset_check_names_the_check(monkeypatch) -> None:
@@ -308,4 +307,4 @@ def test_left_coset_check_names_the_check(monkeypatch) -> None:
 
     monkeypatch.setattr(gbar_module, "_window_centralizer", with_identity_twice)
     with pytest.raises(GbarError, match="left coset check failed"):
-        double_coset_survey(build_gbar(construct("dihedral:3")))
+        double_coset_survey(model_group(construct("dihedral:3")))

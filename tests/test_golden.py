@@ -37,6 +37,8 @@ EXTENDED = {"gt1_symmetric_4": ["gt1", "symmetric:4"]}
 STAGE_TIMINGS = {
     "pc": {"tables", "pairs", "action"},
     "sg": {"tables", "pairs", "action", "decomposition"},
+    "gt1": {"tables", "pairs", "action", "model", "survey"},
+    "gtfull": {"tables", "pairs", "action", "model", "survey"},
 }
 
 

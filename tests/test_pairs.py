@@ -282,5 +282,5 @@ def test_eulerian_identity(spec) -> None:
 @pytest.mark.parametrize("spec, d2", [("psl2:4", 19), ("psl2:5", 19), ("psl2:7", 57)])
 def test_hall_d2_published_values(spec, d2) -> None:
     # Hall (1936): A5 = PSL(2,4) = PSL(2,5) has d_2 = 19, PSL(2,7) has d_2 = 57
-    stages = pair_stages(spec)
+    stages = pair_stages(construct(spec))
     assert stages.pcset.ell // stages.outs.out_order == d2

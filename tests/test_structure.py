@@ -19,7 +19,6 @@ from gtpairs.structure import (
     fingerprint_recognize,
     isprime,
     lcm_convolve,
-    mul_power,
     normal_closure,
     partitions,
     quotient,
@@ -80,15 +79,6 @@ def test_element_table_over_element_list() -> None:
     assert t.mul(1, 1) == 0
     assert t.inverse_id(1) == 1
     assert t.element_order(1) == 2
-
-
-def test_mul_power_matches_repeated_multiplication() -> None:
-    t = _table("cyclic:12")
-    g = 1
-    acc = 0
-    for k in range(25):
-        assert mul_power(t, g, k) == acc
-        acc = t.mul(acc, g)
 
 
 def test_subgroup_closure_of_rotation_in_dihedral() -> None:

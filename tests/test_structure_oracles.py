@@ -18,8 +18,10 @@ from gtpairs.cli import pair_stages
 from gtpairs.permcore import ConjugacyClassTable, ElementTable
 from gtpairs.structure import (
     GroupFingerprint,
+    abelian_invariants,
     composition_factors_small,
     derived_subgroup,
+    quotient,
     simple_factor_order,
 )
 from group_oracles import (
@@ -58,7 +60,7 @@ def _table(spec: str) -> ElementTable:
 
 
 def _e_tables(spec: str) -> list[ElementTable]:
-    _, decomp, _ = pair_stages(spec).decomposition
+    _, decomp, _ = pair_stages(construct(spec)).decomposition
     return [ElementTable(f.e_elements, len(f.points)) for f in decomp.factors]
 
 
@@ -95,6 +97,17 @@ def test_structure_matches_mul_table_oracle() -> None:
     tables += _random_groups(20, 6, seed=20)
     for t in tables:
         _assert_matches_oracle(t)
+
+
+def test_abelianization_invariants_match_sympy() -> None:
+    # both sides give the elementary divisors as sorted prime powers
+    specs = SMALL_SPECS + ATLAS_SPECS + ["psl2:7", "psl2:8", "psl2:9", "psl2:11"]
+    tables = [t for t in map(_table, specs) if t.order <= 1000]
+    tables += _random_groups(30, 6, seed=31)
+    for t in tables:
+        group = PermutationGroup([Permutation(list(g)) for g in t.generators])
+        ours = abelian_invariants(quotient(t, derived_subgroup(t)))
+        assert list(ours) == group.abelian_invariants(), t.generators
 
 
 @pytest.mark.extended
