@@ -27,6 +27,7 @@ from .permcore import (
     EnumerationCapError,
     Perm,
     StabilizerChain,
+    composer,
     generates,
     orbit,
     perm_order,
@@ -234,9 +235,9 @@ def _double_cosets(gbar: GbarGroup, xk: int, yk: int) -> DoubleCosets:
     def materialize(g: int) -> int:
         """Mark the left coset g C(y^k) visited and return the flags it flipped."""
         flipped = 0
-        image = elements[g]
+        by_g = composer(elements[g])
         for right in rights:
-            i = index[tuple([right[p] for p in image])]
+            i = index[by_g(right)]
             if not visited[i]:
                 visited[i] = True
                 flipped += 1

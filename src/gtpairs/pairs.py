@@ -10,7 +10,6 @@ representative of a class is (class rep of g, smallest h in its C(g)-orbit).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .permcore import ConjugacyClassTable, ElementTable, Perm, generates, orbit
@@ -140,6 +139,10 @@ def build_pc(
     )
     cids = list(range(classes.num_classes))
     if threads > 1:
+        # imported here: the pool pulls in multiprocessing, pickle and socket,
+        # which a --threads 1 run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=threads,
             initializer=_init_sweep,

@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 import re
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import count, islice
 from math import inf, lcm
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
@@ -43,9 +44,20 @@ def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
 
+def composer(p: Perm) -> Callable[[Perm], Perm]:
+    """q -> compose(p, q) in one C call, itemgetter(*p): the product kernel.
+
+    itemgetter with one index returns a bare item, not a 1-tuple, so p of
+    length below 2 (degree 1, or one window of base images) keeps the list form.
+    """
+    if len(p) < 2:
+        return lambda q: tuple([q[i] for i in p])
+    return itemgetter(*p)
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple([q[i] for i in p])
+    return composer(p)(q)
 
 
 def inverse(p: Perm) -> Perm:
@@ -226,10 +238,9 @@ class StabilizerChain:
             todo = gens[old_gens:] if k < old_pts else gens
             if not todo:
                 continue
-            u = inverse(uinv)
+            by_u = composer(inverse(uinv))
             for s, _ in todo:
-                vinv = invs[s[pt]]
-                w = tuple([vinv[s[i]] for i in u])
+                w = compose(by_u(s), invs[s[pt]])
                 if w != self._ident:
                     inserted = self._add(w, level + 1)
                     if inserted is not None:
@@ -327,8 +338,9 @@ class ElementTable:
         self.letter = array("i", [-1])
         steps = list(enumerate(zip(self.generators, [c.append for c in self.gen_cols])))
         for e_id, e in enumerate(elements):
+            by_e = composer(e)
             for gi, (g, put) in steps:
-                n = tuple([g[j] for j in e])  # compose(e, g), inlined
+                n = by_e(g)
                 i = index.get(n)
                 if i is None:
                     i = index[n] = len(elements)
@@ -467,7 +479,7 @@ class ConjugacyClassTable:
         for e, pe in enumerate(elements):
             rep = elements[self.reps[self.class_of[e]]]
             t = elements[self.transporter_ids[e]]
-            if [t[j] for j in rep] != [pe[j] for j in t]:
+            if compose(rep, t) != compose(t, pe):
                 raise TransporterCheckError(
                     f"transporter check failed: the transporter of element {e} "
                     "does not conjugate its class representative onto it"
@@ -507,12 +519,12 @@ class ConjugacyClassTable:
             px = table.elements[x]
             tx = table.elements[self.transporter_ids[x]]
             for s, s_inv in gens:
-                y = table.index[tuple([s[px[j]] for j in s_inv])]
+                y = table.index[compose(compose(s_inv, px), s)]
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
                 ty_inv = inverse(table.elements[self.transporter_ids[y]])
-                yield tuple([ty_inv[s[i]] for i in tx])
+                yield compose(compose(tx, s), ty_inv)
 
     def _rep_centralizer(self, cid: int) -> list[int]:
         """C(rep) of class cid, closed from Schreier generators.

@@ -1,14 +1,16 @@
-"""Test-only oracles: a direct product, a transitivity test, the dihedral
-and GT1 counts, a brute-force double-coset survey, a pairwise packet
-decomposition, an exhaustive S search, a per-orbit pair sweep, a tuple
-pair locator, scanned centralizers, structure-triple isomorphism and
-mul-table group structure, kept out of the library they check.  Tests get
-a model group through `model_group`, the command line's chain."""
+"""Test-only oracles: the list-form permutation product and element table,
+a direct product, a transitivity test, the dihedral and GT1 counts, a
+brute-force double-coset survey, a pairwise packet decomposition, an
+exhaustive S search, a per-orbit pair sweep, a tuple pair locator, scanned
+centralizers, structure-triple isomorphism and mul-table group structure,
+kept out of the library they check.  Tests get a model group through
+`model_group`, the command line's chain."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from math import factorial, lcm
 
 from sympy.combinatorics import Permutation, PermutationGroup
@@ -52,6 +54,41 @@ DEFAULT_BRUTE_BUDGET = 10**7
 
 class SgBudgetError(RuntimeError):
     pass
+
+
+def list_compose(p: Perm, q: Perm) -> Perm:
+    """Apply p, then q, as a list comprehension: the reference for
+    permcore's product kernel."""
+    return tuple([q[i] for i in p])
+
+
+@dataclass
+class ReferenceTable:
+    elements: list[Perm]
+    index: dict[Perm, int]
+    gen_cols: list[list[int]]
+    parent: list[int]
+    letter: list[int]
+
+
+def reference_table(
+    generators: list[Perm], degree: int, start: Perm | None = None
+) -> ReferenceTable:
+    """ElementTable's BFS with list_compose for every product: elements in
+    discovery order, generator columns and the discovery tree."""
+    ident = identity_perm(degree) if start is None else tuple(start)
+    t = ReferenceTable([ident], {ident: 0}, [[] for _ in generators], [-1], [-1])
+    for e_id, e in enumerate(t.elements):
+        for gi, g in enumerate(generators):
+            n = list_compose(e, tuple(g))
+            i = t.index.get(n)
+            if i is None:
+                i = t.index[n] = len(t.elements)
+                t.elements.append(n)
+                t.parent.append(e_id)
+                t.letter.append(gi)
+            t.gen_cols[gi].append(i)
+    return t
 
 
 def direct_product(g1: ConstructedGroup, g2: ConstructedGroup) -> ConstructedGroup:

@@ -263,16 +263,22 @@ def test_bad_thread_count_rejected_for_every_command(capsys) -> None:
 
 
 def test_cli_import_leaves_sympy_out() -> None:
+    # -B: the env below drops PYTHONDONTWRITEBYTECODE, and bytecode the child
+    # left in src/ would make later start-up timings of the checkout depend on
+    # whether the tests ran
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, gtpairs.cli; print('sympy' in sys.modules)"
+    code = (
+        "import sys, gtpairs.cli; "
+        "print('sympy' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={"PYTHONPATH": str(src)},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_threads_flag_deterministic(capsys) -> None:

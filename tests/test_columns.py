@@ -2,9 +2,10 @@
 
 The BFS keeps one column per generator and its discovery tree; left,
 right and conjugation columns, tree words, transporter ids and the pair
-locator are all built from them and checked here against compose and the
-element index, on small groups in full and on a model table of base
-images by sample.
+locator are all built from them and checked here against the list-form
+product and the element index, on small groups in full and on a model
+table of base images by sample.  The product kernel itself, and the whole
+BFS, are checked against the list-form references in group_oracles.
 """
 
 from __future__ import annotations
@@ -19,9 +20,21 @@ from gtpairs.atlas import construct
 from gtpairs.gbar import double_coset_survey
 from gtpairs.pairs import PairLookupError, build_pc
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, conjugate
-from group_oracles import model_group, tuple_locate, tuple_model_table
+from group_oracles import (
+    list_compose,
+    model_group,
+    reference_table,
+    tuple_locate,
+    tuple_model_table,
+)
 
 KERNEL_SPECS = ["symmetric:4", "alternating:5", "psl2:7", "dihedral:6", "quaternion8"]
+LADDER_SPECS = [
+    "cyclic:1", "cyclic:2", "dihedral:9", "alternating:4", "cyclic:12",
+    "psl2:13", "psl3:3", "m11",
+]
+MODEL_SPECS = ["cyclic:1", "cyclic:5", "dihedral:5", "alternating:4"]
+REGULAR_SPECS = ["cyclic:12", "quaternion8"]
 MODEL_SAMPLES = 500
 
 
@@ -37,20 +50,20 @@ def _check_columns(table: ElementTable, x: int, es) -> None:
     right = table.right_column(x)
     conj = table.conjugation_column(x)
     for e in es:
-        assert left[e] == index[compose(px, el[e])]
-        assert right[e] == index[compose(el[e], px)]
+        assert left[e] == index[list_compose(px, el[e])]
+        assert right[e] == index[list_compose(el[e], px)]
         assert conj[e] == index[conjugate(el[e], px)]
-        assert conj[e] == index[compose(compose(px_inv, el[e]), px)]
+        assert conj[e] == index[list_compose(list_compose(px_inv, el[e]), px)]
 
 
 def _check_generator_columns_and_words(table: ElementTable) -> None:
     el, index = table.elements, table.index
     for s, g in enumerate(table.generators):
-        assert table.gen_cols[s] == [index[compose(e, g)] for e in el]
+        assert table.gen_cols[s] == [index[list_compose(e, g)] for e in el]
     for i, e in enumerate(el):
         built = el[0]
         for s in table.word(i):
-            built = compose(built, table.generators[s])
+            built = list_compose(built, table.generators[s])
         assert built == e
         if i:
             assert len(table.word(i)) == len(table.word(table.parent[i])) + 1
@@ -76,7 +89,51 @@ def test_model_table_columns_match_tuple_arithmetic() -> None:
     for _ in range(MODEL_SAMPLES):
         x, e = rng.randrange(table.order), rng.randrange(table.order)
         assert gbar.perm(x) == el[x]
-        assert table.left_column(x)[e] == index[compose(el[x], el[e])]
+        assert table.left_column(x)[e] == index[list_compose(el[x], el[e])]
+
+
+def test_compose_matches_list_form() -> None:
+    rng = random.Random(56)
+    for degree in range(1, 41):
+        for _ in range(20):
+            p, q = list(range(degree)), list(range(degree))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            p, q = tuple(p), tuple(q)
+            got = compose(p, q)
+            assert type(got) is tuple
+            assert got == list_compose(p, q)
+
+
+def _check_against_reference(table: ElementTable) -> None:
+    ref = reference_table(table.generators, table.degree, table.elements[0])
+    assert table.elements == ref.elements
+    assert table.index == ref.index
+    assert table.gen_cols == ref.gen_cols
+    assert list(table.parent) == ref.parent
+    assert list(table.letter) == ref.letter
+
+
+@pytest.mark.parametrize("spec", LADDER_SPECS)
+def test_element_table_matches_reference_bfs(spec) -> None:
+    _check_against_reference(_table(spec))
+
+
+@pytest.mark.parametrize("spec", MODEL_SPECS)
+def test_model_table_matches_reference_bfs(spec) -> None:
+    # the model of cyclic:1 has one window, so its base images are 1-tuples
+    gbar = model_group(construct(spec))
+    _check_against_reference(gbar.table)
+
+
+@pytest.mark.parametrize("spec", REGULAR_SPECS)
+def test_one_point_base_image_table_matches_reference_bfs(spec) -> None:
+    # a regular group is determined by the image of one point: 1-tuple products
+    g = construct(spec)
+    table = ElementTable(g.generators, g.degree, start=(0,))
+    assert table.order == g.order
+    assert all(len(e) == 1 for e in table.elements)
+    _check_against_reference(table)
 
 
 def _new_locate(pcset, g, h):
