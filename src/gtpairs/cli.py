@@ -9,7 +9,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .atlas import (
     ConstructedGroup,
@@ -87,7 +87,9 @@ CYCLIC_FULL_EXPECTED = {
 }
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="gtpairs",
         description="Pair-class invariants of finite groups.",
@@ -519,8 +521,11 @@ def run(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
     0: success; 1: a `repro` table mismatch; 2: bad input or an oversized
-    problem; 3: an internal self-check failed.
+    problem; 3: an internal self-check failed.  Ints print in full, however
+    long (|S| of alternating:9 has 21,088 digits).
     """
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit exists from 3.10.7 on
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         if args.threads < 0:

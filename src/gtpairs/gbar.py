@@ -6,9 +6,11 @@ the tuple of second members.  The model table holds each element as its r
 base-group element ids, window w's shifted by w*|G|: the image of the
 points w*|G| when the generators act on r copies of G by right
 multiplication.  G acts regularly on itself, so these r points determine
-the element.  Products walk the model table's generator columns along BFS
-tree words over the alphabet {x, y, x^-1, y^-1}, so images under an
-endomorphism given on the two generators are word substitutions.
+the element.  Up to 256 window points they are bytes, and each step of
+the model table's BFS is one bytes.translate.  Products walk the model
+table's generator columns along BFS tree words over the alphabet
+{x, y, x^-1, y^-1}, so images under an endomorphism given on the two
+generators are word substitutions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .permcore import (
     composer,
     generates,
     orbit,
+    pack,
     perm_order,
 )
 
@@ -230,6 +233,8 @@ def _double_cosets(gbar: GbarGroup, xk: int, yk: int) -> DoubleCosets:
             on_cx.append({c: _walk(table, c, w) for c in cx})
             span = set(orbit(on_cx, 0))
     rights = _right_actions(gbar.base, [gbar.window_ids(t) for t in cy])
+    if table.packed:
+        rights = [pack(right) for right in rights]
     visited = [False] * gbar.order
 
     def materialize(g: int) -> int:

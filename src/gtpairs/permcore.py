@@ -3,6 +3,13 @@
 Permutations are tuples of images on 0..degree-1.  The action is on the
 right: i^(p*q) = (i^p)^q, so compose(p, q)[i] = q[p[i]].  All text I/O
 (cycle notation) is 1-based.
+
+Up to degree PACKED_DEGREE, Schreier-Sims chains hold their permutations
+packed instead: 256 bytes, with the points from the degree on fixed, so a
+product is one bytes.translate and an inverse one bytes.maketrans.  No packed
+permutation leaves a chain.  Base-image tables of that degree hold bytes
+elements, which read as sequences of ints.  composer, compose and inverse
+take either form.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from operator import itemgetter
 Perm = tuple[int, ...]
 
 DEFAULT_CAP = 10**6
+PACKED_DEGREE = 256  # the largest degree held packed
+IDENT256 = bytes(range(256))  # the packed identity
 
 
 class CycleFormatError(ValueError):
@@ -44,12 +53,21 @@ def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
 
-def composer(p: Perm) -> Callable[[Perm], Perm]:
-    """q -> compose(p, q) in one C call, itemgetter(*p): the product kernel.
+def pack(p: Perm) -> bytes:
+    """p of degree at most 256 as a packed permutation: 256 bytes of images."""
+    return bytes(p) + IDENT256[len(p):]
 
-    itemgetter with one index returns a bare item, not a 1-tuple, so p of
-    length below 2 (degree 1, or one window of base images) keeps the list form.
+
+def composer(p: Perm) -> Callable[[Perm], Perm]:
+    """q -> compose(p, q) in one C call: the product kernel.
+
+    For bytes p (packed, or base images) and packed q it is p.translate;
+    for tuples itemgetter(*p).  itemgetter with one index returns a bare
+    item, not a 1-tuple, so tuple p of length below 2 (degree 1, or one
+    window of base images) keeps the list form.
     """
+    if type(p) is bytes:
+        return p.translate
     if len(p) < 2:
         return lambda q: tuple([q[i] for i in p])
     return itemgetter(*p)
@@ -61,6 +79,8 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def inverse(p: Perm) -> Perm:
+    if type(p) is bytes:
+        return bytes.maketrans(p, IDENT256)
     out = [0] * len(p)
     for i, img in enumerate(p):
         out[img] = i
@@ -159,12 +179,13 @@ _PR_SLOTS = 5  # product-replacement state size (at least)
 _PR_WARMUP = 10  # product-replacement steps discarded before the first word
 
 
-def _random_words(generators: list[Perm], degree: int) -> Iterator[Perm]:
-    """Endless product-replacement random words in the generators."""
+def _random_words(generators: list[Perm], ident: Perm) -> Iterator[Perm]:
+    """Endless product-replacement random words in the generators, which
+    have the form of the identity ident."""
     rand = random.Random(_CHAIN_SEED).random
     slots = (list(generators) * _PR_SLOTS)[: max(_PR_SLOTS, len(generators))]
     n = len(slots)
-    acc = identity_perm(degree)
+    acc = ident
     for step in count(1):
         i = int(rand() * n)
         j = int(rand() * (n - 1))
@@ -190,6 +211,7 @@ class StabilizerChain:
     fixes base[:i], so each basic orbit lies in the true orbit of the point
     stabilizer, and `bound`, the product of the orbit lengths, is a proven
     lower bound on the group order.  exact_order() verifies the same chain.
+    Up to PACKED_DEGREE the chain holds its permutations packed.
     """
 
     def __init__(self, generators: list[Perm], degree: int, stop_at: int | None = None):
@@ -197,7 +219,11 @@ class StabilizerChain:
         self.base: list[int] = []
         self.bound = 1
         self._stop_at = inf if stop_at is None else stop_at
-        self._ident = identity_perm(degree)
+        if degree <= PACKED_DEGREE:
+            generators = [pack(g) for g in generators]
+            self._ident = IDENT256
+        else:
+            self._ident = identity_perm(degree)
         self._gens: list[list[tuple[Perm, Perm]]] = []  # (s, s^-1) fixing base[:i]
         # _orbit_invs[i][pt] = u^-1 for a word u in _gens[i] with base[i]^u = pt
         self._orbit_invs: list[dict[int, Perm]] = []
@@ -207,7 +233,7 @@ class StabilizerChain:
             self._add(g, 0)
         if not self.base:
             return  # every generator is the identity
-        words = _random_words(generators, degree)
+        words = _random_words(generators, self._ident)
         idle = 0
         while idle < _SIFT_BUDGET and self.bound < self._stop_at:
             idle = 0 if self._add(next(words), 0) is not None else idle + 1
@@ -315,9 +341,11 @@ class ElementTable:
     Given a start tuple of points, the table holds base images instead:
     elements[i] is the image of start under element i, which determines the
     element when the group acts regularly on the orbits of those points.
-    Words, gen_cols and left columns stay valid; mul, inverse_ids (and so
-    right and conjugation columns) and element_order need permutations and
-    raise BaseImageError.
+    Up to PACKED_DEGREE they are bytes (`packed`), and each BFS step is one
+    bytes.translate by a packed generator.  Words, gen_cols and left columns
+    stay valid; mul, inverse_ids (and so right and conjugation columns) and
+    element_order need permutations and raise BaseImageError.  Permutation
+    tables stay tuples: their elements go on into chains and dict lookups.
     """
 
     def __init__(
@@ -330,13 +358,20 @@ class ElementTable:
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         self.base_images = start is not None
-        ident = identity_perm(degree) if start is None else tuple(start)
+        self.packed = self.base_images and degree <= PACKED_DEGREE
+        gens = self.generators
+        if start is None:
+            ident = identity_perm(degree)
+        elif self.packed:
+            ident, gens = bytes(start), [pack(g) for g in gens]
+        else:
+            ident = tuple(start)
         elements = self.elements = [ident]
         index = self.index = {ident: 0}
-        self.gen_cols: list[list[int]] = [[] for _ in self.generators]
+        self.gen_cols: list[list[int]] = [[] for _ in gens]
         self.parent = array("i", [-1])
         self.letter = array("i", [-1])
-        steps = list(enumerate(zip(self.generators, [c.append for c in self.gen_cols])))
+        steps = list(enumerate(zip(gens, [c.append for c in self.gen_cols])))
         for e_id, e in enumerate(elements):
             by_e = composer(e)
             for gi, (g, put) in steps:

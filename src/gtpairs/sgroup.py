@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .pairs import InducedPerms
-from .permcore import ElementTable, Perm, compose, generating_subset, is_identity
+from .permcore import (
+    ElementTable,
+    EnumerationCapError,
+    Perm,
+    compose,
+    generating_subset,
+    is_identity,
+)
 from .structure import (
     GroupFingerprint,
     composition_factors_small,
@@ -28,12 +35,14 @@ GENERATOR_EMIT_LIMIT = 2000
 
 def build_haction(induced: InducedPerms) -> ElementTable:
     """The closure H of the outer, theta and delta permutations of the pair
-    classes, generated in that order."""
+    classes, generated in that order.  |H| is at most 6 |Out|, so the
+    enumeration stops as soon as it passes that bound."""
     gens = list(induced.out_perms) + [induced.theta, induced.delta]
-    h = ElementTable(gens, len(induced.theta))
-    if h.order > 6 * len(induced.out_perms):
-        raise RuntimeError("induced action closure exceeded six per outer class")
-    return h
+    try:
+        return ElementTable(gens, len(induced.theta), cap=6 * len(induced.out_perms))
+    except EnumerationCapError:
+        message = "induced action closure exceeded six per outer class"
+        raise RuntimeError(message) from None
 
 
 @dataclass

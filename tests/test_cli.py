@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from gtpairs import cli
 from gtpairs.atlas import load_group_file
 from gtpairs.dessins import load_dessin
+from gtpairs.pairs import InducedPerms
 from gtpairs.permcore import parse_cycles
+from gtpairs.sgroup import build_haction
 
 TETRA = (
     "darts 12\n"
@@ -418,3 +420,66 @@ def test_field_axiom_failure_exits_3(capsys, monkeypatch) -> None:
     assert err.splitlines() == [
         "error: internal check failed: multiplicative associativity failed"
     ]
+
+
+def test_parser_is_built_once_and_keeps_no_options(capsys, tmp_path) -> None:
+    assert cli._parser() is cli._parser()
+    path = tmp_path / "sg.json"
+    argv = ["sg", "quaternion8", "--threads", "1", "--cap", "5000", "--json", str(path)]
+    rc, _, _ = _run(capsys, argv)
+    assert rc == 0 and path.is_file()
+    path.unlink()
+    rc, out, _ = _run(capsys, ["gt1", "dihedral:3"])
+    assert rc == 0 and "count: 2" in out
+    assert not path.exists()
+    args = cli._parser().parse_args(["gt1", "dihedral:3"])
+    assert (args.json, args.cap, args.threads) == (None, cli.DEFAULT_CAP, 0)
+
+
+def test_report_with_a_5000_digit_order_renders_and_writes(
+    capsys, monkeypatch, tmp_path
+) -> None:
+    """|S| of alternating:9 has 21,088 digits; ints that long print in full."""
+    order = 7 * 10**4999
+    true_sg = cli.DISPATCH["sg"]
+
+    def with_long_order(args):
+        report = true_sg(args)
+        report["order"] = order
+        return report
+
+    monkeypatch.setitem(cli.DISPATCH, "sg", with_long_order)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        path = tmp_path / "sg.json"
+        argv = ["sg", "cyclic:5", "--threads", "1", "--json", str(path)]
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0
+        assert f"order: {order} = " in out
+        assert json.loads(path.read_text())["order"] == order
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_induced_action_past_its_bound_exits_3(capsys, monkeypatch) -> None:
+    """A closure H past 6 |Out| stops there: theta and delta below generate
+    Sym(10), and the enumeration stops at its seventh element."""
+    degree = 10
+    fake = InducedPerms(
+        theta=tuple(list(range(1, degree)) + [0]),
+        delta=tuple([1, 0] + list(range(2, degree))),
+        out_perms=[tuple(range(degree))],
+    )
+    with pytest.raises(RuntimeError, match="exceeded six per outer class"):
+        build_haction(fake)
+    monkeypatch.setattr(cli, "induced_perms", lambda pcset, maps: fake)
+    rc, out, err = _run(capsys, ["sg", "psl2:5", "--threads", "1"])
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "error: internal check failed: "
+        "induced action closure exceeded six per outer class\n"
+    )

@@ -19,7 +19,16 @@ import pytest
 from gtpairs.atlas import construct
 from gtpairs.gbar import double_coset_survey
 from gtpairs.pairs import PairLookupError, build_pc
-from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, conjugate
+from gtpairs.permcore import (
+    IDENT256,
+    ConjugacyClassTable,
+    ElementTable,
+    compose,
+    composer,
+    conjugate,
+    inverse,
+    pack,
+)
 from group_oracles import (
     list_compose,
     model_group,
@@ -56,8 +65,17 @@ def _check_columns(table: ElementTable, x: int, es) -> None:
         assert conj[e] == index[list_compose(list_compose(px_inv, el[e]), px)]
 
 
+def _tuples(table: ElementTable) -> tuple[list, dict]:
+    """The table's elements and index with every element as a tuple, after
+    checking that the elements have the table's form: bytes when packed."""
+    form = bytes if table.packed else tuple
+    assert all(type(e) is form for e in table.elements)
+    el = [tuple(e) for e in table.elements]
+    return el, {tuple(e): i for e, i in table.index.items()}
+
+
 def _check_generator_columns_and_words(table: ElementTable) -> None:
-    el, index = table.elements, table.index
+    el, index = _tuples(table)
     for s, g in enumerate(table.generators):
         assert table.gen_cols[s] == [index[list_compose(e, g)] for e in el]
     for i, e in enumerate(el):
@@ -105,10 +123,35 @@ def test_compose_matches_list_form() -> None:
             assert got == list_compose(p, q)
 
 
+def test_packed_kernel_matches_list_form() -> None:
+    """pack, compose, composer and inverse on packed permutations, and the
+    base-image step (short bytes times a packed permutation), against the
+    list-form product on every degree 1-40 and 250-256."""
+    rng = random.Random(57)
+    for degree in [*range(1, 41), *range(250, 257)]:
+        for _ in range(5):
+            p, q = list(range(degree)), list(range(degree))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            p, q = tuple(p), tuple(q)
+            pp, pq = pack(p), pack(q)
+            assert len(pp) == 256 and tuple(pp[:degree]) == p
+            assert pp[degree:] == IDENT256[degree:]
+            want = pack(list_compose(p, q))
+            assert compose(pp, pq) == want
+            assert composer(pp)(pq) == want
+            p_inv = tuple(sorted(range(degree), key=p.__getitem__))
+            assert inverse(pp) == pack(p_inv)
+            assert compose(pp, inverse(pp)) == IDENT256
+            start = bytes(rng.sample(range(degree), min(degree, 9)))
+            assert composer(start)(pq) == bytes(list_compose(tuple(start), q))
+
+
 def _check_against_reference(table: ElementTable) -> None:
     ref = reference_table(table.generators, table.degree, table.elements[0])
-    assert table.elements == ref.elements
-    assert table.index == ref.index
+    el, index = _tuples(table)
+    assert el == ref.elements
+    assert index == ref.index
     assert table.gen_cols == ref.gen_cols
     assert list(table.parent) == ref.parent
     assert list(table.letter) == ref.letter

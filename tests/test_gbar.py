@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from math import gcd, lcm
 
 import pytest
 
 import gtpairs.gbar as gbar_module
+from gtpairs import cli, permcore
 from gtpairs.atlas import construct
 from gtpairs.gbar import (
     DELTA,
@@ -308,3 +310,26 @@ def test_left_coset_check_names_the_check(monkeypatch) -> None:
     monkeypatch.setattr(gbar_module, "_window_centralizer", with_identity_twice)
     with pytest.raises(GbarError, match="left coset check failed"):
         double_coset_survey(model_group(construct("dihedral:3")))
+
+
+@pytest.mark.parametrize("spec, packed", [
+    ("cyclic:12", False), ("cyclic:8", True), ("alternating:4", True),
+    ("dihedral:7", True), ("quaternion8", True), ("cyclic:1", True),
+])
+def test_gt1_is_the_same_in_either_form(spec, packed, tmp_path, monkeypatch) -> None:
+    """The model table is packed up to window degree 256: cyclic:12's has
+    24 * 12 = 288 window points, so it holds tuples, and cyclic:8's has 96.
+    The gt1 report with packing is the one with tuples everywhere."""
+    assert model_group(construct(spec)).table.packed == packed
+    reports = []
+    for limit in (permcore.PACKED_DEGREE, 0):
+        monkeypatch.setattr(permcore, "PACKED_DEGREE", limit)
+        path = tmp_path / f"{limit}.json"
+        assert cli.run(["gt1", spec, "--threads", "1", "--json", str(path)]) == 0
+        report = json.loads(path.read_text())
+        del report["timings"]
+        reports.append(report)
+    assert not model_group(construct(spec)).table.packed
+    assert reports[0] == reports[1]
+    if spec.startswith("cyclic:"):
+        assert reports[0]["count"] == 1

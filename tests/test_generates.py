@@ -171,3 +171,44 @@ def test_lower_bound_stops_at_stop_at() -> None:
     assert 2 <= StabilizerChain(s5, 5, stop_at=2).bound <= 120
     assert StabilizerChain([parse_cycles("()", 5)], 5, stop_at=120).bound == 1
     assert StabilizerChain([], 5).exact_order() == 1
+
+
+def _around_the_packing_limit(degree: int) -> list[list[tuple[int, ...]]]:
+    """Generating pairs of degree `degree`: the dihedral group of the whole
+    degree, and M11 x PSL2(13) with M11 acting diagonally on two copies,
+    the second ending at the last point."""
+    rotation = tuple(list(range(1, degree)) + [0])
+    reflection = tuple((-i) % degree for i in range(degree))
+    m11, psl = construct("m11"), construct("psl2:13")
+    product = []
+    for a, b in zip(m11.generators, psl.generators):
+        g = list(range(degree))
+        g[:14] = b
+        g[14:25] = [14 + i for i in a]
+        g[degree - 11:] = [degree - 11 + i for i in a]
+        product.append(tuple(g))
+    return [[rotation, reflection], product]
+
+
+@pytest.mark.parametrize("degree", [255, 256, 257])
+def test_chains_around_the_packing_limit(degree, monkeypatch) -> None:
+    """Chains hold packed permutations up to degree 256 and tuples above
+    it: orders and verdicts against sympy, and base, bound and order
+    against chains that hold tuples at every degree."""
+    dihedral, product = _around_the_packing_limit(degree)
+    assert _sympy_order(product) == 7920 * 1092
+    for gens in (dihedral, product, product[:1]):
+        order = _sympy_order(gens)
+        chain = StabilizerChain(gens, degree)
+        fill = (list(chain.base), chain.bound)
+        assert chain.exact_order() == order
+        assert generates(gens, degree, order)
+        with monkeypatch.context() as mp:
+            mp.setattr(permcore, "PACKED_DEGREE", 0)
+            tuples = StabilizerChain(gens, degree)
+            assert (tuples.base, tuples.bound) == fill
+            assert tuples.exact_order() == order
+            assert tuples.base == chain.base
+            assert generates(gens, degree, order)
+    assert not generates(product[:1], degree, 7920 * 1092)
+    assert not generates([dihedral[0]], degree, 2 * degree)
