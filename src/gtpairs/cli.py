@@ -532,6 +532,8 @@ def run(argv: list[str] | None = None) -> int:
             raise GroupSpecError("--threads must be nonnegative")
         args.threads = args.threads or os.cpu_count() or 1
         report = DISPATCH[args.command](args)
+        if getattr(args, "json", None):
+            write_json_report(args.json, report)
     except USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -539,8 +541,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: internal check failed: {err}", file=sys.stderr)
         return 3
     print(_render(report))
-    if getattr(args, "json", None):
-        write_json_report(args.json, report)
     return 0 if report.get("ok", True) else 1
 
 

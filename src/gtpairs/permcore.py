@@ -449,16 +449,14 @@ class ElementTable:
         return [inv[left[inv[f]]] for f in left]
 
 
-def generating_subset(elements: list[Perm], degree: int) -> list[Perm]:
-    """Generators of the subgroup with these elements, each outside the span
-    of the ones before it."""
-    gens: list[Perm] = []
-    span = {identity_perm(degree)}
+def subgroup_table(elements: list[Perm], degree: int) -> ElementTable:
+    """The table of the subgroup with these elements, generated by the ones
+    outside the span of the elements before them."""
+    table = ElementTable([], degree)
     for e in elements:
-        if e not in span:
-            gens.append(e)
-            span = ElementTable(gens, degree).index
-    return gens
+        if e not in table.index:
+            table = ElementTable(table.generators + [e], degree)
+    return table
 
 
 class ConjugacyClassTable:

@@ -17,8 +17,8 @@ from .permcore import (
     EnumerationCapError,
     Perm,
     compose,
-    generating_subset,
     is_identity,
+    subgroup_table,
 )
 from .structure import (
     GroupFingerprint,
@@ -29,9 +29,6 @@ from .structure import (
     sort_factor_labels,
     wreath_fingerprint,
 )
-
-GENERATOR_EMIT_LIMIT = 2000
-
 
 def build_haction(induced: InducedPerms) -> ElementTable:
     """The closure H of the outer, theta and delta permutations of the pair
@@ -156,15 +153,15 @@ def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecompos
     return PacketDecomposition(orbits, list(packets.values()))
 
 
-def assemble_generators(
+def check_s_generators(
     decomp: PacketDecomposition, h: ElementTable, block_of: list[int]
-) -> list[Perm]:
-    """Explicit generators on {0..ell-1}: E on one orbit plus member swaps.
+) -> None:
+    """Self-check of S's generators: E on one orbit plus member swaps.
 
     Each generator is written on a support P, the representative orbit for
     E or the two member orbits for a swap.  P is a union of H-orbits, so a
     generator that fixes every point outside P commutes with H and keeps
-    the blocks exactly when it does so on P.
+    the blocks exactly when it does so on P; it is checked there only.
     """
     emitted: list[tuple[dict[int, int], list[int]]] = []
     for f in decomp.factors:
@@ -180,21 +177,14 @@ def assemble_generators(
                 moves[cur[p]] = prev[p]
             members = (decomp.orbits[f.member_orbits[j]] for j in (i - 1, i))
             emitted.append((moves, [p for o in members for p in o.points]))
-    gens = []
     for moves, support in emitted:
-        if not moves.keys() <= set(support):
-            raise RuntimeError("emitted generator moves a point outside its orbits")
-        arr = list(range(h.degree))
-        for p, img in moves.items():
-            arr[p] = img
-        g = tuple(arr)
-        if any(block_of[g[p]] != block_of[p] for p in support):
-            raise RuntimeError("emitted generator moves a point across blocks")
+        if moves.keys() != set(support):
+            raise RuntimeError("S generator moves a point outside its orbits")
+        if any(block_of[moves[p]] != block_of[p] for p in support):
+            raise RuntimeError("S generator moves a point across blocks")
         for hp in h.generators:
-            if any(g[hp[p]] != hp[g[p]] for p in support):
-                raise RuntimeError("emitted generator fails to commute")
-        gens.append(g)
-    return gens
+            if any(moves[hp[p]] != hp[moves[p]] for p in support):
+                raise RuntimeError("S generator fails to commute")
 
 
 @dataclass
@@ -203,7 +193,6 @@ class SgReport:
     simple_factors: list[str]
     packets: list[dict]
     fingerprint: GroupFingerprint | None
-    generators: list[Perm] | None
     num_orbits: int
 
 
@@ -218,10 +207,7 @@ def sg_report(
     order = prod(f.e_order**f.s * factorial(f.s) for f in decomp.factors)
     simple: list[str] = []
     packets = []
-    e_tables = [
-        ElementTable(generating_subset(f.e_elements, len(f.points)), len(f.points))
-        for f in decomp.factors
-    ]
+    e_tables = [subgroup_table(f.e_elements, len(f.points)) for f in decomp.factors]
     for f, e_table in zip(decomp.factors, e_tables):
         simple += composition_factors_small(e_table) * f.s
         simple += simple_factors_of_symmetric(f.s)
@@ -241,14 +227,11 @@ def sg_report(
         )
         if fingerprint.order != order:
             raise RuntimeError("fingerprint order disagrees with the order")
-    generators = None
-    if h.degree <= GENERATOR_EMIT_LIMIT:
-        generators = assemble_generators(decomp, h, block_of)
+    check_s_generators(decomp, h, block_of)
     return SgReport(
         order=order,
         simple_factors=simple,
         packets=packets,
         fingerprint=fingerprint,
-        generators=generators,
         num_orbits=len(decomp.orbits),
     )

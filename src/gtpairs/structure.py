@@ -5,9 +5,8 @@ come from `normal_closure`, and quotients from `quotient`, the action on the
 cosets of a normal subgroup, so derived subgroups, abelianizations and
 composition series are ElementTables too.  Fingerprints of large products
 are assembled per factor with closed wreath-product formulas instead of
-materializing the group.  The small integer helpers (factorint, isprime,
-partitions) are stdlib trial division and recursion, sized for the group
-orders met here.
+materializing the group.  The small integer helpers (factorint, isprime)
+are stdlib trial division, sized for the group orders met here.
 """
 
 from __future__ import annotations
@@ -38,24 +37,6 @@ def factorint(n: int) -> dict[int, int]:
 
 def isprime(n: int) -> bool:
     return n >= 2 and factorint(n) == {n: 1}
-
-
-def partitions(n: int):
-    """Partitions of n as fresh {part: multiplicity} dicts, largest part
-    first, in reverse lexicographic order."""
-
-    def split(rest: int, largest: int):
-        if rest == 0:
-            yield {}
-            return
-        for part in range(min(rest, largest), 0, -1):
-            for tail in split(rest - part, part):
-                out = {part: 1}
-                for q, m in tail.items():
-                    out[q] = out.get(q, 0) + m
-                yield out
-
-    return split(n, n)
 
 
 def factored_text(n: int) -> str:
@@ -203,71 +184,38 @@ def lcm_convolve(h1: dict[int, int], h2: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def wreath_order_histogram(base_hist: dict[int, int], s: int) -> dict[int, int]:
-    """Element-order histogram of (base group) wr Sym(s).
-
-    An element with a length-c cycle on top has block order c times the
-    order of the cycle product, and there are |base|^(c-1) fillings per
-    product value; blocks combine by lcm.  Summed exactly over the cycle
-    types of Sym(s).
-    """
-    base_order = sum(base_hist.values())
-    cycle_dist = {}
-    for c in range(1, s + 1):
-        w = base_order ** (c - 1)
-        cycle_dist[c] = {c * d: w * cnt for d, cnt in base_hist.items()}
-    total: dict[int, int] = {}
-    for part in partitions(s):
-        counts = dict(part)
-        tops = factorial(s)
-        conv = {1: 1}
-        for c, m in counts.items():
-            tops //= (c**m) * factorial(m)
-            for _ in range(m):
-                conv = lcm_convolve(conv, cycle_dist[c])
-        for o, cnt in conv.items():
-            total[o] = total.get(o, 0) + tops * cnt
-    if sum(total.values()) != base_order**s * factorial(s):
-        raise RuntimeError("wreath histogram mass check failed")
-    return total
-
-
 def wreath_fingerprint(e_table: ElementTable, s: int) -> GroupFingerprint:
-    """Fingerprint of E wr Sym(s) from the element table of E, by closed formulas."""
-    if s < 1:
-        raise ValueError("wreath multiplicity must be at least 1")
+    """Fingerprint of E wr Sym(s), s = 1 or 2, from the element table of E,
+    by closed formulas.
+
+    ((a, b)t)^2 = (ab, ba) for the swap t, so such an element has order
+    2 o(ab), and |E| pairs (a, b) share each product ab.  Only 2-groups are
+    fingerprinted, and 3 divides s! from s = 3 on.
+    """
+    if s not in (1, 2):
+        raise ValueError("wreath fingerprints cover s = 1 and s = 2 only")
     e_fp = GroupFingerprint.from_mul(e_table)
     if s == 1:
         return e_fp
     eo = e_fp.order
-    order = eo**s * factorial(s)
-    exponent = lcm(*(c * m for c in range(1, s + 1) for m in e_fp.order_histogram))
+    hist = lcm_convolve(e_fp.order_histogram, e_fp.order_histogram)
+    for d, cnt in e_fp.order_histogram.items():
+        hist[2 * d] = hist.get(2 * d, 0) + eo * cnt
     if eo == 1:
-        center_order, center_exp = (2, 2) if s == 2 else (1, 1)
+        center_order, center_exp = 2, 2
     else:
         center_order, center_exp = e_fp.center_order, e_fp.center_exponent
-    derived_order = e_fp.derived_order * eo ** (s - 1) * (factorial(s) // 2)
-    if eo == 1:
-        # the wreath product is Sym(s); its derived subgroup is Alt(s)
-        derived_abelian = s <= 3
-        derived_exp = {2: 1, 3: 3}.get(s)
-    elif s == 2:
-        derived_abelian = e_fp.derived_order == 1
-        derived_exp = e_fp.exponent if derived_abelian else None
-    else:
-        derived_abelian = False
-        derived_exp = None
-    ab = tuple(sorted(e_fp.abelianization + (2,)))
+    derived_abelian = e_fp.derived_order == 1
     return GroupFingerprint(
-        order=order,
-        exponent=exponent,
+        order=2 * eo**2,
+        exponent=2 * e_fp.exponent,
         center_order=center_order,
         center_exponent=center_exp,
-        derived_order=derived_order,
+        derived_order=e_fp.derived_order * eo,
         derived_abelian=derived_abelian,
-        derived_exponent=derived_exp,
-        abelianization=ab,
-        order_histogram=wreath_order_histogram(e_fp.order_histogram, s),
+        derived_exponent=e_fp.exponent if derived_abelian else None,
+        abelianization=tuple(sorted(e_fp.abelianization + (2,))),
+        order_histogram=hist,
     )
 
 

@@ -1,9 +1,10 @@
 """Test-only oracles: the list-form permutation product and element table,
 a direct product, a transitivity test, the dihedral and GT1 counts, a
 brute-force double-coset survey, a pairwise packet decomposition, an
-exhaustive S search, a per-orbit pair sweep, a tuple pair locator, scanned
-centralizers, structure-triple isomorphism and mul-table group structure,
-kept out of the library they check.  Tests get a model group through
+exhaustive S search, S's generators as whole permutations, a per-orbit
+pair sweep, a tuple pair locator, scanned centralizers, structure-triple
+isomorphism and mul-table group structure, kept out of the library they
+check.  Tests get a model group through
 `model_group`, the command line's chain."""
 
 from __future__ import annotations
@@ -215,6 +216,30 @@ def brute_force_sg(
         if all(compose(g, hp) == compose(hp, g) for hp in h.generators):
             out.append(g)
     return out
+
+
+def s_generators(decomp: PacketDecomposition, h: ElementTable) -> list[Perm]:
+    """S's generators on {0..ell-1}: each non-identity element of E on its
+    packet's representative orbit, and the swap of each two consecutive
+    member orbits, every other point fixed."""
+    gens = []
+    for f in decomp.factors:
+        moves_list = []
+        for loc in f.e_elements:
+            if loc != identity_perm(len(loc)):
+                moves_list.append({p: f.points[loc[i]] for i, p in enumerate(f.points)})
+        for prev, cur in zip(f.bijections, f.bijections[1:]):
+            moves = {}
+            for p in f.points:
+                moves[prev[p]] = cur[p]
+                moves[cur[p]] = prev[p]
+            moves_list.append(moves)
+        for moves in moves_list:
+            arr = list(range(h.degree))
+            for p, img in moves.items():
+                arr[p] = img
+            gens.append(tuple(arr))
+    return gens
 
 
 def _point_stabilizer(h: ElementTable, q: int) -> frozenset[int]:

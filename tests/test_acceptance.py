@@ -39,6 +39,7 @@ from group_oracles import (
     dihedral_closed_form,
     gt1_order,
     model_group,
+    s_generators,
     triple_isomorphic,
 )
 
@@ -81,11 +82,10 @@ def test_criterion_01_pair_class_count() -> None:
 
 def test_criterion_02_psl2_7_decomposition() -> None:
     start = time.perf_counter()
-    rep, _, _, _, _, _, h, _ = _sg("psl2:7")
+    rep, _, _, _, _, _, h, decomp = _sg("psl2:7")
     assert rep.order == 512
     assert fingerprint_recognize(rep.fingerprint) == (3, 2)
-    assert rep.generators is not None
-    sg_table = ElementTable(rep.generators, h.degree)
+    sg_table = ElementTable(s_generators(decomp, h), h.degree)
     assert sg_table.order == 512
     assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
     center_ids = ConjugacyClassTable(sg_table).center_ids

@@ -131,6 +131,16 @@ def test_missing_file_exits_nonzero(capsys) -> None:
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("missing_parent", [True, False], ids=["missing-dir", "dir"])
+def test_unwritable_json_path_exits_2(capsys, tmp_path, missing_parent) -> None:
+    # the report is written inside the run, so an OSError is a user error
+    path = tmp_path / "no" / "such" / "x.json" if missing_parent else tmp_path
+    rc, _, err = _run(capsys, ["pc", "cyclic:4", "--threads", "1", "--json", str(path)])
+    assert rc == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [

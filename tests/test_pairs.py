@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -259,17 +260,13 @@ def test_pair_orbit_sizes_partition_pairs() -> None:
     assert total == brute
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["cyclic:6", "dihedral:4", "dihedral:5", "dihedral:6", "quaternion8",
-     "alternating:4", "symmetric:4", "psl2:4"],
-)
-def test_eulerian_identity(spec) -> None:
+def _eulerian_check(group) -> None:
     # a generating pair's conjugation stabilizer is C(g) cap C(h) = Z(G), so
     # every pair class holds |G:Z(G)| pairs
-    table, classes = _tables(spec)
-    pcset = build_pc(table, classes)
-    elements = table.elements
+    table = ElementTable(group.generators, group.degree)
+    pcset = build_pc(table, ConjugacyClassTable(table))
+    elements = list(_closure_set(group.generators))
+    assert len(elements) == table.order
     center = [z for z in elements if all(_mul(z, e) == _mul(e, z) for e in elements)]
     brute = sum(
         1
@@ -277,6 +274,44 @@ def test_eulerian_identity(spec) -> None:
         if len(_closure_set([g, h])) == len(elements)
     )
     assert pcset.ell * (len(elements) // len(center)) == brute
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:6", "dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6",
+     "quaternion8", "symmetric:3", "alternating:4", "symmetric:4", "psl2:4",
+     "psl2:5", "alternating:5",
+     pytest.param("symmetric:5", marks=pytest.mark.extended),
+     pytest.param("psl2:7", marks=pytest.mark.extended)],
+)
+def test_eulerian_identity(spec) -> None:
+    _eulerian_check(construct(spec))
+
+
+@pytest.mark.parametrize("spec, seed", [("alternating:5", 0), ("symmetric:4", 1)])
+def test_eulerian_identity_on_a_relabelled_file_group(tmp_path, spec, seed) -> None:
+    """A seeded random generating pair of the group, its points relabelled,
+    read back through a `file:` spec."""
+    rng = random.Random(seed)
+    elements = sorted(_closure_set(construct(spec).generators))
+    while True:
+        pair = rng.choice(elements), rng.choice(elements)
+        if len(_closure_set(list(pair))) == len(elements):
+            break
+    degree = len(elements[0])
+    sigma = list(range(degree))
+    rng.shuffle(sigma)
+    lines = [f"degree {degree}"]
+    for p in pair:
+        relabelled = [0] * degree
+        for i, img in enumerate(p):
+            relabelled[sigma[i]] = sigma[img]
+        lines.append("images " + " ".join(str(img + 1) for img in relabelled))
+    path = tmp_path / "group.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    group = construct(f"file:{path}")
+    assert group.order == len(elements)
+    _eulerian_check(group)
 
 
 @pytest.mark.parametrize("spec, d2", [("psl2:4", 19), ("psl2:5", 19), ("psl2:7", 57)])

@@ -11,7 +11,12 @@ import pytest
 from gtpairs.atlas import construct
 from gtpairs.cli import pair_stages
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, identity_perm
-from gtpairs.sgroup import assemble_generators, h_orbits, packet_decomposition
+from gtpairs.sgroup import (
+    check_s_generators,
+    h_orbits,
+    packet_decomposition,
+    sg_report,
+)
 from gtpairs.structure import (
     GroupFingerprint,
     abelian_invariants,
@@ -23,6 +28,7 @@ from group_oracles import (
     brute_force_sg,
     brute_packet_decomposition,
     orbit_equivalence,
+    s_generators,
 )
 
 _CACHE: dict = {}
@@ -45,6 +51,11 @@ def _report(spec: str):
     st = _stages(spec)
     h, _, rep = st.decomposition
     return rep, st.blocks, h
+
+
+def _s_generators(spec: str):
+    h, decomp, _ = _stages(spec).decomposition
+    return s_generators(decomp, h)
 
 
 SMALL_SPECS = [
@@ -161,10 +172,9 @@ def test_brute_force_matches_packet_order() -> None:
 
 def test_emitted_generators_close_onto_brute_group() -> None:
     for spec in SMALL_SPECS:
-        rep, blocks, h = _report(spec)
+        _, blocks, h = _report(spec)
         brute = set(brute_force_sg(h, blocks.block_of))
-        assert rep.generators is not None
-        closure = set(ElementTable(rep.generators, h.degree).elements)
+        closure = set(ElementTable(_s_generators(spec), h.degree).elements)
         assert closure == brute, spec
 
 
@@ -201,8 +211,7 @@ def test_psl27_report_values() -> None:
 
 def test_psl27_materialized_group_matches_formulas() -> None:
     rep, blocks, h = _report("psl2:7")
-    assert rep.generators is not None
-    sg_table = ElementTable(rep.generators, h.degree)
+    sg_table = ElementTable(_s_generators("psl2:7"), h.degree)
     assert sg_table.order == 512
     assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
     center_ids = ConjugacyClassTable(sg_table).center_ids
@@ -223,13 +232,13 @@ def test_report_order_equals_packet_product() -> None:
         assert rep.order == expected
 
 
-def _psl27_with_swapped_images(same_block: bool):
-    """psl2:7's packets, with the images of two points swapped in the first
+def _with_swapped_images(spec: str, same_block: bool):
+    """spec's packets, with the images of two points swapped in the first
     member bijection that has two such points in the same (or in different)
     blocks."""
-    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    _, _, _, _, _, blocks, h = _pipeline(spec)
     block_of = blocks.block_of
-    decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
+    decomp = copy.deepcopy(_stages(spec).decomposition[1])
     for f in decomp.factors:
         if f.s < 2:
             continue
@@ -242,19 +251,19 @@ def _psl27_with_swapped_images(same_block: bool):
     raise AssertionError("no packet with two members")
 
 
-def test_assemble_generators_rejects_a_non_equivariant_bijection() -> None:
-    decomp, h, block_of = _psl27_with_swapped_images(same_block=True)
+def test_s_generator_check_rejects_a_non_equivariant_bijection() -> None:
+    decomp, h, block_of = _with_swapped_images("psl2:7", same_block=True)
     with pytest.raises(RuntimeError, match="fails to commute"):
-        assemble_generators(decomp, h, block_of)
+        check_s_generators(decomp, h, block_of)
 
 
-def test_assemble_generators_rejects_a_block_crossing_bijection() -> None:
-    decomp, h, block_of = _psl27_with_swapped_images(same_block=False)
+def test_s_generator_check_rejects_a_block_crossing_bijection() -> None:
+    decomp, h, block_of = _with_swapped_images("psl2:7", same_block=False)
     with pytest.raises(RuntimeError, match="across blocks"):
-        assemble_generators(decomp, h, block_of)
+        check_s_generators(decomp, h, block_of)
 
 
-def test_assemble_generators_rejects_a_point_outside_the_members() -> None:
+def test_s_generator_check_rejects_a_point_outside_the_members() -> None:
     _, _, _, _, _, blocks, h = _pipeline("psl2:7")
     decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
     f = next(f for f in decomp.factors if f.s >= 2)
@@ -262,4 +271,11 @@ def test_assemble_generators_rejects_a_point_outside_the_members() -> None:
     p = f.points[0]
     f.bijections[1][p] = next(q for q in range(h.degree) if q not in inside)
     with pytest.raises(RuntimeError, match="outside its orbits"):
-        assemble_generators(decomp, h, blocks.block_of)
+        check_s_generators(decomp, h, blocks.block_of)
+
+
+def test_sg_report_checks_s_generators_above_ell_2000() -> None:
+    decomp, h, block_of = _with_swapped_images("psl3:3", same_block=True)
+    assert h.degree > 2000
+    with pytest.raises(RuntimeError, match="fails to commute"):
+        sg_report(decomp, h, block_of)

@@ -20,14 +20,12 @@ from gtpairs.structure import (
     isprime,
     lcm_convolve,
     normal_closure,
-    partitions,
     quotient,
     simple_factor_order,
     simple_factors_of_symmetric,
     sort_factor_labels,
     trivial_fingerprint,
     wreath_fingerprint,
-    wreath_order_histogram,
 )
 from group_oracles import SubgroupTable, derived_subgroup_ids
 
@@ -53,16 +51,11 @@ def _top(sigma: Perm, d: int) -> Perm:
     return tuple(out)
 
 
-def _wreath_table(e_gens: list[Perm], d: int, s: int) -> ElementTable:
-    """Materialize (group generated by e_gens) wr Sym(s) as permutations."""
-    gens = [_embed(g, 0, d, s) for g in e_gens]
-    if s >= 2:
-        swap = list(range(s))
-        swap[0], swap[1] = 1, 0
-        gens.append(_top(tuple(swap), d))
-    if s >= 3:
-        gens.append(_top(tuple(list(range(1, s)) + [0]), d))
-    return ElementTable(gens, d * s)
+def _wreath2_table(e_gens: list[Perm], d: int) -> ElementTable:
+    """Materialize (group generated by e_gens) wr Sym(2) as permutations."""
+    gens = [_embed(g, 0, d, 2) for g in e_gens]
+    gens.append(_top((1, 0), d))
+    return ElementTable(gens, 2 * d)
 
 
 def test_factored_text() -> None:
@@ -193,42 +186,35 @@ def test_lcm_convolve_squares_a_histogram() -> None:
     assert lcm_convolve({1: 1, 3: 2}, {1: 1, 2: 1}) == {1: 1, 2: 1, 3: 2, 6: 2}
 
 
-def test_wreath_order_histogram_d8() -> None:
-    assert wreath_order_histogram({1: 1, 2: 1}, 2) == {1: 1, 2: 5, 4: 2}
-
-
-def test_wreath_order_histogram_mass() -> None:
-    import math
-
-    h = element_order_histogram(_table("symmetric:3"))
-    for s in range(1, 5):
-        total = wreath_order_histogram(h, s)
-        assert sum(total.values()) == 6**s * math.factorial(s)
-
-
 def test_wreath_fingerprint_matches_materialized_groups() -> None:
+    d8, q8 = construct("dihedral:4"), construct("quaternion8")
     cases = [
-        ([(1, 0)], 2, 2),
-        ([(1, 0)], 2, 3),
-        ([(1, 2, 0)], 3, 2),
-        ([(1, 0, 2), (1, 2, 0)], 3, 2),
-        ([(1, 2, 3, 0)], 4, 2),
+        ([(1, 0)], 2),
+        ([(1, 2, 0)], 3),
+        ([(1, 0, 2), (1, 2, 0)], 3),
+        ([(1, 2, 3, 0)], 4),
+        ([(1, 0, 2, 3), (0, 1, 3, 2)], 4),
+        (d8.generators, d8.degree),
+        (q8.generators, q8.degree),
     ]
-    for e_gens, d, s in cases:
+    for e_gens, d in cases:
         e_table = ElementTable(e_gens, d)
-        by_formula = wreath_fingerprint(ElementTable(e_table.elements, d), s)
-        by_table = GroupFingerprint.from_mul(_wreath_table(e_gens, d, s))
-        assert by_formula == by_table
+        by_formula = wreath_fingerprint(ElementTable(e_table.elements, d), 2)
+        by_table = GroupFingerprint.from_mul(_wreath2_table(e_gens, d))
+        assert by_formula == by_table, e_gens
 
 
 def test_wreath_fingerprint_trivial_base() -> None:
     e_table = ElementTable([identity_perm(1)], 1)
     sym2 = wreath_fingerprint(e_table, 2)
     assert sym2 == GroupFingerprint.from_mul(_table("symmetric:2"))
-    sym3 = wreath_fingerprint(e_table, 3)
-    assert sym3 == GroupFingerprint.from_mul(_table("symmetric:3"))
-    sym4 = wreath_fingerprint(e_table, 4)
-    assert sym4 == GroupFingerprint.from_mul(_table("symmetric:4"))
+
+
+def test_wreath_fingerprint_rejects_s_outside_one_and_two() -> None:
+    t = _table("cyclic:2")
+    for s in (0, 3):
+        with pytest.raises(ValueError):
+            wreath_fingerprint(t, s)
 
 
 def test_wreath_fingerprint_s_equal_one_is_base() -> None:
@@ -309,11 +295,3 @@ def test_factorint_and_isprime_match_sympy() -> None:
     for n in range(1, 2001):
         assert factorint(n) == sympy.factorint(n), n
         assert isprime(n) == sympy.isprime(n), n
-
-
-def test_partitions_match_sympy_and_are_fresh() -> None:
-    iterables = pytest.importorskip("sympy.utilities.iterables")
-    for s in range(13):
-        ours = list(partitions(s))
-        assert ours == [dict(p) for p in iterables.partitions(s)], s
-        assert len({id(p) for p in ours}) == len(ours)
