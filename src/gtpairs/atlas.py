@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, gcd
 
-from .permcore import Perm, StabilizerChain, parse_cycles, perm_order
+from .permcore import Perm, StabilizerChain, orbit, parse_cycles, perm_order
 from .structure import factorint
 
 PSL2_FIELD_SIZES = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
@@ -187,9 +187,6 @@ def alternating_group(n: int) -> ConstructedGroup:
     return _gate(f"alternating:{n}", n, gens, factorial(n) // 2)
 
 
-_QUAT_AXES = "1ijk"
-
-
 def _quat_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """Multiply quaternions given as (sign, axis) with axes 1, i, j, k."""
     sa, xa = a
@@ -272,16 +269,9 @@ def m11_group() -> ConstructedGroup:
     a = parse_cycles("(1,2,3,4,5,6,7,8,9,10,11)", 11)
     b = parse_cycles("(3,7,11,8)(4,10,5,6)", 11)
     group = _gate("m11", 11, [a, b], 7920)
-    # gate also on 2-transitivity of the action
-    pair_images = {(0, 1)}
-    queue = [(0, 1)]
-    for (x, y) in queue:
-        for g in group.generators:
-            img = (g[x], g[y])
-            if img not in pair_images:
-                pair_images.add(img)
-                queue.append(img)
-    if len(pair_images) != 11 * 10:
+    # gate also on 2-transitivity: the action on ordered pairs, as 11x + y
+    on_pairs = [tuple(11 * g[i // 11] + g[i % 11] for i in range(121)) for g in [a, b]]
+    if len(orbit(on_pairs, 1)) != 11 * 10:
         raise ConstructionError("m11: action is not 2-transitive")
     return group
 

@@ -200,6 +200,11 @@ def pair_stages(
     group: ConstructedGroup, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> PairStages:
     """Run the pair-class chain of a group up to the block partition."""
+    if group.order > cap:
+        raise EnumerationCapError(
+            f"{group.spec} has {group.order} elements, more than --cap {cap}; "
+            "raise --cap to allow a larger group"
+        )
     timings = {}
     start = time.perf_counter()
     table = ElementTable(group.generators, group.degree, cap=cap)

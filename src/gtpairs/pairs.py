@@ -10,6 +10,7 @@ representative of a class is (class rep of g, smallest h in its C(g)-orbit).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .permcore import ConjugacyClassTable, ElementTable, Perm, generates, orbit
@@ -86,8 +87,7 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
     elements = table.elements
     g_id = classes.reps[cid]
     g_perm = elements[g_id]
-    classes.centralizer_ids(g_id)  # closes C(g) and fills centralizer_gens[cid]
-    conj = [table.conjugation_column(c) for c in classes.centralizer_gens[cid]]
+    conj = [table.conjugation_column(c) for c in classes.centralizer_ids(cid)]
     right = table.right_column(g_id)  # e -> e g
     inv = table.inverse_ids
     verdict = [0] * n  # 1 generates, -1 does not, 0 unknown
@@ -133,18 +133,23 @@ def build_pc(
     classes: ConjugacyClassTable,
     threads: int = 1,
 ) -> PcSet:
-    """Enumerate pair classes; one generation test per <g>-double coset."""
+    """Enumerate pair classes; one generation test per <g>-double coset.
+
+    The pool forks all its workers up front, so it gets no more of them than
+    there are classes to sweep or CPUs to run them on.
+    """
     transitive = (
         len(orbit(table.generators, 0)) == table.degree if table.generators else False
     )
     cids = list(range(classes.num_classes))
-    if threads > 1:
+    workers = min(threads, len(cids), len(os.sched_getaffinity(0)))
+    if workers > 1:
         # imported here: the pool pulls in multiprocessing, pickle and socket,
         # which a --threads 1 run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=threads,
+            max_workers=workers,
             initializer=_init_sweep,
             initargs=(table, classes, transitive),
         ) as pool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import re
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import count, islice
 from math import inf, lcm
 from operator import itemgetter
@@ -449,13 +449,19 @@ class ElementTable:
         return [inv[left[inv[f]]] for f in left]
 
 
-def subgroup_table(elements: list[Perm], degree: int) -> ElementTable:
-    """The table of the subgroup with these elements, generated by the ones
-    outside the span of the elements before them."""
+def subgroup_table(
+    candidates: Iterable[Perm], degree: int, order: int | None = None
+) -> ElementTable:
+    """The table of the subgroup the candidates span, generated by the ones
+    outside the span of the candidates before them.  No candidate is drawn
+    once the span reaches `order`."""
+    stop = inf if order is None else order
     table = ElementTable([], degree)
-    for e in elements:
-        if e not in table.index:
-            table = ElementTable(table.generators + [e], degree)
+    for c in candidates:
+        if c not in table.index:
+            table = ElementTable(table.generators + [c], degree)
+            if table.order >= stop:
+                break
     return table
 
 
@@ -467,8 +473,7 @@ class ConjugacyClassTable:
     the conjugation columns of the table generators, so the transporter of
     x^s is gen_cols[s][t_x]; every transporter is re-verified by tuple
     recomposition during construction.  class_orders[c] is the element
-    order shared by every member of class c.  centralizer_gens[c] lists ids
-    generating C(rep of c), filled by centralizer_ids.
+    order shared by every member of class c.
     """
 
     def __init__(self, table: ElementTable):
@@ -503,8 +508,7 @@ class ConjugacyClassTable:
             self.reps[c] for c in range(len(self.reps)) if self.sizes[c] == 1
         )
         self.class_orders = [perm_order(table.elements[r]) for r in self.reps]
-        self.centralizer_gens: dict[int, list[int]] = {}
-        self._centralizers: dict[int, list[int]] = {}
+        self._centralizer_ids: dict[int, list[int]] = {}
 
     def _check_transporters(self) -> None:
         """rep^t = e, checked as rep*t = t*e in tuple arithmetic for every e."""
@@ -521,25 +525,6 @@ class ConjugacyClassTable:
     @property
     def num_classes(self) -> int:
         return len(self.reps)
-
-    def centralizer_ids(self, e: int) -> list[int]:
-        """Element ids commuting with element e, ascending.
-
-        C(e) = C(rep)^t for the class rep and the transporter t of e, read
-        off the conjugation column of t.
-        """
-        cached = self._centralizers.get(e)
-        if cached is not None:
-            return cached
-        cid = self.class_of[e]
-        rep = self.reps[cid]
-        out = self._centralizers.get(rep)
-        if out is None:
-            out = self._centralizers[rep] = self._rep_centralizer(cid)
-        if e != rep:
-            col = self.table.conjugation_column(self.transporter_ids[e])
-            out = self._centralizers[e] = sorted(col[c] for c in out)
-        return out
 
     def _schreier_generators(self, cid: int) -> Iterator[Perm]:
         """t_x s t_y^-1 for each member x of class cid, in BFS order, and
@@ -559,43 +544,34 @@ class ConjugacyClassTable:
                 ty_inv = inverse(table.elements[self.transporter_ids[y]])
                 yield compose(compose(tx, s), ty_inv)
 
-    def _rep_centralizer(self, cid: int) -> list[int]:
-        """C(rep) of class cid, closed from Schreier generators.
+    def centralizer_ids(self, cid: int) -> list[int]:
+        """Ids of generators of C(rep) for the representative rep of class
+        cid, cached per class.
 
         |C(rep)| = |G| / |class| is known.  For a class member x and a
         generator s with x^s = y, t_x s t_y^-1 fixes rep under conjugation
-        (Schreier's lemma), and these elements generate C(rep).  They are
-        closed one at a time until the closure reaches the known order; the
-        ids of the ones kept go to centralizer_gens[cid].
+        (Schreier's lemma), and these elements generate C(rep); the closure
+        keeps the ones it needs to reach the known order.  A central class
+        keeps the table generators.
         """
+        cached = self._centralizer_ids.get(cid)
+        if cached is not None:
+            return cached
         table = self.table
         rep = table.elements[self.reps[cid]]
         known = table.order // self.sizes[cid]
-
-        def check(w: Perm) -> None:
-            if compose(rep, w) != compose(w, rep):
-                raise CentralizerCheckError(
-                    f"centralizer check failed: a Schreier generator of class "
-                    f"{cid} does not commute with its representative"
-                )
-
-        if known == table.order:
-            for s in table.generators:
-                check(s)
-            self.centralizer_gens[cid] = [table.index[s] for s in table.generators]
-            return list(range(table.order))
-        closure = ElementTable([], table.degree)
-        for w in self._schreier_generators(cid):
-            if w in closure.index:
-                continue
-            check(w)
-            closure = ElementTable(closure.generators + [w], table.degree)
-            if closure.order >= known:
-                break
+        closure = table
+        if known != table.order:
+            closure = subgroup_table(self._schreier_generators(cid), table.degree, known)
+        if any(compose(rep, w) != compose(w, rep) for w in closure.generators):
+            raise CentralizerCheckError(
+                f"centralizer check failed: a Schreier generator of class "
+                f"{cid} does not commute with its representative"
+            )
         if closure.order != known:
             raise CentralizerCheckError(
                 f"centralizer check failed: class {cid} closes to order "
                 f"{closure.order}, not |G|/|class| = {known}"
             )
-        self.centralizer_gens[cid] = [table.index[w] for w in closure.generators]
-        return sorted(table.index[p] for p in closure.elements)
+        out = self._centralizer_ids[cid] = [table.index[w] for w in closure.generators]
+        return out

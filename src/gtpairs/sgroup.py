@@ -16,8 +16,8 @@ from .permcore import (
     ElementTable,
     EnumerationCapError,
     Perm,
-    compose,
     is_identity,
+    orbit,
     subgroup_table,
 )
 from .structure import (
@@ -56,7 +56,7 @@ def h_orbits(h: ElementTable) -> list[HOrbit]:
     for p in range(h.degree):
         if seen[p]:
             continue
-        pts = sorted({e[p] for e in h.elements})
+        pts = sorted(orbit(h.generators, p))
         for q in pts:
             seen[q] = True
         stab = frozenset(i for i, e in enumerate(h.elements) if e[p] == p)
@@ -88,18 +88,13 @@ def _point_key(h: ElementTable, q: int, block_of: list[int]) -> tuple:
     return stab, tuple(block_of[e[q]] for e in h.elements)
 
 
-def _self_maps(h: ElementTable, orbit: HOrbit, targets: list[int]) -> list[Perm]:
+def _self_maps(h: ElementTable, o: HOrbit, targets: list[int]) -> list[Perm]:
     """The equivariant maps sending the base to each target, as local perms."""
-    pos = {p: i for i, p in enumerate(orbit.points)}
+    pos = {p: i for i, p in enumerate(o.points)}
     out = []
     for q in targets:
-        bij = _equivariant_map(h, orbit, q)
-        out.append(tuple(pos[bij[p]] for p in orbit.points))
-    known = set(out)
-    for a in out:
-        for b in out:
-            if compose(a, b) not in known:
-                raise RuntimeError("self-equivalence set is not closed")
+        bij = _equivariant_map(h, o, q)
+        out.append(tuple(pos[bij[p]] for p in o.points))
     return out
 
 
@@ -208,6 +203,8 @@ def sg_report(
     simple: list[str] = []
     packets = []
     e_tables = [subgroup_table(f.e_elements, len(f.points)) for f in decomp.factors]
+    if any(e.order != f.e_order for f, e in zip(decomp.factors, e_tables)):
+        raise RuntimeError("self-equivalence set is not closed")
     for f, e_table in zip(decomp.factors, e_tables):
         simple += composition_factors_small(e_table) * f.s
         simple += simple_factors_of_symmetric(f.s)

@@ -1,12 +1,13 @@
 """Composition factors and group fingerprints.
 
 Every group here is a permutation group held as an ElementTable.  Subgroups
-come from `normal_closure`, and quotients from `quotient`, the action on the
-cosets of a normal subgroup, so derived subgroups, abelianizations and
-composition series are ElementTables too.  Fingerprints of large products
-are assembled per factor with closed wreath-product formulas instead of
-materializing the group.  The small integer helpers (factorint, isprime)
-are stdlib trial division, sized for the group orders met here.
+come from `subgroup_table`, the span of conjugacy classes or commutators,
+and quotients from `quotient`, the action on the cosets of a normal
+subgroup, so derived subgroups, abelianizations and composition series are
+ElementTables too.  Fingerprints of large products are assembled per factor
+with closed wreath-product formulas instead of materializing the group.
+The small integer helpers (factorint, isprime) are stdlib trial division,
+sized for the group orders met here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, lcm
 
-from .permcore import ConjugacyClassTable, ElementTable, Perm, compose, conjugate, inverse
+from .permcore import (
+    ConjugacyClassTable,
+    ElementTable,
+    Perm,
+    compose,
+    conjugate,
+    inverse,
+    subgroup_table,
+)
 
 
 class StructureSizeError(RuntimeError):
@@ -45,24 +54,6 @@ def factored_text(n: int) -> str:
     return " * ".join(parts) or "1"
 
 
-def normal_closure(t: ElementTable, seeds: list[Perm]) -> ElementTable:
-    """The least normal subgroup of t containing the seeds.
-
-    A candidate already in the closure is skipped; otherwise it becomes a
-    generator and its conjugates by t's generators become candidates.  A
-    subgroup that holds these conjugates of its generators is normal.  Every
-    new generator at least doubles the closure, so there are at most
-    log2 of its order.
-    """
-    n = ElementTable([], t.degree)
-    candidates = list(seeds)
-    for c in candidates:
-        if c not in n.index:
-            n = ElementTable(n.generators + [c], t.degree)
-            candidates += [conjugate(c, x) for x in t.generators]
-    return n
-
-
 def quotient(t: ElementTable, normal: ElementTable) -> ElementTable:
     """t acting on the right cosets N*x of a normal subgroup N.
 
@@ -84,11 +75,16 @@ def quotient(t: ElementTable, normal: ElementTable) -> ElementTable:
 
 
 def derived_subgroup(t: ElementTable) -> ElementTable:
-    """The commutator subgroup: the normal closure of the commutators of the
-    generators."""
-    gens = t.generators
-    comms = [compose(inverse(a), conjugate(a, b)) for a in gens for b in gens]
-    return normal_closure(t, comms)
+    """The commutator subgroup, spanned by the commutators [x, s] of the
+    elements x with the generators s.
+
+    [x, s]^g = [xg, s][g, s]^-1, so the span is normal, and every generator
+    is central modulo it, so the quotient is abelian.
+    """
+    comms = (
+        compose(inverse(x), conjugate(x, s)) for x in t.elements for s in t.generators
+    )
+    return subgroup_table(comms, t.degree)
 
 
 def element_order_histogram(t: ElementTable) -> dict[int, int]:
@@ -319,16 +315,19 @@ def _simple_label(t: ElementTable) -> str:
 
 def composition_factors_small(t: ElementTable, limit: int = 10**4) -> list[str]:
     """Composition factor labels of a group, by minimal normal subgroups: the
-    least normal closure of a conjugacy class, then its quotient."""
+    least subgroup spanned by a conjugacy class, then its quotient."""
     if t.order > limit:
         raise StructureSizeError(
             f"composition factors supported up to order {limit}, got {t.order}"
         )
     if t.order == 1:
         return []
-    reps = ConjugacyClassTable(t).reps[1:]
+    classes = ConjugacyClassTable(t)
+    members: list[list[Perm]] = [[] for _ in classes.reps]
+    for p, c in zip(t.elements, classes.class_of):
+        members[c].append(p)
     best = min(
-        (normal_closure(t, [t.elements[r]]) for r in reps), key=lambda n: n.order
+        (subgroup_table(m, t.degree) for m in members[1:]), key=lambda n: n.order
     )
     if best.order == t.order:
         return [_simple_label(t)]

@@ -413,7 +413,7 @@ def transporter_tuple(
     )
     rest_a = [table.elements[e] for e in tup_a[1:]]
     rest_b = [table.elements[e] for e in tup_b[1:]]
-    for c in classes.centralizer_ids(a):
+    for c in scan_centralizer_ids(table, a):
         t = compose(table.elements[c], t0)
         if all(conjugate(pa, t) == pb for pa, pb in zip(rest_a, rest_b)):
             return t

@@ -246,7 +246,23 @@ def test_model_commands_cap_the_base_group(capsys, monkeypatch, command) -> None
     assert not out
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "passed 1000 elements" in lines[0] and "raise --cap" in lines[0]
+    assert "psl3:3 has 5616 elements, more than --cap 1000" in lines[0]
+    assert "raise --cap" in lines[0]
+
+
+def test_base_group_past_cap_is_refused_before_its_table(capsys, monkeypatch) -> None:
+    # |symmetric:10| = 3628800 is known from construction, so no table is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ElementTable ran on a base group past --cap")
+
+    monkeypatch.setattr(cli, "ElementTable", unreachable)
+    rc, out, err = _run(capsys, ["pc", "symmetric:10", "--threads", "1"])
+    assert rc == 2
+    assert not out
+    assert err == (
+        "error: symmetric:10 has 3628800 elements, more than --cap 1000000; "
+        "raise --cap to allow a larger group\n"
+    )
 
 
 def test_small_base_group_leaves_the_model_refusal(capsys) -> None:

@@ -215,7 +215,7 @@ def test_tables_are_freed_without_the_cycle_collector() -> None:
     try:
         table = _table("psl2:7")
         classes = ConjugacyClassTable(table)
-        classes.centralizer_ids(table.order - 1)
+        classes.centralizer_ids(classes.num_classes - 1)
         pcset = build_pc(table, classes)
         pcset.locate(*pcset.reps[-1])
         gbar = model_group(construct("dihedral:5"))

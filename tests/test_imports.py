@@ -1,0 +1,71 @@
+"""Import hygiene of the package: every imported name is used.
+
+The only exceptions are re-exports on lines marked `# noqa: F401`, and
+each of those must be a name that `perfbench/spans.py` patches in that
+module: the benchmark wraps a function under the name its caller looks it
+up by, so such a re-export is how a caller's name is reached from outside.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gtpairs"
+
+REEXPORTS = {
+    ("gbar", "ConjugacyClassTable"),
+    ("gbar", "build_pc"),
+    ("gbar", "out_representatives"),
+    ("dessins", "extend_pair_map"),
+}
+
+
+def _imports() -> list[tuple[str, str, int, bool, bool]]:
+    """(module, bound name, line, used, on a `# noqa: F401` line) for every
+    import in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    marked = "# noqa: F401" in lines[alias.lineno - 1]
+                    out.append((path.stem, name, alias.lineno, name in used, marked))
+    return out
+
+
+def _patched() -> set[tuple[str, str]]:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {
+        (path.split(":")[0].rsplit(".", 1)[-1], attr) for path, attr, *_ in spans.PATCHES
+    }
+
+
+def test_every_import_is_used_or_a_marked_reexport() -> None:
+    imports = _imports()
+    unused = [(mod, name) for mod, name, _, used, _ in imports if not used]
+    assert [(mod, name) for mod, name, _, used, marked in imports if not (used or marked)] == []
+    assert sorted(unused) == sorted(REEXPORTS)
+
+
+def test_every_noqa_line_holds_a_reexport() -> None:
+    imports = _imports()
+    marked_lines = {(mod, line) for mod, _, line, _, marked in imports if marked}
+    assert marked_lines == {(mod, line) for mod, _, line, used, _ in imports if not used}
+
+
+def test_every_reexport_is_patched_by_the_benchmark() -> None:
+    assert REEXPORTS <= _patched()

@@ -153,6 +153,43 @@ def test_threads_match_serial() -> None:
         assert a._lookup == b._lookup
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially
+    in this process and starts nothing."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.seen.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    ("threads", "cpus", "workers"), [(8, 4, 4), (8, 64, 5), (3, 64, 3), (8, 1, None)]
+)
+def test_workers_bounded_by_classes_and_cpus(monkeypatch, threads, cpus, workers) -> None:
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "seen", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    table, classes = _tables("psl2:5")  # 5 conjugacy classes
+    serial = build_pc(table, classes, threads=1)
+    assert _SerialPool.seen == []
+    pooled = build_pc(table, classes, threads=threads)
+    assert _SerialPool.seen == ([] if workers is None else [workers])
+    assert pooled.reps == serial.reps and pooled._lookup == serial._lookup
+
+
 ORACLE_SPECS = [
     "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11", "psl2:13",
     "alternating:5", "alternating:6", "alternating:7",

@@ -24,6 +24,7 @@ from gtpairs.permcore import (
     inverse,
     parse_cycles,
     perm_order,
+    subgroup_table,
 )
 from group_oracles import scan_centralizer_ids, transporter_tuple
 
@@ -243,17 +244,25 @@ def test_transporters_recompose() -> None:
         assert conjugate(rep, t) == table.elements[e]
 
 
+def _centralizer_span(classes, cid):
+    """The closure of centralizer_ids(cid), after checking that every
+    generator commutes with the class representative."""
+    table = classes.table
+    rep = table.elements[classes.reps[cid]]
+    gens = [table.elements[c] for c in classes.centralizer_ids(cid)]
+    for c in gens:
+        assert _mul(c, rep) == _mul(rep, c)
+    return ElementTable(gens, table.degree)
+
+
 def test_centralizer() -> None:
     gens = [parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)]
     table = ElementTable(gens, 3)
     classes = ConjugacyClassTable(table)
     rot = table.index[parse_cycles("(1,2,3)", 3)]
-    cent = classes.centralizer_ids(rot)
-    assert len(cent) == 3
-    for c in cent:
-        assert compose(table.elements[c], table.elements[rot]) == compose(
-            table.elements[rot], table.elements[c]
-        )
+    cent = _centralizer_span(classes, classes.class_of[rot])
+    assert set(cent.elements) == {table.elements[c] for c in scan_centralizer_ids(table, rot)}
+    assert cent.order == 3
 
 
 def _class_tables(spec):
@@ -266,18 +275,41 @@ def _class_tables(spec):
     "spec", ["symmetric:4", "alternating:5", "dihedral:6", "quaternion8", "psl2:7"]
 )
 def test_centralizer_of_every_element_matches_scan(spec) -> None:
+    # C(e) = C(rep)^t for the transporter t of e, conjugated here by tuples
     _, table, classes = _class_tables(spec)
+    spans = [_centralizer_span(classes, cid) for cid in range(classes.num_classes)]
     for e in range(table.order):
-        assert classes.centralizer_ids(e) == scan_centralizer_ids(table, e)
+        t = table.elements[classes.transporter_ids[e]]
+        cent = {_mul(_mul(_inv(t), c), t) for c in spans[classes.class_of[e]].elements}
+        assert cent == {table.elements[c] for c in scan_centralizer_ids(table, e)}
 
 
 @pytest.mark.parametrize("spec", ["psl2:13", "alternating:7", "psl3:3"])
 def test_class_centralizer_orders_match_sympy(spec) -> None:
     g, table, classes = _class_tables(spec)
     group = PermutationGroup([Permutation(list(p)) for p in g.generators])
-    for rep in classes.reps:
+    for cid, rep in enumerate(classes.reps):
         want = group.centralizer(Permutation(list(table.elements[rep]))).order()
-        assert len(classes.centralizer_ids(rep)) == want
+        assert _centralizer_span(classes, cid).order == want
+
+
+def test_centralizer_ids_are_cached_per_class() -> None:
+    _, _, classes = _class_tables("psl2:7")
+    assert classes.centralizer_ids(2) is classes.centralizer_ids(2)
+
+
+def test_subgroup_table_draws_nothing_once_the_span_reaches_order() -> None:
+    rot, swap = parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)
+
+    def candidates():
+        yield rot
+        yield swap
+        raise AssertionError("a candidate was drawn after the span reached order")
+
+    sub = subgroup_table(candidates(), 4, order=8)
+    assert sub.order == 8
+    assert sub.generators == [rot, swap]
+    assert subgroup_table([rot, compose(rot, rot), swap], 4).generators == [rot, swap]
 
 
 @pytest.mark.parametrize("spec", ["symmetric:4", "psl2:7"])
@@ -291,7 +323,7 @@ def test_centralizer_check_names_wrong_class_size() -> None:
     _, table, classes = _class_tables("psl2:5")
     classes.sizes[1] //= 2
     with pytest.raises(CentralizerCheckError, match="centralizer check failed"):
-        classes.centralizer_ids(classes.reps[1])
+        classes.centralizer_ids(1)
 
 
 def test_transporter_pair_s3_example() -> None:

@@ -279,3 +279,13 @@ def test_sg_report_checks_s_generators_above_ell_2000() -> None:
     assert h.degree > 2000
     with pytest.raises(RuntimeError, match="fails to commute"):
         sg_report(decomp, h, block_of)
+
+
+def test_sg_report_rejects_an_unclosed_self_equivalence_set() -> None:
+    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
+    f = decomp.factors[0]
+    # a 3-cycle and the identity: the span has order 3, not 2
+    f.e_elements = [identity_perm(len(f.points)), (1, 2, 0) + tuple(range(3, len(f.points)))]
+    with pytest.raises(RuntimeError, match="self-equivalence set is not closed"):
+        sg_report(decomp, h, blocks.block_of)

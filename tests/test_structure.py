@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from gtpairs.atlas import construct
-from gtpairs.permcore import ConjugacyClassTable, ElementTable, Perm, identity_perm
+from gtpairs.permcore import (
+    ConjugacyClassTable,
+    ElementTable,
+    Perm,
+    identity_perm,
+    subgroup_table,
+)
 from gtpairs.structure import (
     GroupFingerprint,
     StructureSizeError,
@@ -19,7 +25,6 @@ from gtpairs.structure import (
     fingerprint_recognize,
     isprime,
     lcm_convolve,
-    normal_closure,
     quotient,
     simple_factor_order,
     simple_factors_of_symmetric,
@@ -74,12 +79,20 @@ def test_element_table_over_element_list() -> None:
     assert t.element_order(1) == 2
 
 
+def _class_span(t: ElementTable, p: Perm) -> ElementTable:
+    """The subgroup spanned by the conjugacy class of p: its normal closure."""
+    classes = ConjugacyClassTable(t)
+    cid = classes.class_of[t.index[p]]
+    members = [q for e, q in enumerate(t.elements) if classes.class_of[e] == cid]
+    return subgroup_table(members, t.degree)
+
+
 def test_subgroup_closure_of_rotation_in_dihedral() -> None:
     t = _table("dihedral:6")
     rot = next(
         i for i in range(t.order) if t.element_order(i) == 6
     )
-    rotations = normal_closure(t, [t.elements[rot]])
+    rotations = _class_span(t, t.elements[rot])
     assert rotations.order == 6
     assert set(rotations.elements) <= set(t.elements)
 
@@ -88,9 +101,10 @@ def test_normal_closure_adds_conjugates() -> None:
     t = _table("symmetric:4")
     transposition = (1, 0, 2, 3)
     assert ElementTable([transposition], 4).order == 2
-    assert normal_closure(t, [transposition]).order == 24
-    assert normal_closure(t, [(1, 0, 3, 2)]).order == 4
-    assert normal_closure(t, []).order == 1
+    assert _class_span(t, transposition).order == 24
+    klein = _class_span(t, (1, 0, 3, 2))
+    assert set(klein.elements) == {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
+    assert subgroup_table([], 4).order == 1
 
 
 def test_center_of_dihedral_groups() -> None:
@@ -139,14 +153,14 @@ def test_abelian_invariants_elementary_and_mixed() -> None:
 def test_quotient_of_dihedral4_by_center_is_klein() -> None:
     t = _table("dihedral:4")
     center = [t.elements[i] for i in ConjugacyClassTable(t).center_ids]
-    q = quotient(t, normal_closure(t, center))
+    q = quotient(t, subgroup_table(center, t.degree))
     assert q.order == 4
     assert abelian_invariants(q) == (2, 2)
 
 
 def test_quotient_by_trivial_and_whole_group() -> None:
     t = _table("symmetric:4")
-    assert quotient(t, normal_closure(t, [])).order == 24
+    assert quotient(t, subgroup_table([], t.degree)).order == 24
     assert quotient(t, t).order == 1
     assert quotient(t, derived_subgroup(t)).order == 2
 
