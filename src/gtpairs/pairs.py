@@ -3,17 +3,19 @@
 A pair class is the conjugation orbit of an ordered generating pair (g, h).
 Classes are canonically numbered: sweep conjugacy classes of g in table
 order; within one sweep, h runs over element ids ascending and a whole
-C(g)-orbit of h is settled at once.  One generation test settles every h in
-<g> h^C(g) <g> and the inverses of that set.  The canonical
-representative of a class is (class rep of g, smallest h in its C(g)-orbit).
+C(g)-orbit of h is settled at once.  One generation test settles every h
+reached from the tested one by the moves h -> h g and h -> h^k, k prime to
+|h|, and their C(g)-orbits.  The canonical representative of a class is
+(class rep of g, smallest h in its C(g)-orbit).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from math import gcd
 
-from .permcore import ConjugacyClassTable, ElementTable, Perm, generates, orbit
+from .permcore import ConjugacyClassTable, ElementTable, Perm, composer, generates, orbit
 
 
 class PairLookupError(KeyError):
@@ -61,27 +63,52 @@ class PcSet:
         return idx
 
 
+def coprime_powers(table: ElementTable) -> list[list[int]]:
+    """powers[e] = the ids of e^k for k prime to m = |e|: the generators of <e>.
+
+    They are the same for every generator of <e>, so its members share one
+    list object.  The ids are table.index's own ints.
+    """
+    elements, index = table.elements, table.index
+    powers: list = [None] * table.order
+    for e, e_perm in enumerate(elements):
+        if powers[e] is not None:
+            continue
+        by_e = composer(e_perm)
+        walk = [index[e_perm]]  # ids of e, e^2, ..., e^m = identity
+        p = by_e(e_perm)
+        while p != e_perm:
+            walk.append(index[p])
+            p = by_e(p)
+        m = len(walk)
+        gens = [f for k, f in enumerate(walk, 1) if gcd(k, m) == 1]
+        for f in gens:
+            powers[f] = gens
+    return powers
+
+
 _SWEEP_STATE: dict = {}
 
 
-def _init_sweep(table: ElementTable, classes: ConjugacyClassTable, transitive: bool) -> None:
-    _SWEEP_STATE["table"] = table
-    _SWEEP_STATE["classes"] = classes
-    _SWEEP_STATE["transitive"] = transitive
+def _init_sweep(
+    table: ElementTable, classes: ConjugacyClassTable, transitive: bool, powers: list
+) -> None:
+    _SWEEP_STATE.update(table=table, classes=classes, transitive=transitive, powers=powers)
 
 
 def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
     """Settle all pairs (rep of class cid, h); returns (h reps, h -> local idx).
 
-    <g, h> is also <g, h g> and <g, h^-1>, so one verdict holds for every h
-    reached by those two moves, i.e. on the <g>-double coset of h and its
-    inverses.  A C(g)-orbit, walked through the conjugation columns of the
-    generators of C(g), takes the verdict of any member that has one, and
-    only an orbit without one runs a generation test.
+    <g, h> is also <g, h g> and <g, h^k> for every k prime to |h|, so one
+    verdict holds for every h reached by those moves.  h^-1 = h^(|h|-1) is
+    one of them.  A C(g)-orbit, walked through the conjugation columns of
+    the generators of C(g), takes the verdict of any member that has one,
+    and only an orbit without one runs a generation test.
     """
     table: ElementTable = _SWEEP_STATE["table"]
     classes: ConjugacyClassTable = _SWEEP_STATE["classes"]
     transitive: bool = _SWEEP_STATE["transitive"]
+    powers: list[list[int]] = _SWEEP_STATE["powers"]
     n = table.order
     degree = table.degree
     elements = table.elements
@@ -89,7 +116,6 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
     g_perm = elements[g_id]
     conj = [table.conjugation_column(c) for c in classes.centralizer_ids(cid)]
     right = table.right_column(g_id)  # e -> e g
-    inv = table.inverse_ids
     verdict = [0] * n  # 1 generates, -1 does not, 0 unknown
     assign = [-1] * n  # -1 unseen, -3 in the current orbit
     local_reps: list[int] = []
@@ -114,7 +140,11 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
             verdict[h] = gen
             queue = [h]
             for e in queue:
-                for f in (right[e], inv[e]):
+                f = right[e]
+                if not verdict[f]:
+                    verdict[f] = gen
+                    queue.append(f)
+                for f in powers[e]:
                     if not verdict[f]:
                         verdict[f] = gen
                         queue.append(f)
@@ -133,14 +163,17 @@ def build_pc(
     classes: ConjugacyClassTable,
     threads: int = 1,
 ) -> PcSet:
-    """Enumerate pair classes; one generation test per <g>-double coset.
+    """Enumerate pair classes; one generation test settles the closure of h
+    under h -> h g and h -> h^k, k prime to |h| (`_sweep_class`).
 
-    The pool forks all its workers up front, so it gets no more of them than
-    there are classes to sweep or CPUs to run them on.
+    The power lists are built once here and handed to every sweep.  The pool
+    forks all its workers up front, so they inherit the lists, and it gets
+    no more workers than there are classes to sweep or CPUs to run them on.
     """
     transitive = (
         len(orbit(table.generators, 0)) == table.degree if table.generators else False
     )
+    powers = coprime_powers(table)
     cids = list(range(classes.num_classes))
     workers = min(threads, len(cids), len(os.sched_getaffinity(0)))
     if workers > 1:
@@ -151,12 +184,13 @@ def build_pc(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_sweep,
-            initargs=(table, classes, transitive),
+            initargs=(table, classes, transitive, powers),
         ) as pool:
             swept = list(pool.map(_sweep_class, cids))
     else:
-        _init_sweep(table, classes, transitive)
+        _init_sweep(table, classes, transitive, powers)
         swept = [_sweep_class(c) for c in cids]
+        _SWEEP_STATE.clear()  # keeps no table alive past its results
     reps: list[tuple[int, int]] = []
     g_class: list[int] = []
     h_class: list[int] = []

@@ -2,9 +2,9 @@
 a direct product, a transitivity test, the dihedral and GT1 counts, a
 brute-force double-coset survey, a pairwise packet decomposition, an
 exhaustive S search, S's generators as whole permutations, a per-orbit
-pair sweep, a tuple pair locator, scanned centralizers, structure-triple
-isomorphism and mul-table group structure, kept out of the library they
-check.  Tests get a model group through
+pair sweep, coprime powers, a tuple pair locator, scanned centralizers,
+structure-triple isomorphism and mul-table group structure, kept out of the
+library they check.  Tests get a model group through
 `model_group`, the command line's chain."""
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -380,6 +380,20 @@ def brute_build_pc(table: ElementTable, classes: ConjugacyClassTable) -> PcSet:
                 assign[e] = mark
         lookup.append(assign)
     return PcSet(table, classes, reps, g_class, h_class, lookup)
+
+
+def coprime_power_sets(elements: list[Perm]) -> list[set[Perm]]:
+    """For each element e, {e^k : 1 <= k <= |e|, gcd(k, |e|) = 1}, the powers
+    taken by repeated list_compose."""
+    out = []
+    for e in elements:
+        ident = tuple(range(len(e)))
+        powers = [e]
+        while powers[-1] != ident:
+            powers.append(list_compose(powers[-1], e))
+        m = len(powers)
+        out.append({powers[k - 1] for k in range(1, m + 1) if gcd(k, m) == 1})
+    return out
 
 
 def tuple_locate(pcset: PcSet, g: int, h: int) -> int | None:

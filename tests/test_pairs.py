@@ -1,16 +1,30 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 from gtpairs.atlas import construct
 from gtpairs.autgroup import out_representatives
 from gtpairs.cli import pair_stages
-from gtpairs.pairs import PairLookupError, block_partition, build_pc, induced_perms
-from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, conjugate
-from group_oracles import brute_build_pc
+from gtpairs.pairs import (
+    PairLookupError,
+    block_partition,
+    build_pc,
+    coprime_powers,
+    induced_perms,
+)
+from gtpairs.permcore import (
+    ConjugacyClassTable,
+    ElementTable,
+    compose,
+    conjugate,
+    generates,
+)
+from group_oracles import brute_build_pc, coprime_power_sets
 
 
 def _tables(spec):
@@ -153,6 +167,15 @@ def test_threads_match_serial() -> None:
         assert a._lookup == b._lookup
 
 
+def test_serial_sweep_keeps_no_table_alive() -> None:
+    table, classes = _tables("psl2:7")
+    pcset = build_pc(table, classes)
+    ref = weakref.ref(table)
+    del table, classes, pcset
+    gc.collect()
+    assert ref() is None
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps serially
     in this process and starts nothing."""
@@ -212,6 +235,48 @@ def test_sweep_matches_per_orbit_oracle(spec) -> None:
     assert got.g_class == want.g_class
     assert got.h_class == want.h_class
     assert got._lookup == want._lookup
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:1", "cyclic:12", "cyclic:30", "dihedral:12", "quaternion8",
+     "symmetric:4", "alternating:7", "psl2:13"],
+)
+def test_coprime_powers_match_oracle(spec) -> None:
+    table, _ = _tables(spec)
+    powers = coprime_powers(table)
+    want = coprime_power_sets(table.elements)
+    assert len(powers) == len(want) == table.order
+    for e, ids in enumerate(powers):
+        assert e in ids
+        assert len(ids) == len(want[e])
+        assert {table.elements[f] for f in ids} == want[e]
+        # the generators of <e> share one list
+        assert all(powers[f] is ids for f in ids)
+
+
+GENERATION_TESTS = [
+    ("psl2:5", 7), ("psl2:7", 16), ("psl2:9", 18), ("psl2:11", 31),
+    ("psl2:13", 17), ("alternating:7", 55), ("psl3:3", 44),
+    pytest.param("m11", 45, marks=pytest.mark.extended),
+    pytest.param("alternating:8", 270, marks=pytest.mark.extended),
+]
+
+
+@pytest.mark.parametrize("spec, tests", GENERATION_TESTS)
+def test_generation_test_counts(monkeypatch, spec, tests) -> None:
+    # the closure of the sweep's moves fixes which h are tested, so the count
+    # is exact: a lost move or a narrower spread tests more h
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return generates(*args)
+
+    monkeypatch.setattr("gtpairs.pairs.generates", counting)
+    table, classes = _tables(spec)
+    build_pc(table, classes)
+    assert len(calls) == tests
 
 
 def test_s3_induced_theta_delta() -> None:
@@ -315,7 +380,8 @@ def _eulerian_check(group) -> None:
 
 @pytest.mark.parametrize(
     "spec",
-    ["cyclic:6", "dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6",
+    ["cyclic:6", "cyclic:12", "cyclic:30", "dihedral:3", "dihedral:4",
+     "dihedral:5", "dihedral:6", "dihedral:8", "dihedral:12", "dihedral:15",
      "quaternion8", "symmetric:3", "alternating:4", "symmetric:4", "psl2:4",
      "psl2:5", "alternating:5",
      pytest.param("symmetric:5", marks=pytest.mark.extended),
