@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, gcd
 
-from .permcore import Perm, StabilizerChain, orbit, parse_cycles, perm_order
+from .permcore import (
+    Perm,
+    StabilizerChain,
+    compose,
+    orbit,
+    parse_cycles,
+    perm_order,
+    read_permutation_file,
+)
 from .structure import factorint
 
 PSL2_FIELD_SIZES = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
@@ -49,7 +57,9 @@ class FieldGF:
     coefficients.  Multiplication is modulo the first monic polynomial of
     degree d, in lexicographic coefficient order, whose multiplication table
     has no zero divisor.  A finite ring without zero divisors is a field, so
-    that is the first irreducible modulus (x for d = 1).
+    that is the first irreducible modulus (x for d = 1).  Each row of the
+    table follows Horner's rule, a*b = b0*a + x*(a*(b // p)), from a
+    "times x" table and the scalar multiples of a.
     """
 
     def __init__(self, q: int):
@@ -57,23 +67,31 @@ class FieldGF:
         if len(factors) != 1:
             raise GroupSpecError(f"{q} is not a prime power")
         ((p, d),) = factors.items()
-        self.q = q
-        self.p = p
-        self.d = d
-        self._add = [
-            [self._poly_to_int(self._poly_add(a, b)) for b in range(q)]
-            for a in range(q)
-        ]
-        for counter in range(p**d):
-            self.modulus = self._digits(counter) + [1]
-            self._mul = [
-                [self._poly_to_int(self._poly_mulmod(a, b)) for b in range(q)]
-                for a in range(q)
-            ]
-            if all(0 not in row[1:] for row in self._mul[1:]):
+        self.q, self.p, self.d = q, p, d
+        # the low digits add mod p; the higher ones are row a // p's sum
+        add = [list(range(q))]
+        for a in range(1, q):
+            add.append([(a + b) % p + p * add[a // p][b // p] for b in range(q)])
+        scale = [[0] * q]  # scale[c][a] = c*a for the scalars c < p
+        for _ in range(1, p):
+            scale.append([add[ca][a] for a, ca in enumerate(scale[-1])])
+        top = p ** (d - 1)
+        for low in range(p**d):
+            # x^d = -low: x*a shifts a's digits up and adds (p-c)*low for the top digit c
+            times_x = [add[(a % top) * p][scale[-(a // top) % p][low]] for a in range(q)]
+            mul = []
+            for a in range(q):
+                row = [0]
+                for b in range(1, q):
+                    row.append(add[scale[b % p][a]][times_x[row[b // p]]])
+                mul.append(row)
+            if all(0 not in row[1:] for row in mul[1:]):
                 break
         else:
             raise AssertionError(f"no irreducible modulus of degree {d} over GF({p})")
+        self.modulus = [low // p**i % p for i in range(d)] + [1]
+        self._add = add
+        self._mul = mul
         self.generator = p if d > 1 else 1  # the class of x generates an extension
         self._verify()
 
@@ -84,10 +102,7 @@ class FieldGF:
         return self._mul[a][b]
 
     def neg(self, a: int) -> int:
-        for b in range(self.q):
-            if self._add[a][b] == 0:
-                return b
-        raise AssertionError(f"no additive inverse for {a} in GF({self.q})")
+        return self._add[a].index(0)
 
     def inv(self, a: int) -> int:
         for b in range(self.q):
@@ -95,58 +110,21 @@ class FieldGF:
                 return b
         raise ZeroDivisionError(f"no inverse for {a} in GF({self.q})")
 
-    def _digits(self, k: int) -> list[int]:
-        out = []
-        for _ in range(self.d):
-            out.append(k % self.p)
-            k //= self.p
-        return out
-
-    def _poly_to_int(self, coeffs: list[int]) -> int:
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + c
-        return val
-
-    def _poly_add(self, a: int, b: int) -> list[int]:
-        da, db = self._digits(a), self._digits(b)
-        return [(x + y) % self.p for x, y in zip(da, db)]
-
-    def _poly_mulmod(self, a: int, b: int) -> list[int]:
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.d - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the monic modulus
-        for top in range(len(prod) - 1, self.d - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for k, m in enumerate(self.modulus[:-1]):
-                    idx = top - self.d + k
-                    prod[idx] = (prod[idx] - c * m) % self.p
-        return prod[: self.d]
-
     def _verify(self) -> None:
-        q = self.q
-        rng = range(q)
+        add, mul, rng = self._add, self._mul, range(self.q)
         for a in rng:
-            if self._add[a][0] != a or self._mul[a][1] != a:
+            if add[a][0] != a or mul[a][1] != a:
                 raise AssertionError("identity axiom failed")
-            for b in rng:
-                if self._add[a][b] != self._add[b][a] or self._mul[a][b] != self._mul[b][a]:
-                    raise AssertionError("commutativity failed")
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if self._add[self._add[a][b]][c] != self._add[a][self._add[b][c]]:
-                        raise AssertionError("additive associativity failed")
-                    if self._mul[self._mul[a][b]][c] != self._mul[a][self._mul[b][c]]:
-                        raise AssertionError("multiplicative associativity failed")
-                    if self._mul[a][self._add[b][c]] != self._add[self._mul[a][b]][self._mul[a][c]]:
-                        raise AssertionError("distributivity failed")
-        for a in range(1, q):
+            if any(add[a][b] != add[b][a] or mul[a][b] != mul[b][a] for b in rng):
+                raise AssertionError("commutativity failed")
+        for a, b, c in product(rng, repeat=3):
+            if add[add[a][b]][c] != add[a][add[b][c]]:
+                raise AssertionError("additive associativity failed")
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                raise AssertionError("multiplicative associativity failed")
+            if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                raise AssertionError("distributivity failed")
+        for a in range(1, self.q):
             self.inv(a)
 
 
@@ -187,32 +165,15 @@ def alternating_group(n: int) -> ConstructedGroup:
     return _gate(f"alternating:{n}", n, gens, factorial(n) // 2)
 
 
-def _quat_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """Multiply quaternions given as (sign, axis) with axes 1, i, j, k."""
-    sa, xa = a
-    sb, xb = b
-    sign = sa * sb
-    if xa == 0:
-        return (sign, xb)
-    if xb == 0:
-        return (sign, xa)
-    if xa == xb:
-        return (-sign, 0)
-    # i*j = k and cyclic; reversed order flips sign
-    if (xa, xb) in ((1, 2), (2, 3), (3, 1)):
-        return (sign, {(1, 2): 3, (2, 3): 1, (3, 1): 2}[(xa, xb)])
-    return (-sign, {(2, 1): 3, (3, 2): 1, (1, 3): 2}[(xa, xb)])
-
-
 def quaternion_group() -> ConstructedGroup:
-    """Quaternion group of order 8 in its regular representation."""
-    elems = [(s, x) for s in (1, -1) for x in range(4)]
-    idx = {e: i for i, e in enumerate(elems)}
-    by_i = tuple(idx[_quat_mul(e, (1, 1))] for e in elems)
-    by_j = tuple(idx[_quat_mul(e, (1, 2))] for e in elems)
-    group = _gate("quaternion8", 8, [by_i, by_j], 8)
-    if sum(1 for e in group.generators if perm_order(e) != 4) != 0:
-        raise ConstructionError("quaternion8: generators must have order 4")
+    """Quaternion group of order 8 in its regular representation on
+    1, i, j, k, -1, -i, -j, -k: right multiplication by i and by j."""
+    i = parse_cycles("(1,2,5,6)(3,8,7,4)", 8)
+    j = parse_cycles("(1,3,5,7)(2,4,6,8)", 8)
+    group = _gate("quaternion8", 8, [i, j], 8)
+    # a nonabelian group of order 8 is D8 or Q8, and D8's elements of order 4 commute
+    if perm_order(i) != 4 or perm_order(j) != 4 or compose(i, j) == compose(j, i):
+        raise ConstructionError("quaternion8: needs noncommuting generators of order 4")
     return group
 
 
@@ -235,18 +196,12 @@ def _projective_perms(
 
 def psl2_group(q: int) -> ConstructedGroup:
     if q not in PSL2_FIELD_SIZES:
-        raise GroupSpecError(
-            f"psl2:q supports q in {PSL2_FIELD_SIZES}, not {q}"
-        )
+        raise GroupSpecError(f"psl2:q supports q in {PSL2_FIELD_SIZES}, not {q}")
     field = FieldGF(q)
     points = [(x, 1) for x in range(q)] + [(1, 0)]
     alpha = field.generator
     matrices = [[[1, 1], [0, 1]], [[1, alpha], [0, 1]], [[0, field.neg(1)], [1, 0]]]
-    gens = _projective_perms(field, points, matrices)
-    unique = []
-    for g in gens:
-        if g not in unique:
-            unique.append(g)
+    unique = list(dict.fromkeys(_projective_perms(field, points, matrices)))
     order = q * (q * q - 1) // gcd(2, q - 1)
     return _gate(f"psl2:{q}", q + 1, unique, order)
 
@@ -283,22 +238,9 @@ def load_group_file(path: str) -> ConstructedGroup:
     "images i1 ... iN" giving 1-based images.  Blank lines and lines starting
     with # are ignored.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except UnicodeDecodeError as err:
-        raise GroupSpecError(f"{path}: not UTF-8 text ({err.reason})") from None
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].lower().startswith("degree"):
-        raise GroupSpecError(f"{path}: first line must be 'degree N'")
-    try:
-        degree = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise GroupSpecError(f"{path}: malformed degree line {lines[0]!r}") from None
-    if degree < 1:
-        raise GroupSpecError(f"{path}: degree must be positive")
+    degree, body = read_permutation_file(path, "degree", GroupSpecError)
     gens = []
-    for ln in lines[1:]:
+    for ln in body:
         if ln.lower().startswith("images"):
             toks = ln.split()[1:]
             if len(toks) != degree:

@@ -21,8 +21,6 @@ class AutMap:
     """A verified automorphism as a total map on element ids."""
 
     images: list[int]
-    src_pair: tuple[int, int]
-    dst_pair: tuple[int, int]
 
     def is_identity(self) -> bool:
         return all(i == img for i, img in enumerate(self.images))
@@ -61,7 +59,7 @@ def extend_pair_map(
         raise ValueError("input pair does not generate the group")
     if len(set(images)) != n:
         return None
-    return AutMap(images, pair, target)
+    return AutMap(images)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .permcore import (
     generates,
     orbit,
     parse_cycles,
+    read_permutation_file,
 )
 
 
@@ -66,27 +67,10 @@ def load_dessin(path: str) -> DessinXY:
 
     Blank lines and lines starting with # are ignored.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except UnicodeDecodeError as err:
-        raise DessinError(f"{path}: not UTF-8 text ({err.reason})") from None
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].lower().startswith("darts"):
-        raise DessinError(f"{path}: first line must be 'darts N'")
-    try:
-        darts = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DessinError(f"{path}: malformed darts line {lines[0]!r}") from None
-    if darts < 1:
-        raise DessinError(f"{path}: dart count must be positive")
-    if len(lines) != 3:
+    darts, body = read_permutation_file(path, "darts", DessinError)
+    if len(body) != 2:
         raise DessinError(f"{path}: expected exactly two permutation lines")
-    return DessinXY(
-        darts=darts,
-        x=parse_cycles(lines[1], darts),
-        y=parse_cycles(lines[2], darts),
-    )
+    return DessinXY(darts, *(parse_cycles(ln, darts) for ln in body))
 
 
 def analyze_dessin(d: DessinXY, cap: int = DEFAULT_CAP) -> DessinAnalysis:

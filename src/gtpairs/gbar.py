@@ -102,9 +102,9 @@ DELTA = EndoImages(x_image=(3, 2), y_image=(1,))  # x -> y^-1 x^-1, y -> y
 
 @dataclass
 class DoubleCosetRep:
-    """One double coset with the survival flags of its representative."""
+    """One double coset with the survival flags of its representative, the
+    model element reached by word from the identity."""
 
-    element: Perm
     word: tuple[int, ...]
     coset_size: int
     generates_model: bool
@@ -315,7 +315,6 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
             delta_ok = any(_walk(table, lhs, word(c)) == _walk(table, c, rhs) for c in cy)
         reps.append(
             DoubleCosetRep(
-                element=gbar.perm(fid),
                 word=f,
                 coset_size=size,
                 generates_model=gen_ok,

@@ -160,6 +160,32 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(images)
 
 
+def read_permutation_file(
+    path: str, keyword: str, error: type[Exception]
+) -> tuple[int, list[str]]:
+    """The point count N and the body lines of a permutation file.
+
+    The file is UTF-8 text headed by a line "keyword N"; blank lines and
+    lines starting with # are dropped.  N must lie in 1..DEFAULT_CAP, so a
+    body line never asks for more points than an element table may hold.
+    Every refusal raises error, naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text ({err.reason})") from None
+    if not lines or not lines[0].lower().startswith(keyword):
+        raise error(f"{path}: first line must be '{keyword} N'")
+    try:
+        n = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise error(f"{path}: malformed {keyword} line {lines[0]!r}") from None
+    if not 1 <= n <= DEFAULT_CAP:
+        raise error(f"{path}: {keyword} N must lie in 1..{DEFAULT_CAP}, not {n}")
+    return n, lines[1:]
+
+
 def orbit(generators: list[Perm], point: int) -> list[int]:
     """Orbit of a point in BFS discovery order."""
     seen = {point}

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
 from math import factorial, gcd
 
 import pytest
 
+from gtpairs import atlas
 from gtpairs.atlas import (
+    PSL2_FIELD_SIZES,
     ConstructionError,
     FieldGF,
     GroupSpecError,
@@ -108,6 +111,31 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
     return tuple(out)
 
 
+def _reduce(poly: tuple[int, ...], modulus: list[int], p: int) -> tuple[int, ...]:
+    """poly modulo the monic modulus, by long division from the top."""
+    out, d = list(poly), len(modulus) - 1
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out[top]
+        for k, m in enumerate(modulus):
+            out[top - d + k] = (out[top - d + k] - c * m) % p
+    return tuple(out[:d])
+
+
+def test_field_tables_match_polynomial_oracle() -> None:
+    # equal tables mean equal psl2 generators, so this also pins those
+    for q in sorted({*PSL2_FIELD_SIZES, 25, 27, 32, 49}):
+        f = FieldGF(q)
+        p, d = f.p, f.d
+        poly = [tuple(k // p**i % p for i in range(d)) for k in range(q)]
+        index = {c: k for k, c in enumerate(poly)}
+        for a in range(q):
+            for b in range(q):
+                total = tuple((x + y) % p for x, y in zip(poly[a], poly[b]))
+                assert f.add(a, b) == index[total], (q, a, b)
+                product = _reduce(_poly_mul(poly[a], poly[b], p), f.modulus, p)
+                assert f.mul(a, b) == index[product], (q, a, b)
+
+
 def test_field_moduli_are_first_irreducibles() -> None:
     pinned = {4: [1, 1, 1], 8: [1, 1, 0, 1], 9: [1, 0, 1], 16: [1, 1, 0, 0, 1]}
     for q, modulus in pinned.items():
@@ -166,6 +194,15 @@ def test_load_group_file_order_sees_every_generator(tmp_path) -> None:
     assert load_group_file(str(path)).order == 120
 
 
+def test_load_group_file_refuses_huge_degree(tmp_path) -> None:
+    path = tmp_path / "huge.txt"
+    path.write_text("degree 1000000000000\n(1,2)\n")
+    start = time.perf_counter()
+    with pytest.raises(GroupSpecError, match="degree N must lie in 1..1000000"):
+        load_group_file(str(path))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_load_group_file_errors(tmp_path) -> None:
     bad1 = tmp_path / "bad1.txt"
     bad1.write_text("(1,2)\n")
@@ -192,6 +229,14 @@ def test_quaternion_is_not_dihedral() -> None:
     g = construct("quaternion8")
     orders = sorted(perm_order(e) for e in _all_elements(g))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_quaternion_gate_refuses_c4_x_c2(monkeypatch) -> None:
+    # C4 x C2 has order 8 and two generators of order 4, but they commute
+    fake = iter([(1, 2, 3, 0, 4, 5, 6, 7), (1, 2, 3, 0, 5, 4, 6, 7)])
+    monkeypatch.setattr(atlas, "parse_cycles", lambda text, degree: next(fake))
+    with pytest.raises(ConstructionError, match="noncommuting"):
+        atlas.quaternion_group()
 
 
 def _all_elements(g):

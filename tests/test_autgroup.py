@@ -92,8 +92,9 @@ def test_first_entry_identity_and_inner() -> None:
         assert outs.maps[0].is_identity()
         # entry 0 maps the base pair to itself, and the maps land in
         # pairwise distinct pair classes
-        assert outs.maps[0].dst_pair == pcset.reps[0]
-        targets = {pcset.locate(*m.dst_pair) for m in outs.maps}
+        g, h = pcset.reps[0]
+        assert (outs.maps[0].images[g], outs.maps[0].images[h]) == (g, h)
+        targets = {pcset.locate(m.images[g], m.images[h]) for m in outs.maps}
         assert len(targets) == outs.out_order
 
 

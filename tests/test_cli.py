@@ -147,6 +147,8 @@ def test_unwritable_json_path_exits_2(capsys, tmp_path, missing_parent) -> None:
         ("sg", b"degree 3\nimages 1 x 3\n", "non-integer entry in 'images 1 x 3'"),
         ("sg", b"degree 3\n(1,2\xff)\n", "not UTF-8 text"),
         ("dessin", b"darts 2\n(1,2)\n(1\xfe)\n", "not UTF-8 text"),
+        ("sg", b"degree 1000000000000\n(1,2)\n", "degree N must lie in 1..1000000"),
+        ("dessin", b"darts 1000000000000\n(1,2)\n(1,2)\n", "darts N must lie in"),
     ],
 )
 def test_bad_input_file_exits_2(capsys, tmp_path, command, text, message) -> None:
@@ -171,11 +173,10 @@ def test_group_without_generating_pair_exits_2(capsys, tmp_path, command) -> Non
     assert err == f"error: file:{path}: no pair of elements generates the group\n"
 
 
-# Counts stay small: parse_cycles allocates one image per point.
 _HEADS = st.sampled_from(["degree", "darts", "DARTS", "images", "", "#"])
 _COUNTS = st.one_of(
     st.integers(min_value=-1, max_value=12).map(str),
-    st.sampled_from(["", "x", "3.0", "2 9"]),
+    st.sampled_from(["", "x", "3.0", "2 9", "1000000000000"]),
 )
 _BODIES = st.text(alphabet="0123456789(),; x#-\u00e9", max_size=16)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from gtpairs.atlas import construct
@@ -74,6 +76,15 @@ def test_load_dessin_errors(tmp_path) -> None:
     path.write_text("darts 2\n(1,2)\nnot cycles\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_dessin(str(path))
+
+
+def test_load_dessin_refuses_huge_dart_count(tmp_path) -> None:
+    path = tmp_path / "huge.txt"
+    path.write_text("darts 1000000000000\n(1,2)\n(1,2)\n", encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(DessinError, match="darts N must lie in 1..1000000"):
+        load_dessin(str(path))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dessin_domain_mismatch() -> None:

@@ -47,9 +47,18 @@ def _gbar(spec: str):
     return _CACHE[spec]
 
 
+def _rep_perm(gbar, word: tuple[int, ...]):
+    """The model element reached by word from the identity, as a permutation."""
+    e = 0
+    for s in word:
+        e = gbar.table.gen_cols[s][e]
+    return gbar.perm(e)
+
+
 def _survey_rows(gbar, k: int = 1) -> list[tuple]:
     return [
-        (r.element, r.word, r.coset_size, r.generates_model, r.theta_ok, r.delta_ok)
+        (_rep_perm(gbar, r.word), r.word, r.coset_size)
+        + (r.generates_model, r.theta_ok, r.delta_ok)
         for r in double_coset_survey(gbar, k)
     ]
 
@@ -179,7 +188,7 @@ def test_survey_sorted_by_word() -> None:
     keys = [(len(rep.word), rep.word) for rep in reps]
     assert keys == sorted(keys)
     assert reps[0].word == ()
-    assert reps[0].element == identity_perm(gbar.degree)
+    assert _rep_perm(gbar, reps[0].word) == identity_perm(gbar.degree)
     assert reps[0].survives
 
 
@@ -202,7 +211,8 @@ def test_survivor_counts_dihedral_subset() -> None:
 def test_quaternion_count_trivial() -> None:
     count, survivors = gt1_order(construct("quaternion8"))
     assert count == 1
-    assert survivors[0].element == identity_perm(_gbar("quaternion8").degree)
+    gbar = _gbar("quaternion8")
+    assert _rep_perm(gbar, survivors[0].word) == identity_perm(gbar.degree)
 
 
 def test_two_group_counts_are_powers_of_two() -> None:

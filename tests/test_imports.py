@@ -4,6 +4,9 @@ The only exceptions are re-exports on lines marked `# noqa: F401`, and
 each of those must be a name that `perfbench/spans.py` patches in that
 module: the benchmark wraps a function under the name its caller looks it
 up by, so such a re-export is how a caller's name is reached from outside.
+
+The same ast pass guards file access: input files are read by one shared
+reader, and reports are written by one writer.
 """
 
 from __future__ import annotations
@@ -14,6 +17,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtpairs"
+
+FILE_OPENERS = {
+    ("permcore", "read_permutation_file"),
+    ("cli", "write_json_report"),
+}
 
 REEXPORTS = {
     ("gbar", "ConjugacyClassTable"),
@@ -69,3 +77,29 @@ def test_every_noqa_line_holds_a_reexport() -> None:
 
 def test_every_reexport_is_patched_by_the_benchmark() -> None:
     assert REEXPORTS <= _patched()
+
+
+def _openers() -> set[tuple[str, str | None]]:
+    """(module, innermost enclosing function or None) for every call of
+    open() or of an .open() method in the package."""
+    out = set()
+
+    def visit(node: ast.AST, module: str, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "open") or (
+                isinstance(f, ast.Attribute) and f.attr == "open"
+            ):
+                out.add((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return out
+
+
+def test_only_the_shared_reader_and_the_report_writer_open_files() -> None:
+    assert _openers() == FILE_OPENERS
