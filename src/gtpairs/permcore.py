@@ -165,10 +165,11 @@ def read_permutation_file(
 ) -> tuple[int, list[str]]:
     """The point count N and the body lines of a permutation file.
 
-    The file is UTF-8 text headed by a line "keyword N"; blank lines and
-    lines starting with # are dropped.  N must lie in 1..DEFAULT_CAP, so a
-    body line never asks for more points than an element table may hold.
-    Every refusal raises error, naming the path.
+    The file is UTF-8 text headed by a line "keyword N", exactly those two
+    tokens (the keyword in any case); blank lines and lines starting with #
+    are dropped.  N must lie in 1..DEFAULT_CAP, so a body line never asks
+    for more points than an element table may hold.  Every refusal raises
+    error, naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -177,10 +178,14 @@ def read_permutation_file(
         raise error(f"{path}: not UTF-8 text ({err.reason})") from None
     if not lines or not lines[0].lower().startswith(keyword):
         raise error(f"{path}: first line must be '{keyword} N'")
+    head = lines[0].split()
+    malformed = error(f"{path}: malformed {keyword} line {lines[0]!r}")
+    if len(head) != 2 or head[0].lower() != keyword:
+        raise malformed
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise error(f"{path}: malformed {keyword} line {lines[0]!r}") from None
+        n = int(head[1])
+    except ValueError:
+        raise malformed from None
     if not 1 <= n <= DEFAULT_CAP:
         raise error(f"{path}: {keyword} N must lie in 1..{DEFAULT_CAP}, not {n}")
     return n, lines[1:]

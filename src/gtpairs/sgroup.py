@@ -3,7 +3,7 @@
 The permutations of {0..ell-1} commuting with every induced permutation and
 mapping each block of the (class(g), class(h)) partition onto itself form a
 product of wreath factors E wr Sym(s), one per packet of equivalent orbits.
-This module computes that decomposition exactly.
+This module computes it exactly, from the columns of H, one orbit at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .permcore import (
     EnumerationCapError,
     Perm,
     is_identity,
-    orbit,
     subgroup_table,
 )
 from .structure import (
@@ -42,60 +41,26 @@ def build_haction(induced: InducedPerms) -> ElementTable:
         raise RuntimeError(message) from None
 
 
-@dataclass
-class HOrbit:
-    points: list[int]
-    base: int
-    stabilizer: frozenset[int]
+def _column(h: ElementTable, q: int) -> tuple:
+    """The column of q: e(q) for every e of H, in table order."""
+    return tuple([e[q] for e in h.elements])
 
 
-def h_orbits(h: ElementTable) -> list[HOrbit]:
-    """Orbits on {0..ell-1} in ascending base order, with exact stabilizers."""
-    seen = [False] * h.degree
-    out = []
-    for p in range(h.degree):
-        if seen[p]:
-            continue
-        pts = sorted(orbit(h.generators, p))
-        for q in pts:
-            seen[q] = True
-        stab = frozenset(i for i, e in enumerate(h.elements) if e[p] == p)
-        if len(pts) * len(stab) != h.order:
-            raise RuntimeError("orbit size times stabilizer size is not the group size")
-        out.append(HOrbit(pts, p, stab))
-    return out
-
-
-def _equivariant_map(h: ElementTable, o1: HOrbit, q: int) -> dict[int, int]:
-    """The map sending e(base of o1) to e(q) for every e in the closure."""
-    bij: dict[int, int] = {}
-    for e in h.elements:
-        src, dst = e[o1.base], e[q]
-        prior = bij.get(src)
-        if prior is None:
-            bij[src] = dst
-        elif prior != dst:
-            raise RuntimeError("equivariant map is not well defined")
-    return bij
-
-
-def _point_key(h: ElementTable, q: int, block_of: list[int]) -> tuple:
-    """(stabilizer ids of q, block of e(q) for every e in table order).
+def _point_key(q: int, col: tuple, block_of: list[int]) -> tuple:
+    """(ids of the e fixing q, block of e(q) for every e), from q's column.
 
     An equivariant block-respecting map between orbits keeps this key, and two
     points with equal keys are joined by such a map."""
-    stab = tuple(i for i, e in enumerate(h.elements) if e[q] == q)
-    return stab, tuple(block_of[e[q]] for e in h.elements)
+    stab = tuple([i for i, x in enumerate(col) if x == q])
+    return stab, tuple([block_of[x] for x in col])
 
 
-def _self_maps(h: ElementTable, o: HOrbit, targets: list[int]) -> list[Perm]:
-    """The equivariant maps sending the base to each target, as local perms."""
-    pos = {p: i for i, p in enumerate(o.points)}
-    out = []
-    for q in targets:
-        bij = _equivariant_map(h, o, q)
-        out.append(tuple(pos[bij[p]] for p in o.points))
-    return out
+def _equivariant_map(src: tuple, dst: tuple) -> dict[int, int]:
+    """The map e(p) -> e(q) for every e of H, from the columns of p and q."""
+    bij = dict(zip(src, dst))
+    if tuple(map(bij.__getitem__, src)) != dst:
+        raise RuntimeError("equivariant map is not well defined")
+    return bij
 
 
 @dataclass
@@ -115,37 +80,48 @@ class WreathFactor:
 
 @dataclass
 class PacketDecomposition:
-    orbits: list[HOrbit]
+    orbits: list[list[int]]  # sorted point lists, ascending by base (first point)
     factors: list[WreathFactor]
 
 
 def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecomposition:
-    """Group the orbits into packets of equivalent orbits and compute each E.
+    """H's orbits, grouped into packets of equivalent orbits, and each E.
 
-    An orbit's key is the least point key over its points, so two orbits are
-    equivalent exactly when their keys are equal.
+    Each orbit's points get their columns once.  An orbit's key is the least
+    point key over its points, so two orbits are equivalent exactly when
+    their keys are equal.  Members' bijections start from the column of the
+    representative's base, which the packet keeps.
     """
-    orbits = h_orbits(h)
-    packets: dict[tuple, WreathFactor] = {}
-    for idx, o in enumerate(orbits):
-        keys = {q: _point_key(h, q, block_of) for q in o.points}
-        key = min(keys.values())
-        f = packets.get(key)
-        if f is None:
-            targets = [q for q in o.points if keys[q] == keys[o.base]]
-            ident = {p: p for p in o.points}
-            packets[key] = WreathFactor(
-                o.points, _self_maps(h, o, targets), 1, [idx], [ident]
-            )
+    orbits: list[list[int]] = []
+    packets: dict[tuple, tuple[WreathFactor, tuple]] = {}
+    seen = [False] * h.degree
+    for p in range(h.degree):
+        if seen[p]:
             continue
-        rep = orbits[f.member_orbits[0]]
-        # recomputed, not stored, so that only one key per packet is held
-        rep_key = _point_key(h, rep.base, block_of)
-        q = next(q for q in o.points if keys[q] == rep_key)
+        base_col = _column(h, p)
+        pts = sorted(set(base_col))
+        if len(pts) * base_col.count(p) != h.order:
+            raise RuntimeError("orbit size times stabilizer size is not the group size")
+        for q in pts:
+            seen[q] = True
+        cols = {q: base_col if q == p else _column(h, q) for q in pts}
+        keys = {q: _point_key(q, cols[q], block_of) for q in pts}
+        key = min(keys.values())
+        orbits.append(pts)
+        if key not in packets:
+            pos = {q: i for i, q in enumerate(pts)}
+            maps = [_equivariant_map(base_col, cols[q]) for q in pts if keys[q] == keys[p]]
+            e_elements = [tuple(pos[bij[x]] for x in pts) for bij in maps]
+            f = WreathFactor(pts, e_elements, 1, [len(orbits) - 1], [{q: q for q in pts}])
+            packets[key] = f, base_col
+            continue
+        f, rep_col = packets[key]
+        rep_key = _point_key(f.points[0], rep_col, block_of)
+        q = next(q for q in pts if keys[q] == rep_key)
         f.s += 1
-        f.member_orbits.append(idx)
-        f.bijections.append(_equivariant_map(h, rep, q))
-    return PacketDecomposition(orbits, list(packets.values()))
+        f.member_orbits.append(len(orbits) - 1)
+        f.bijections.append(_equivariant_map(rep_col, cols[q]))
+    return PacketDecomposition(orbits, [f for f, _ in packets.values()])
 
 
 def check_s_generators(
@@ -171,7 +147,7 @@ def check_s_generators(
                 moves[prev[p]] = cur[p]
                 moves[cur[p]] = prev[p]
             members = (decomp.orbits[f.member_orbits[j]] for j in (i - 1, i))
-            emitted.append((moves, [p for o in members for p in o.points]))
+            emitted.append((moves, [p for o in members for p in o]))
     for moves, support in emitted:
         if moves.keys() != set(support):
             raise RuntimeError("S generator moves a point outside its orbits")

@@ -1,18 +1,18 @@
 """Test-only oracles: the list-form permutation product and element table,
 a direct product, a transitivity test, the dihedral and GT1 counts, a
-brute-force double-coset survey, a pairwise packet decomposition, an
-exhaustive S search, S's generators as whole permutations, a per-orbit
-pair sweep, coprime powers, a tuple pair locator, scanned centralizers,
-structure-triple isomorphism and mul-table group structure, kept out of the
-library they check.  Tests get a model group through
-`model_group`, the command line's chain."""
+brute-force double-coset survey, a pairwise packet decomposition (with its
+own orbits, stabilizers and equivariant maps), an exhaustive S search, S's
+generators as whole permutations, a per-orbit pair sweep, coprime powers, a
+tuple pair locator, scanned centralizers, structure-triple isomorphism and
+mul-table group structure, kept out of the library they check.  Tests get a
+model group through `model_group`, the command line's chain."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -34,17 +34,10 @@ from gtpairs.permcore import (
     inverse,
     orbit,
 )
-from gtpairs.sgroup import (
-    HOrbit,
-    PacketDecomposition,
-    WreathFactor,
-    _equivariant_map,
-    h_orbits,
-)
+from gtpairs.sgroup import PacketDecomposition, WreathFactor
 from gtpairs.structure import (
     GroupFingerprint,
     StructureSizeError,
-    _simple_label,
     abelian_invariants,
     element_order_histogram,
     sort_factor_labels,
@@ -242,35 +235,60 @@ def s_generators(decomp: PacketDecomposition, h: ElementTable) -> list[Perm]:
     return gens
 
 
+def brute_orbits(h: ElementTable) -> list[list[int]]:
+    """Orbits of H as sorted point lists, ascending by least point: the
+    orbit of p is every e(p), from a scan of all of H."""
+    seen: set[int] = set()
+    out = []
+    for p in range(h.degree):
+        if p not in seen:
+            pts = sorted({e[p] for e in h.elements})
+            seen.update(pts)
+            out.append(pts)
+    return out
+
+
 def _point_stabilizer(h: ElementTable, q: int) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(h.elements) if e[q] == q)
 
 
+def _transport(h: ElementTable, p: int, q: int) -> dict[int, int]:
+    """e(p) -> e(q) for every e of H; p and q must have one stabilizer."""
+    bij: dict[int, int] = {}
+    for e in h.elements:
+        if bij.setdefault(e[p], e[q]) != e[q]:
+            raise AssertionError(f"e({p}) does not determine e({q})")
+    return bij
+
+
 def orbit_equivalence(
-    h: ElementTable, o1: HOrbit, o2: HOrbit, block_of: list[int]
+    h: ElementTable, o1: list[int], o2: list[int], block_of: list[int]
 ) -> dict[int, int] | None:
-    """Equivariant block-respecting bijection from o1 onto o2, if one exists."""
-    if len(o1.points) != len(o2.points):
+    """Equivariant block-respecting bijection from orbit o1 onto orbit o2
+    (sorted point lists), if one exists."""
+    if len(o1) != len(o2):
         return None
-    for q in o2.points:
-        if _point_stabilizer(h, q) != o1.stabilizer:
+    stab = _point_stabilizer(h, o1[0])
+    for q in o2:
+        if _point_stabilizer(h, q) != stab:
             continue
-        bij = _equivariant_map(h, o1, q)
+        bij = _transport(h, o1[0], q)
         if all(block_of[src] == block_of[dst] for src, dst in bij.items()):
             return bij
     return None
 
 
-def _self_equivalences(h: ElementTable, orbit: HOrbit, block_of: list[int]) -> list[Perm]:
+def _self_equivalences(h: ElementTable, orbit: list[int], block_of: list[int]) -> list[Perm]:
     """All equivariant block-respecting self-bijections of an orbit, as local perms."""
-    pos = {p: i for i, p in enumerate(orbit.points)}
+    pos = {p: i for i, p in enumerate(orbit)}
     out = []
-    for q in orbit.points:
-        if _point_stabilizer(h, q) != orbit.stabilizer:
+    stab = _point_stabilizer(h, orbit[0])
+    for q in orbit:
+        if _point_stabilizer(h, q) != stab:
             continue
-        bij = _equivariant_map(h, orbit, q)
+        bij = _transport(h, orbit[0], q)
         if all(block_of[src] == block_of[dst] for src, dst in bij.items()):
-            out.append(tuple(pos[bij[p]] for p in orbit.points))
+            out.append(tuple(pos[bij[p]] for p in orbit))
     known = set(out)
     for a in out:
         for b in out:
@@ -295,13 +313,14 @@ def brute_packet_decomposition(
 ) -> PacketDecomposition:
     """Packets by comparing each orbit with the first member of every packet
     in its coarse group, one equivalence search per comparison."""
-    orbits = h_orbits(h)
+    orbits = brute_orbits(h)
     mul = [[h.index[compose(a, b)] for b in h.elements] for a in h.elements]
     inv = [h.inverse_id(g) for g in range(h.order)]
     coarse_groups: dict[tuple, list[int]] = {}
     for idx, o in enumerate(orbits):
-        profile = tuple(sorted(Counter(block_of[p] for p in o.points).values()))
-        key = (_canonical_stabilizer_key(mul, inv, o.stabilizer), profile)
+        stab = _point_stabilizer(h, o[0])
+        profile = tuple(sorted(Counter(block_of[p] for p in o).values()))
+        key = (_canonical_stabilizer_key(mul, inv, stab), profile)
         coarse_groups.setdefault(key, []).append(idx)
     classes: list[tuple[list[int], list[dict[int, int]]]] = []
     for group in coarse_groups.values():
@@ -314,16 +333,16 @@ def brute_packet_decomposition(
                     bijections.append(bij)
                     break
             else:
-                ident = {p: p for p in orbits[idx].points}
+                ident = {p: p for p in orbits[idx]}
                 local.append(([idx], [ident]))
         classes.extend(local)
-    classes.sort(key=lambda cls: orbits[cls[0][0]].base)
+    classes.sort(key=lambda cls: orbits[cls[0][0]][0])
     factors = []
     for members, bijections in classes:
         rep = orbits[members[0]]
         factors.append(
             WreathFactor(
-                points=rep.points,
+                points=rep,
                 e_elements=_self_equivalences(h, rep, block_of),
                 s=len(members),
                 member_orbits=members,
@@ -616,6 +635,14 @@ def _conjugacy_class_lists(t) -> list[list[int]]:
     return out
 
 
+def _simple_label(order: int) -> str:
+    """Label of a simple group from its order alone: C_p for a prime, A5, A6
+    and A7 by their orders, Other(n) otherwise."""
+    if order > 1 and all(order % k for k in range(2, isqrt(order) + 1)):
+        return f"C{order}"
+    return {60: "A5", 360: "A6", 2520: "A7"}.get(order, f"Other({order})")
+
+
 def mul_composition_factors(t, limit: int = 10**4) -> list[str]:
     """Composition factor labels of a mul table, by minimal normal subgroups
     found from every conjugacy class's subgroup closure."""
@@ -633,7 +660,7 @@ def mul_composition_factors(t, limit: int = 10**4) -> list[str]:
         if best is None or len(closure) < len(best):
             best = closure
     if len(best) == t.order:
-        return [_simple_label(t)]
+        return [_simple_label(t.order)]
     sub = mul_composition_factors(SubgroupTable(t, best), limit)
     quo = mul_composition_factors(QuotientTable(t, best), limit)
     return sort_factor_labels(sub + quo)

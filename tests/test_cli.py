@@ -149,6 +149,8 @@ def test_unwritable_json_path_exits_2(capsys, tmp_path, missing_parent) -> None:
         ("dessin", b"darts 2\n(1,2)\n(1\xfe)\n", "not UTF-8 text"),
         ("sg", b"degree 1000000000000\n(1,2)\n", "degree N must lie in 1..1000000"),
         ("dessin", b"darts 1000000000000\n(1,2)\n(1,2)\n", "darts N must lie in"),
+        ("sg", b"degrees 3 junk\n(1,2)\n", "malformed degree line 'degrees 3 junk'"),
+        ("dessin", b"darts 2 9\n(1,2)\n(1,2)\n", "malformed darts line 'darts 2 9'"),
     ],
 )
 def test_bad_input_file_exits_2(capsys, tmp_path, command, text, message) -> None:
@@ -466,7 +468,9 @@ def test_parser_is_built_once_and_keeps_no_options(capsys, tmp_path) -> None:
 def test_report_with_a_5000_digit_order_renders_and_writes(
     capsys, monkeypatch, tmp_path
 ) -> None:
-    """|S| of alternating:9 has 21,088 digits; ints that long print in full."""
+    """|S| of alternating:9 has 21,088 digits; ints that long print in full,
+    and the report holds them bare, so a reader must lift the interpreter's
+    limit on int digits to load it."""
     order = 7 * 10**4999
     true_sg = cli.DISPATCH["sg"]
 
@@ -485,7 +489,13 @@ def test_report_with_a_5000_digit_order_renders_and_writes(
         rc, out, _ = _run(capsys, argv)
         assert rc == 0
         assert f"order: {order} = " in out
-        assert json.loads(path.read_text())["order"] == order
+        text = path.read_text()
+        if limit is not None:
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(ValueError, match="limit"):
+                json.loads(text)
+            sys.set_int_max_str_digits(0)
+        assert json.loads(text)["order"] == order
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -6,7 +6,9 @@ module: the benchmark wraps a function under the name its caller looks it
 up by, so such a re-export is how a caller's name is reached from outside.
 
 The same ast pass guards file access: input files are read by one shared
-reader, and reports are written by one writer.
+reader, and reports are written by one writer.  It also keeps the test
+oracles off the package's private helpers, so that an oracle does not share
+the code it checks.
 """
 
 from __future__ import annotations
@@ -103,3 +105,15 @@ def _openers() -> set[tuple[str, str | None]]:
 
 def test_only_the_shared_reader_and_the_report_writer_open_files() -> None:
     assert _openers() == FILE_OPENERS
+
+
+def test_oracles_import_no_private_name_from_the_package() -> None:
+    tree = ast.parse((ROOT / "tests" / "group_oracles.py").read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gtpairs")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -12,8 +12,9 @@ from gtpairs.atlas import construct
 from gtpairs.cli import pair_stages
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, identity_perm
 from gtpairs.sgroup import (
+    _column,
+    _equivariant_map,
     check_s_generators,
-    h_orbits,
     packet_decomposition,
     sg_report,
 )
@@ -93,35 +94,63 @@ def test_out_action_is_free() -> None:
             assert all(p[x] != x for x in range(len(p)))
 
 
+def _stabilizer(h: ElementTable, q: int) -> list[int]:
+    return [i for i, e in enumerate(h.elements) if e[q] == q]
+
+
+def _orbits(spec: str) -> list[list[int]]:
+    return _stages(spec).decomposition[1].orbits
+
+
 def test_h_orbits_cover_without_overlap() -> None:
     for spec in SMALL_SPECS:
         _, _, _, _, _, _, h = _pipeline(spec)
-        orbits = h_orbits(h)
         seen: list[int] = []
-        for o in orbits:
-            assert o.base == o.points[0]
-            assert len(o.points) * len(o.stabilizer) == h.order
-            seen.extend(o.points)
+        for o in _orbits(spec):
+            assert o == sorted({e[o[0]] for e in h.elements})
+            assert len(o) * len(_stabilizer(h, o[0])) == h.order
+            seen.extend(o)
         assert sorted(seen) == list(range(h.degree))
 
 
 def test_orbit_equivalence_on_itself() -> None:
     _, _, _, _, _, blocks, h = _pipeline("psl2:7")
-    orbits = h_orbits(h)
-    for o in orbits[:5]:
+    for o in _orbits("psl2:7")[:5]:
         bij = orbit_equivalence(h, o, o, blocks.block_of)
         assert bij is not None
-        assert sorted(bij) == o.points
-        assert sorted(bij.values()) == o.points
+        assert sorted(bij) == o
+        assert sorted(bij.values()) == o
 
 
 def test_orbit_equivalence_rejects_size_mismatch() -> None:
     _, _, _, _, _, blocks, h = _pipeline("psl2:7")
-    orbits = h_orbits(h)
-    small = min(orbits, key=lambda o: len(o.points))
-    large = max(orbits, key=lambda o: len(o.points))
-    assert len(small.points) != len(large.points)
+    orbits = _orbits("psl2:7")
+    small, large = min(orbits, key=len), max(orbits, key=len)
+    assert len(small) != len(large)
     assert orbit_equivalence(h, small, large, blocks.block_of) is None
+
+
+def test_packets_reject_an_unclosed_h() -> None:
+    """Five of the six elements of Sym(3): no orbit size times stabilizer
+    size is 5."""
+    h = ElementTable([(1, 0, 2), (1, 2, 0)], 3)
+    h.elements = h.elements[:5]
+    with pytest.raises(RuntimeError, match="orbit size times stabilizer size"):
+        packet_decomposition(h, [0, 0, 0])
+
+
+def test_equivariant_map_rejects_points_with_different_stabilizers() -> None:
+    """Two points of one orbit with distinct stabilizers of equal size: some
+    e and f agree on the first point and not on the second."""
+    _, _, _, _, _, _, h = _pipeline("psl2:7")
+    p, q = next(
+        (o[0], q)
+        for o in _orbits("psl2:7")
+        for q in o
+        if _stabilizer(h, q) != _stabilizer(h, o[0])
+    )
+    with pytest.raises(RuntimeError, match="equivariant map is not well defined"):
+        _equivariant_map(_column(h, p), _column(h, q))
 
 
 @pytest.mark.parametrize(
@@ -267,7 +296,7 @@ def test_s_generator_check_rejects_a_point_outside_the_members() -> None:
     _, _, _, _, _, blocks, h = _pipeline("psl2:7")
     decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
     f = next(f for f in decomp.factors if f.s >= 2)
-    inside = {p for idx in f.member_orbits[:2] for p in decomp.orbits[idx].points}
+    inside = {p for idx in f.member_orbits[:2] for p in decomp.orbits[idx]}
     p = f.points[0]
     f.bijections[1][p] = next(q for q in range(h.degree) if q not in inside)
     with pytest.raises(RuntimeError, match="outside its orbits"):
