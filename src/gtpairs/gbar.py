@@ -15,7 +15,7 @@ generators are word substitutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 # ConjugacyClassTable, build_pc and out_representatives are re-exported:
@@ -43,15 +43,11 @@ class GbarError(RuntimeError):
 
 @dataclass
 class DoubleCosets:
-    """The double cosets C(x^k) f C(y^k) of the model group, one rep each.
+    """The model group cut into the double cosets C(x) f C(y), one rep each."""
 
-    C(x^k) depends only on <x^k>, so one partition serves every k with the
-    same gcds with the generator orders.
-    """
-
-    cx: list[int]  # model ids, ascending
-    cy: list[int]
+    cy: list[int]  # model ids, ascending
     reps: list[tuple[int, int]]  # (element id, coset size), ascending ids
+    coset_of: list[int]  # model id -> its double coset's index in reps
 
 
 @dataclass
@@ -64,10 +60,6 @@ class GbarGroup:
     y: Perm
     base: ElementTable
     table: ElementTable
-    # double-coset partitions keyed by (gcd(k, ord x), gcd(k, ord y))
-    partitions: dict[tuple[int, int], DoubleCosets] = field(
-        default_factory=dict, repr=False
-    )
 
     @property
     def order(self) -> int:
@@ -210,63 +202,50 @@ def _window_centralizer(gbar: GbarGroup, a: int) -> list[int]:
     return [i for i, e in enumerate(gbar.table.elements) if allowed.issuperset(e)]
 
 
-def _double_cosets(gbar: GbarGroup, xk: int, yk: int) -> DoubleCosets:
-    """Partition the model group into orbits of C(x^k) on the left cosets of C(y^k).
+def _double_cosets(gbar: GbarGroup) -> DoubleCosets:
+    """Partition the model group into the double cosets C(x) f C(y).
 
-    Each double coset starts from its least unvisited element f.  The left
-    coset f C(y^k) is materialized, then a BFS multiplies left-coset
-    representatives on the left by generators of C(x^k), walking each
-    representative's tree word from the generator, and materializes the
-    left coset of every unvisited product.
+    Each double coset starts from its least unvisited element f and is the
+    union of the left cosets c f C(y), c in C(x): the left coset of every
+    unvisited product c f is materialized.
     """
     table = gbar.table
     index, elements, word = table.index, table.elements, table.word
-    cx = _window_centralizer(gbar, xk)
-    cy = _window_centralizer(gbar, yk)
-    gens: list[int] = []  # generators of C(x^k), each outside the span before it
-    on_cx: list[dict[int, int]] = []  # right multiplication by each, on C(x^k)
-    span = {0}
-    for s in cx:
-        if s not in span:
-            gens.append(s)
-            w = word(s)
-            on_cx.append({c: _walk(table, c, w) for c in cx})
-            span = set(orbit(on_cx, 0))
+    cx = _window_centralizer(gbar, table.gen_cols[0][0])
+    cy = _window_centralizer(gbar, table.gen_cols[1][0])
     rights = _right_actions(gbar.base, [gbar.window_ids(t) for t in cy])
     if table.packed:
         rights = [pack(right) for right in rights]
-    visited = [False] * gbar.order
+    coset_of = [-1] * gbar.order
 
-    def materialize(g: int) -> int:
-        """Mark the left coset g C(y^k) visited and return the flags it flipped."""
-        flipped = 0
+    def materialize(g: int, d: int) -> int:
+        """Put the left coset g C(y) in double coset d; return how many
+        elements it moved."""
+        moved = 0
         by_g = composer(elements[g])
         for right in rights:
             i = index[by_g(right)]
-            if not visited[i]:
-                visited[i] = True
-                flipped += 1
-        if flipped != len(cy):
+            if coset_of[i] < 0:
+                coset_of[i] = d
+                moved += 1
+        if moved != len(cy):
             raise GbarError(
-                f"left coset check failed: a left coset of C(y^k) flipped {flipped} "
-                f"flags, not |C(y^k)| = {len(cy)}"
+                f"left coset check failed: a left coset of C(y) moved {moved} "
+                f"elements, not |C(y)| = {len(cy)}"
             )
-        return flipped
+        return moved
 
     covered = 0
     reps: list[tuple[int, int]] = []
     for fid in range(gbar.order):
-        if visited[fid]:
+        if coset_of[fid] >= 0:
             continue
-        size = materialize(fid)
-        queue = [fid]
-        for g in queue:
-            w = word(g)
-            for s in gens:
-                n = _walk(table, s, w)
-                if not visited[n]:
-                    size += materialize(n)
-                    queue.append(n)
+        d, f = len(reps), word(fid)
+        size = 0
+        for c in cx:
+            g = _walk(table, c, f)
+            if coset_of[g] < 0:
+                size += materialize(g, d)
         reps.append((fid, size))
         covered += size
     if covered != gbar.order:
@@ -274,39 +253,42 @@ def _double_cosets(gbar: GbarGroup, xk: int, yk: int) -> DoubleCosets:
             f"partition check failed: double cosets cover {covered} of "
             f"{gbar.order} model elements"
         )
-    return DoubleCosets(cx=cx, cy=cy, reps=reps)
+    return DoubleCosets(cy=cy, reps=reps, coset_of=coset_of)
 
 
-def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
-    """Flag every double coset of the centralizers of the k-th generator powers.
+def double_coset_survey(
+    gbar: GbarGroup, k: int = 1, cosets: DoubleCosets | None = None
+) -> list[DoubleCosetRep]:
+    """Flag every double coset C(x^k) f C(y^k), for k prime to ord x and ord y.
 
-    The partition is cached on gbar, keyed by (gcd(k, ord x), gcd(k, ord y));
-    only the generation, theta and delta flags depend on k itself.  The
-    flags are model-id arithmetic; the generation test runs on permutations
-    of degree r*d.
+    For such k, C(x^k) = C(x) and C(y^k) = C(y), so every power reads the
+    same partition; it is built here unless cosets is given.  Only the
+    generation, theta and delta flags depend on k.  The flags are model-id
+    arithmetic; the generation test runs on permutations of degree r*d.
     """
+    if gcd(k, perm_order(gbar.x)) != 1 or gcd(k, perm_order(gbar.y)) != 1:
+        raise ValueError(f"power {k} is not prime to the generator orders")
+    if cosets is None:
+        cosets = _double_cosets(gbar)
     table = gbar.table
     word = table.word
     xk_word, yk_word = (0,) * k, (1,) * k
-    xk, yk = _walk(table, 0, xk_word), _walk(table, 0, yk_word)
-    key = (gcd(k, perm_order(gbar.x)), gcd(k, perm_order(gbar.y)))
-    cosets = gbar.partitions.get(key)
-    if cosets is None:
-        cosets = gbar.partitions[key] = _double_cosets(gbar, xk, yk)
-    cx, cy = cosets.cx, cosets.cy
-    cy_set = set(cy)
+    yk = _walk(table, 0, yk_word)
+    cy, coset_of = cosets.cy, cosets.coset_of
     prod_inv_k = DELTA.x_image * k  # (y^-1 x^-1)^k
     yk_perm = gbar.perm(yk)
     reps: list[DoubleCosetRep] = []
-    for fid, size in cosets.reps:
+    for d, (fid, size) in enumerate(cosets.reps):
         f = word(fid)
         xkf = _walk(table, _walk(table, 0, _inverse_word(f)), xk_word + f)
         gen_ok = generates([gbar.perm(xkf), yk_perm], gbar.degree, gbar.order)
         theta_ok = False
         delta_ok = False
         if gen_ok:
-            tf = evaluate_endo(gbar, THETA, fid)
-            theta_ok = any(_walk(table, tf, word(s) + f) in cy_set for s in cx)
+            # theta(f) s f lies in C(y) for some s in C(x) exactly when
+            # theta(f)^-1 lies in C(x) f C(y)
+            tf = word(evaluate_endo(gbar, THETA, fid))
+            theta_ok = coset_of[_walk(table, 0, _inverse_word(tf))] == d
         if theta_ok:
             # c^-1 lhs c = rhs, tested as lhs c = c rhs
             df = word(evaluate_endo(gbar, DELTA, fid))
@@ -329,16 +311,16 @@ def double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[DoubleCosetRep]:
 def gt_full_order(gbar: GbarGroup) -> int:
     """Sum the surviving double cosets over all powers coprime to the order.
 
-    C(x^k) = C(x) when gcd(k, ord x) = 1, so every survey after the first
-    reuses the partition cached on the model group and recomputes only the
-    flags.  Validated against cyclic targets only; experimental elsewhere.
+    The partition is built once and handed to each power's survey, which
+    recomputes only the flags.  Validated against cyclic targets only;
+    experimental elsewhere.
     """
     n = perm_order(gbar.x)
     if perm_order(gbar.y) != n:
         raise GbarError("generator tuples have different orders")
-    total = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) != 1:
-            continue
-        total += sum(1 for rep in double_coset_survey(gbar, k) if rep.survives)
-    return total
+    cosets = _double_cosets(gbar)
+    return sum(
+        sum(1 for rep in double_coset_survey(gbar, k, cosets) if rep.survives)
+        for k in range(1, n + 1)
+        if gcd(k, n) == 1
+    )

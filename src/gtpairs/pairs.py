@@ -175,7 +175,11 @@ def build_pc(
     )
     powers = coprime_powers(table)
     cids = list(range(classes.num_classes))
-    workers = min(threads, len(cids), len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity mask
+        cpus = os.cpu_count() or 1
+    workers = min(threads, len(cids), cpus)
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, pickle and socket,
         # which a --threads 1 run never needs
@@ -238,14 +242,12 @@ class BlockPartition:
 
     block_of: list[int]
     blocks: list[list[int]]
-    keys: list[tuple[int, int]]
 
 
 def block_partition(pcset: PcSet) -> BlockPartition:
     block_ids: dict[tuple[int, int], int] = {}
     block_of = []
     blocks: list[list[int]] = []
-    keys: list[tuple[int, int]] = []
     for i in range(pcset.ell):
         key = (pcset.g_class[i], pcset.h_class[i])
         bid = block_ids.get(key)
@@ -253,7 +255,6 @@ def block_partition(pcset: PcSet) -> BlockPartition:
             bid = len(blocks)
             block_ids[key] = bid
             blocks.append([])
-            keys.append(key)
         block_of.append(bid)
         blocks[bid].append(i)
-    return BlockPartition(block_of, blocks, keys)
+    return BlockPartition(block_of, blocks)

@@ -184,9 +184,7 @@ def sg_report(
     for f, e_table in zip(decomp.factors, e_tables):
         simple += composition_factors_small(e_table) * f.s
         simple += simple_factors_of_symmetric(f.s)
-        packets.append(
-            {"e_order": f.e_order, "s": f.s, "orbit_size": len(f.points)}
-        )
+        packets.append({"e_order": f.e_order, "s": f.s})
     simple = sort_factor_labels(simple)
     if prod(simple_factor_order(label) for label in simple) != order:
         raise RuntimeError("simple factor orders do not multiply to the order")

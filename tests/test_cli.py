@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -321,6 +322,14 @@ def test_threads_flag_deterministic(capsys) -> None:
         return [ln for ln in s.splitlines() if not ln.startswith("timings")]
 
     assert strip(out1) == strip(out2)
+
+
+def test_threads_without_an_affinity_mask(capsys, monkeypatch) -> None:
+    """macOS and Windows have no os.sched_getaffinity; the CPU count stands in."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    rc, out, err = _run(capsys, ["pc", "psl2:5", "--threads", "2"])
+    assert (rc, err) == (0, "")
+    assert "ell:" in out
 
 
 @pytest.mark.parametrize("argv", [["gt1", "dihedral:9"], ["gtfull", "cyclic:12"]])

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from math import gcd, lcm
 
 import pytest
@@ -277,35 +276,45 @@ def test_survey_matches_brute_oracle(spec) -> None:
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
-def test_one_partition_serves_every_coprime_power(n) -> None:
+def test_one_partition_serves_every_coprime_power(n, monkeypatch) -> None:
     gbar = model_group(construct(f"cyclic:{n}"))
     order = perm_order(gbar.x)
     for k in range(1, order + 1):
         if gcd(k, order) == 1:
             assert _survey_rows(gbar, k) == brute_double_coset_survey(gbar, k)
-    assert set(gbar.partitions) == {(1, 1)}
+    builds = []
+    build = gbar_module._double_cosets
+    monkeypatch.setattr(
+        gbar_module, "_double_cosets", lambda g: builds.append(g) or build(g)
+    )
+    assert gt_full_order(gbar) == _phi(n)
+    assert builds == [gbar]
 
 
 @pytest.mark.parametrize("spec", ["dihedral:4", "dihedral:6"])
-def test_partition_cache_follows_the_gcds(spec) -> None:
-    """Powers below lcm(ord x, ord y), coprime or not, on one cached model."""
+def test_coprime_powers_match_oracle_and_others_are_refused(spec) -> None:
+    """Every power below lcm(ord x, ord y): a coprime one is surveyed as the
+    oracle does, any other raises ValueError."""
     gbar = model_group(construct(spec))
     nx, ny = perm_order(gbar.x), perm_order(gbar.y)
-    powers = range(1, lcm(nx, ny))
-    for k in powers:
-        assert _survey_rows(gbar, k) == brute_double_coset_survey(gbar, k)
-    assert set(gbar.partitions) == {(gcd(k, nx), gcd(k, ny)) for k in powers}
+    for k in range(1, lcm(nx, ny)):
+        if gcd(k, nx) == 1 and gcd(k, ny) == 1:
+            assert _survey_rows(gbar, k) == brute_double_coset_survey(gbar, k)
+        else:
+            with pytest.raises(ValueError, match=f"power {k} is not prime"):
+                double_coset_survey(gbar, k)
 
 
 @pytest.mark.parametrize("spec", ["cyclic:7", "cyclic:9", "cyclic:12", "dihedral:5"])
 def test_gt_full_order_equals_uncached_sum(spec) -> None:
+    """gt_full_order's shared partition gives the sum of surveys that each
+    build their own."""
     gbar = model_group(construct(spec))
     n = perm_order(gbar.x)
     total = 0
     for k in range(1, n + 1):
         if gcd(k, n) == 1:
-            fresh = replace(gbar, partitions={})
-            total += sum(1 for rep in double_coset_survey(fresh, k) if rep.survives)
+            total += sum(1 for rep in double_coset_survey(gbar, k) if rep.survives)
     assert gt_full_order(gbar) == total
 
 

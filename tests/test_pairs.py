@@ -326,9 +326,10 @@ def test_block_partition_dihedral5() -> None:
     bp = block_partition(pcset)
     assert sorted(len(b) for b in bp.blocks) == [1, 1, 1, 1, 2]
     for bid, block in enumerate(bp.blocks):
+        key = (pcset.g_class[block[0]], pcset.h_class[block[0]])
         for i in block:
             assert bp.block_of[i] == bid
-            assert (pcset.g_class[i], pcset.h_class[i]) == bp.keys[bid]
+            assert (pcset.g_class[i], pcset.h_class[i]) == key
 
 
 def test_ell_multiple_of_out_order() -> None:

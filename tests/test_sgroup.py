@@ -182,7 +182,7 @@ def test_symmetric3_single_trivial_factor() -> None:
     assert h.degree == 3
     assert rep.num_orbits == 1
     assert len(rep.packets) == 1
-    assert rep.packets[0] == {"e_order": 1, "s": 1, "orbit_size": 3}
+    assert rep.packets[0] == {"e_order": 1, "s": 1}
     assert rep.order == 1
     assert rep.simple_factors == []
 
