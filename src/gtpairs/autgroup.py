@@ -2,36 +2,25 @@
 
 A candidate map (x, y) -> (x', y') is grown over the Cayley graph of the
 pair and accepted only if every edge of the graph maps consistently and the
-result is a bijection.  Outer representatives are found by attempting the
-extension onto one representative of every pair class; the number of
-successes is exactly the order of the outer automorphism group, since inner
-automorphisms are what pair classes already quotient by.
+result is a bijection.  An automorphism is its image list: images[e] is the
+id of the image of element e.  Outer representatives are found by
+attempting the extension onto one representative of every pair class; the
+number of successes is exactly the order of the outer automorphism group,
+since inner automorphisms are what pair classes already quotient by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pairs import PcSet
 from .permcore import ConjugacyClassTable, ElementTable
-
-
-@dataclass
-class AutMap:
-    """A verified automorphism as a total map on element ids."""
-
-    images: list[int]
-
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
 
 
 def extend_pair_map(
     table: ElementTable,
     pair: tuple[int, int],
     target: tuple[int, int],
-) -> AutMap | None:
-    """Extend x -> x', y -> y' to an automorphism, or return None.
+) -> list[int] | None:
+    """Extend x -> x', y -> y' to an automorphism's image list, or return None.
 
     The pair (x, y) must generate the group; ValueError otherwise.
     """
@@ -59,52 +48,44 @@ def extend_pair_map(
         raise ValueError("input pair does not generate the group")
     if len(set(images)) != n:
         return None
-    return AutMap(images)
-
-
-@dataclass
-class OutReps:
-    """One automorphism per outer class; entry 0 is the identity."""
-
-    maps: list[AutMap]
-
-    @property
-    def out_order(self) -> int:
-        return len(self.maps)
+    return images
 
 
 def _pair_stats(table: ElementTable, classes: ConjugacyClassTable, g: int, h: int) -> tuple:
-    """Cheap invariants of a pair preserved by any automorphism."""
+    """Class invariants of gh, gh^-1 and [g, h], kept by any automorphism."""
     gh = table.mul(g, h)
     h_inv = table.inverse_id(h)
     gh_inv = table.mul(g, h_inv)
     comm = table.mul(table.mul(table.inverse_id(g), h_inv), gh)
-    orders, sizes, class_of = classes.class_orders, classes.sizes, classes.class_of
-    out = []
-    for e in (g, h, gh):
-        out.append(orders[class_of[e]])
-        out.append(sizes[class_of[e]])
-    out.append(orders[class_of[gh_inv]])
-    out.append(orders[class_of[comm]])
-    return tuple(out)
+    orders, class_of = classes.class_orders, classes.class_of
+    return (orders[class_of[gh]], classes.sizes[class_of[gh]],
+            orders[class_of[gh_inv]], orders[class_of[comm]])
 
 
-def out_representatives(classes: ConjugacyClassTable, pcset: PcSet) -> OutReps:
+def out_representatives(classes: ConjugacyClassTable, pcset: PcSet) -> list[list[int]]:
     """Attempt extension of the base pair onto every pair-class representative.
 
     Successes correspond one to one with outer automorphism classes; the
-    base class itself yields the identity map and is listed first.
+    base class itself yields the identity map and is listed first.  A rep
+    is tried only if its members' class orders and sizes, then its
+    `_pair_stats`, match the base pair's: an automorphism keeps all of them.
     """
     table = pcset.table
+    orders, sizes, class_of = classes.class_orders, classes.sizes, classes.class_of
+
+    def shape(g: int, h: int) -> tuple:
+        cg, ch = class_of[g], class_of[h]
+        return orders[cg], sizes[cg], orders[ch], sizes[ch]
+
     base = pcset.reps[0]
-    base_stats = _pair_stats(table, classes, *base)
-    maps: list[AutMap] = []
+    base_shape, base_stats = shape(*base), _pair_stats(table, classes, *base)
+    maps: list[list[int]] = []
     for g, h in pcset.reps:
-        if _pair_stats(table, classes, g, h) != base_stats:
+        if shape(g, h) != base_shape or _pair_stats(table, classes, g, h) != base_stats:
             continue
         m = extend_pair_map(table, base, (g, h))
         if m is not None:
             maps.append(m)
-    if not maps or not maps[0].is_identity():
+    if not maps or maps[0] != list(range(table.order)):
         raise RuntimeError("identity extension missing; pair-class reps corrupt")
-    return OutReps(maps)
+    return maps

@@ -18,11 +18,10 @@ from .atlas import (
     atlas_entries,
     construct,
 )
-from .autgroup import OutReps, out_representatives
+from .autgroup import out_representatives
 from .dessins import DessinError, analyze_dessin, cyclic_structures, load_dessin
 from .gbar import GbarGroup, build_gbar, double_coset_survey, gt_full_order
 from .pairs import (
-    BlockPartition,
     InducedPerms,
     PairLookupError,
     PcSet,
@@ -180,9 +179,9 @@ class PairStages:
     table: ElementTable
     classes: ConjugacyClassTable
     pcset: PcSet
-    outs: OutReps
+    outs: list[list[int]]
     ind: InducedPerms
-    blocks: BlockPartition
+    block_of: list[int]
     timings: dict[str, float]
 
     @cached_property
@@ -190,8 +189,8 @@ class PairStages:
         """The closed induced action H, its packets and the S report."""
         start = time.perf_counter()
         h = build_haction(self.ind)
-        decomp = packet_decomposition(h, self.blocks.block_of)
-        rep = sg_report(decomp, h, self.blocks.block_of)
+        decomp = packet_decomposition(h, self.block_of)
+        rep = sg_report(decomp, h, self.block_of)
         self.timings["decomposition"] = time.perf_counter() - start
         return h, decomp, rep
 
@@ -217,12 +216,12 @@ def pair_stages(
         raise GroupSpecError(f"{group.spec}: no pair of elements generates the group")
     start = time.perf_counter()
     outs = out_representatives(classes, pcset)
-    ind = induced_perms(pcset, outs.maps)
-    blocks = block_partition(pcset)
+    ind = induced_perms(pcset, outs)
+    block_of = block_partition(pcset)
     timings["action"] = time.perf_counter() - start
-    if pcset.ell % outs.out_order:
+    if pcset.ell % len(outs):
         raise RuntimeError("pair classes do not split evenly into outer orbits")
-    return PairStages(table, classes, pcset, outs, ind, blocks, timings)
+    return PairStages(table, classes, pcset, outs, ind, block_of, timings)
 
 
 def model_stages(
@@ -251,11 +250,9 @@ def _pc_report(command: str, spec: str, st: PairStages) -> dict:
         "command": command,
         "spec": spec,
         "ell": st.pcset.ell,
-        "out_order": outs.out_order,
-        "r": st.pcset.ell // outs.out_order,
-        "block_sizes": sorted(
-            Counter(len(b) for b in st.blocks.blocks).items()
-        ),
+        "out_order": len(outs),
+        "r": st.pcset.ell // len(outs),
+        "block_sizes": sorted(Counter(Counter(st.block_of).values()).items()),
         "theta_cycle_type": _fmt_cycle_type(cycle_type(ind.theta)),
         "delta_cycle_type": _fmt_cycle_type(cycle_type(ind.delta)),
         "out_cycle_types": [
@@ -355,9 +352,7 @@ def _cmd_dessin(args: argparse.Namespace) -> dict:
         reps = cyclic_structures(classes, pair, args.cyclic)
         report["cyclic_n"] = args.cyclic
         report["structure_classes"] = len(reps)
-        report["structure_orders"] = sorted(
-            table.element_order(rep.image_ids[0]) for rep in reps
-        )
+        report["structure_orders"] = sorted(table.element_order(z) for z in reps)
     report["timings"] = {"total": time.perf_counter() - start}
     return report
 
@@ -535,6 +530,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 0:
             raise GroupSpecError("--threads must be nonnegative")
+        if args.cap < 1:
+            raise GroupSpecError("--cap must be positive")
         args.threads = args.threads or os.cpu_count() or 1
         report = DISPATCH[args.command](args)
         if getattr(args, "json", None):

@@ -52,16 +52,6 @@ class DessinAnalysis:
     table: ElementTable
 
 
-@dataclass
-class GammaStructure:
-    """A generating pair with homomorphism images, all as element ids."""
-
-    table: ElementTable
-    g_id: int
-    h_id: int
-    image_ids: tuple[int, ...]
-
-
 def load_dessin(path: str) -> DessinXY:
     """Read a dessin file: a darts line, then cycle lines for x and y.
 
@@ -86,34 +76,21 @@ def analyze_dessin(d: DessinXY, cap: int = DEFAULT_CAP) -> DessinAnalysis:
     )
 
 
-def cyclic_structure(
-    table: ElementTable, g_id: int, h_id: int, n: int, z_id: int
-) -> GammaStructure:
-    """Build a one-generator structure after checking the order relation."""
-    if n < 1:
-        raise DessinError("cyclic order must be positive")
-    if n % table.element_order(z_id):
-        raise DessinError("structure element order does not divide n")
-    return GammaStructure(table=table, g_id=g_id, h_id=h_id, image_ids=(z_id,))
-
-
 def cyclic_structures(
     classes: ConjugacyClassTable, pair: tuple[int, int], n: int
-) -> list[GammaStructure]:
-    """Class representatives of the order-dividing-n structures on a pair.
+) -> list[int]:
+    """The one-generator structures of order dividing n on a pair, as the ids
+    of their images.
 
     Every candidate shares the generating pair, and the only automorphism
     fixing a generating pair is the identity, so two candidates are
     isomorphic exactly when their images are conjugate: one structure per
     conjugacy class, on its least element id.
     """
+    if n < 1:
+        raise DessinError("cyclic order must be positive")
     table = classes.table
-    g_id, h_id = pair
-    gens = [table.elements[g_id], table.elements[h_id]]
+    gens = [table.elements[e] for e in pair]
     if not generates(gens, table.degree, table.order):
         raise DessinError("the pair must generate the group")
-    return [
-        cyclic_structure(table, g_id, h_id, n, z)
-        for z in classes.reps
-        if n % table.element_order(z) == 0
-    ]
+    return [z for z in classes.reps if n % table.element_order(z) == 0]

@@ -29,8 +29,6 @@ class PcSet:
     table: ElementTable
     classes: ConjugacyClassTable
     reps: list[tuple[int, int]]
-    g_class: list[int]
-    h_class: list[int]
     _lookup: list[list[int]]  # per g-conjugacy-class: h id -> pc index or -1
     # per table generator s: e -> id(s e s^-1), built on the first locate
     _unconj: list[list[int]] | None = field(default=None, repr=False)
@@ -196,18 +194,13 @@ def build_pc(
         swept = [_sweep_class(c) for c in cids]
         _SWEEP_STATE.clear()  # keeps no table alive past its results
     reps: list[tuple[int, int]] = []
-    g_class: list[int] = []
-    h_class: list[int] = []
     lookup: list[list[int]] = []
     for cid, (local_reps, assign) in zip(cids, swept):
         offset = len(reps)
         g_id = classes.reps[cid]
-        for h in local_reps:
-            reps.append((g_id, h))
-            g_class.append(cid)
-            h_class.append(classes.class_of[h])
+        reps.extend((g_id, h) for h in local_reps)
         lookup.append([a + offset if a >= 0 else a for a in assign])
-    return PcSet(table, classes, reps, g_class, h_class, lookup)
+    return PcSet(table, classes, reps, lookup)
 
 
 @dataclass
@@ -232,29 +225,17 @@ def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:
         delta.append(pcset.locate(gh_inv, h))
     outs = []
     for m in out_maps:
-        outs.append(tuple(pcset.locate(m.images[g], m.images[h]) for (g, h) in pcset.reps))
+        outs.append(tuple(pcset.locate(m[g], m[h]) for (g, h) in pcset.reps))
     return InducedPerms(tuple(theta), tuple(delta), outs)
 
 
-@dataclass
-class BlockPartition:
-    """Pair classes grouped by the conjugacy classes of their two members."""
-
-    block_of: list[int]
-    blocks: list[list[int]]
-
-
-def block_partition(pcset: PcSet) -> BlockPartition:
+def block_partition(pcset: PcSet) -> list[int]:
+    """block_of[i] = the block of pair class i.  A block holds the pair classes
+    whose members lie in the same two conjugacy classes; blocks are numbered
+    by first appearance over the reps."""
+    class_of = pcset.classes.class_of
     block_ids: dict[tuple[int, int], int] = {}
-    block_of = []
-    blocks: list[list[int]] = []
-    for i in range(pcset.ell):
-        key = (pcset.g_class[i], pcset.h_class[i])
-        bid = block_ids.get(key)
-        if bid is None:
-            bid = len(blocks)
-            block_ids[key] = bid
-            blocks.append([])
-        block_of.append(bid)
-        blocks[bid].append(i)
-    return BlockPartition(block_of, blocks)
+    return [
+        block_ids.setdefault((class_of[g], class_of[h]), len(block_ids))
+        for g, h in pcset.reps
+    ]

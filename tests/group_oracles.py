@@ -19,7 +19,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from gtpairs.atlas import ConstructedGroup
 from gtpairs.autgroup import extend_pair_map
 from gtpairs.cli import model_stages
-from gtpairs.dessins import DessinError, GammaStructure
+from gtpairs.dessins import DessinError
 from gtpairs.gbar import GbarGroup, double_coset_survey
 from gtpairs.pairs import PcSet
 from gtpairs.permcore import (
@@ -369,10 +369,8 @@ def brute_build_pc(table: ElementTable, classes: ConjugacyClassTable) -> PcSet:
     n, degree = table.order, table.degree
     transitive = bool(table.generators) and len(orbit(table.generators, 0)) == degree
     reps: list[tuple[int, int]] = []
-    g_class: list[int] = []
-    h_class: list[int] = []
     lookup: list[list[int]] = []
-    for cid, g_id in enumerate(classes.reps):
+    for g_id in classes.reps:
         g_perm = table.elements[g_id]
         cent = [table.elements[c] for c in scan_centralizer_ids(table, g_id)]
         cent_invs = [inverse(c) for c in cent]
@@ -393,12 +391,10 @@ def brute_build_pc(table: ElementTable, classes: ConjugacyClassTable) -> PcSet:
             if gen:
                 mark = len(reps)
                 reps.append((g_id, h))
-                g_class.append(cid)
-                h_class.append(classes.class_of[h])
             for e in orbit_ids:
                 assign[e] = mark
         lookup.append(assign)
-    return PcSet(table, classes, reps, g_class, h_class, lookup)
+    return PcSet(table, classes, reps, lookup)
 
 
 def coprime_power_sets(elements: list[Perm]) -> list[set[Perm]]:
@@ -453,6 +449,16 @@ def transporter_tuple(
     return None
 
 
+@dataclass
+class GammaStructure:
+    """A generating pair with homomorphism images, all as element ids."""
+
+    table: ElementTable
+    g_id: int
+    h_id: int
+    image_ids: tuple[int, ...]
+
+
 def triple_isomorphic(
     classes: ConjugacyClassTable, t1: GammaStructure, t2: GammaStructure
 ) -> bool:
@@ -469,7 +475,7 @@ def triple_isomorphic(
     alpha = extend_pair_map(t1.table, (t1.g_id, t1.h_id), (t2.g_id, t2.h_id))
     if alpha is None:
         return False
-    moved = tuple(alpha.images[i] for i in t1.image_ids)
+    moved = tuple(alpha[i] for i in t1.image_ids)
     return transporter_tuple(classes, t2.image_ids, moved) is not None
 
 

@@ -294,6 +294,15 @@ def test_bad_thread_count_rejected_for_every_command(capsys) -> None:
         assert err == "error: --threads must be nonnegative\n"
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_cap_rejected_for_every_command(capsys, cap) -> None:
+    for argv in (["pc", "cyclic:4"], ["gt1", "dihedral:3"], ["atlas", "list"]):
+        rc, out, err = _run(capsys, argv + ["--cap", cap])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --cap must be positive\n"
+
+
 def test_cli_import_leaves_sympy_out() -> None:
     # -B: the env below drops PYTHONDONTWRITEBYTECODE, and bytecode the child
     # left in src/ would make later start-up timings of the checkout depend on

@@ -8,9 +8,7 @@ from gtpairs.atlas import construct
 from gtpairs.dessins import (
     DessinError,
     DessinXY,
-    GammaStructure,
     analyze_dessin,
-    cyclic_structure,
     cyclic_structures,
     load_dessin,
 )
@@ -24,7 +22,7 @@ from gtpairs.permcore import (
     parse_cycles,
 )
 from gtpairs.structure import derived_subgroup
-from group_oracles import triple_isomorphic
+from group_oracles import GammaStructure, triple_isomorphic
 
 TETRA_X = "(1,2,3)(4,5,6)(7,8,9)(10,11,12)"
 TETRA_Y = "(1,4)(2,10)(3,7)(5,9)(6,11)(8,12)"
@@ -173,11 +171,9 @@ def test_triple_incompatible_tables_error() -> None:
 def test_cyclic_structure_checks_order() -> None:
     d, a = _tetrahedron()
     t = a.table
-    gx, gy = t.index[d.x], t.index[d.y]
-    with pytest.raises(DessinError):
-        cyclic_structure(t, gx, gy, 2, t.index[d.x])
-    with pytest.raises(DessinError):
-        cyclic_structure(t, gx, gy, 0, 0)
+    pair = (t.index[d.x], t.index[d.y])
+    with pytest.raises(DessinError, match="cyclic order must be positive"):
+        cyclic_structures(_tetra_classes(), pair, 0)
 
 
 def test_cyclic_structures_tetrahedron() -> None:
@@ -187,8 +183,8 @@ def test_cyclic_structures_tetrahedron() -> None:
     t = a.table
     reps = cyclic_structures(cls, (t.index[d.x], t.index[d.y]), 3)
     assert len(reps) == 3
-    assert reps[0].image_ids == (0,)
-    orders = sorted(t.element_order(r.image_ids[0]) for r in reps)
+    assert reps[0] == 0
+    orders = sorted(t.element_order(z) for z in reps)
     assert orders == [1, 3, 3]
     conj_count = len(
         {
@@ -206,8 +202,7 @@ def test_cyclic_structures_trivial_and_coprime() -> None:
     cls = ConjugacyClassTable(t)
     pair = (t.index[g.generators[0]], t.index[g.generators[1]])
     ones = cyclic_structures(cls, pair, 1)
-    assert len(ones) == 1
-    assert ones[0].image_ids == (0,)
+    assert ones == [0]
     assert len(cyclic_structures(cls, pair, 5)) == 1
 
 
@@ -236,12 +231,11 @@ def test_cyclic_structures_match_pairwise_isomorphism_oracle() -> None:
             for z in range(t.order):
                 if n % t.element_order(z):
                     continue
-                cand = cyclic_structure(t, pair[0], pair[1], n, z)
+                cand = GammaStructure(t, pair[0], pair[1], (z,))
                 if not any(triple_isomorphic(cls, cand, r) for r in oracle):
                     oracle.append(cand)
             got = cyclic_structures(cls, pair, n)
-            assert [r.image_ids for r in got] == [r.image_ids for r in oracle]
-            assert all((r.g_id, r.h_id) == pair for r in got)
+            assert [(z,) for z in got] == [r.image_ids for r in oracle]
 
 
 def test_cyclic_structures_requires_generating_pair() -> None:

@@ -27,8 +27,10 @@ from gtpairs.permcore import (
 
 def _pc_key(group: ConstructedGroup):
     table = ElementTable(group.generators, group.degree)
-    pcset = build_pc(table, ConjugacyClassTable(table))
-    return pcset.reps, pcset.g_class, pcset.h_class, pcset._lookup
+    classes = ConjugacyClassTable(table)
+    pcset = build_pc(table, classes)
+    class_pairs = [(classes.class_of[g], classes.class_of[h]) for g, h in pcset.reps]
+    return pcset.reps, class_pairs, pcset._lookup
 
 
 @pytest.mark.parametrize("spec", ["psl2:7", "dihedral:6"])

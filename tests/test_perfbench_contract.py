@@ -3,18 +3,23 @@
 `perfbench/spans.py` wraps functions under the names their callers look
 them up by, and `perfbench/workloads.py` captures the return values of
 `gtpairs.cli` functions.  A refactor that moves or removes one of those
-names breaks the benchmark, not any command, so it is guarded here.
+names breaks the benchmark, not any command, so it is guarded here.  So
+is a patch that resolves but that no call in gtpairs goes through: its
+span stays empty.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
 
 from gtpairs import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SRC = ROOT / "src" / "gtpairs"
 
 
 def _spans():
@@ -39,3 +44,47 @@ def test_captured_cli_names_exist() -> None:
     assert {"build_pc", "build_gbar"} <= captured
     for name in captured:
         assert callable(vars(cli).get(name)), name
+
+
+def _calls(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(bare names called, attribute names called) in one module's ast."""
+    bare, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                bare.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                attrs.add(node.func.attr)
+    return bare, attrs
+
+
+# patches whose wrapper no call in gtpairs goes through, so their spans stay
+# empty: gbar's re-exports and the dessins one only exist so the patch
+# resolves, and cli, not gbar, calls build_gbar
+DEAD_PATCHES = {
+    ("gtpairs.gbar", "ConjugacyClassTable"),
+    ("gtpairs.gbar", "build_pc"),
+    ("gtpairs.gbar", "out_representatives"),
+    ("gtpairs.dessins", "extend_pair_map"),
+    ("gtpairs.gbar", "build_gbar"),
+}
+
+
+def test_span_patches_sit_on_live_calls() -> None:
+    # a `module:Class` patch is live if some module calls `.attr(...)`; any
+    # other patch is live if its owner module calls `attr(...)` by bare name,
+    # which is the lookup the wrapper replaces
+    calls = {
+        path.stem: _calls(ast.parse(path.read_text(encoding="utf-8")))
+        for path in SRC.glob("*.py")
+    }
+    dead = set()
+    for path, attr, *_ in _spans().PATCHES:
+        module, _, cls = path.partition(":")
+        if cls:
+            live = any(attr in attrs for _, attrs in calls.values())
+        else:
+            live = attr in calls[module.rpartition(".")[2]][0]
+        if not live:
+            dead.add((path, attr))
+    assert dead == DEAD_PATCHES

@@ -45,13 +45,13 @@ def _pipeline(spec: str):
     """Table, classes, pcset, outs, induced perms, blocks and the closed H-action."""
     st = _stages(spec)
     h = st.decomposition[0]
-    return st.table, st.classes, st.pcset, st.outs, st.ind, st.blocks, h
+    return st.table, st.classes, st.pcset, st.outs, st.ind, st.block_of, h
 
 
 def _report(spec: str):
     st = _stages(spec)
     h, _, rep = st.decomposition
-    return rep, st.blocks, h
+    return rep, st.block_of, h
 
 
 def _s_generators(spec: str):
@@ -82,7 +82,7 @@ def test_haction_relations() -> None:
         for p in ind.out_perms:
             assert compose(p, ind.theta) == compose(ind.theta, p)
             assert compose(p, ind.delta) == compose(ind.delta, p)
-        assert h.order <= 6 * outs.out_order
+        assert h.order <= 6 * len(outs)
 
 
 def test_out_action_is_free() -> None:
@@ -114,20 +114,20 @@ def test_h_orbits_cover_without_overlap() -> None:
 
 
 def test_orbit_equivalence_on_itself() -> None:
-    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
     for o in _orbits("psl2:7")[:5]:
-        bij = orbit_equivalence(h, o, o, blocks.block_of)
+        bij = orbit_equivalence(h, o, o, block_of)
         assert bij is not None
         assert sorted(bij) == o
         assert sorted(bij.values()) == o
 
 
 def test_orbit_equivalence_rejects_size_mismatch() -> None:
-    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
     orbits = _orbits("psl2:7")
     small, large = min(orbits, key=len), max(orbits, key=len)
     assert len(small) != len(large)
-    assert orbit_equivalence(h, small, large, blocks.block_of) is None
+    assert orbit_equivalence(h, small, large, block_of) is None
 
 
 def test_packets_reject_an_unclosed_h() -> None:
@@ -163,22 +163,22 @@ def test_equivariant_map_rejects_points_with_different_stabilizers() -> None:
     ],
 )
 def test_packets_match_pairwise_oracle(spec) -> None:
-    _, _, _, _, _, blocks, h = _pipeline(spec)
-    decomp = packet_decomposition(h, blocks.block_of)
-    assert decomp == brute_packet_decomposition(h, blocks.block_of)
+    _, _, _, _, _, block_of, h = _pipeline(spec)
+    decomp = packet_decomposition(h, block_of)
+    assert decomp == brute_packet_decomposition(h, block_of)
 
 
 def test_equivalences_respect_blocks_pointwise() -> None:
-    rep, blocks, h = _report("psl2:7")
-    decomp = packet_decomposition(h, blocks.block_of)
+    rep, block_of, h = _report("psl2:7")
+    decomp = packet_decomposition(h, block_of)
     for f in decomp.factors:
         for bij in f.bijections:
             for src, dst in bij.items():
-                assert blocks.block_of[src] == blocks.block_of[dst]
+                assert block_of[src] == block_of[dst]
 
 
 def test_symmetric3_single_trivial_factor() -> None:
-    rep, blocks, h = _report("symmetric:3")
+    rep, block_of, h = _report("symmetric:3")
     assert h.degree == 3
     assert rep.num_orbits == 1
     assert len(rep.packets) == 1
@@ -194,29 +194,29 @@ def test_cyclic5_trivial() -> None:
 
 def test_brute_force_matches_packet_order() -> None:
     for spec in SMALL_SPECS:
-        rep, blocks, h = _report(spec)
-        brute = brute_force_sg(h, blocks.block_of)
+        rep, block_of, h = _report(spec)
+        brute = brute_force_sg(h, block_of)
         assert len(brute) == rep.order, spec
 
 
 def test_emitted_generators_close_onto_brute_group() -> None:
     for spec in SMALL_SPECS:
-        _, blocks, h = _report(spec)
-        brute = set(brute_force_sg(h, blocks.block_of))
+        _, block_of, h = _report(spec)
+        brute = set(brute_force_sg(h, block_of))
         closure = set(ElementTable(_s_generators(spec), h.degree).elements)
         assert closure == brute, spec
 
 
 def test_brute_force_budget_error() -> None:
-    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
     with pytest.raises(SgBudgetError):
-        brute_force_sg(h, blocks.block_of)
+        brute_force_sg(h, block_of)
 
 
 def test_wreath_multiplicity_bound() -> None:
     for spec in SMALL_SPECS + ["psl2:7"]:
-        table, classes, _, _, _, blocks, h = _pipeline(spec)
-        decomp = packet_decomposition(h, blocks.block_of)
+        table, classes, _, _, _, block_of, h = _pipeline(spec)
+        decomp = packet_decomposition(h, block_of)
         z = len(classes.center_ids)
         m = max(classes.sizes)
         for f in decomp.factors:
@@ -224,9 +224,9 @@ def test_wreath_multiplicity_bound() -> None:
 
 
 def test_psl27_report_values() -> None:
-    rep, blocks, h = _report("psl2:7")
+    rep, block_of, h = _report("psl2:7")
     assert h.degree == 114
-    sizes = Counter(len(b) for b in blocks.blocks)
+    sizes = Counter(Counter(block_of).values())
     assert sizes == {2: 4, 3: 8, 6: 9, 8: 1, 10: 2}
     assert rep.num_orbits == 17
     assert rep.order == 512
@@ -239,7 +239,7 @@ def test_psl27_report_values() -> None:
 
 
 def test_psl27_materialized_group_matches_formulas() -> None:
-    rep, blocks, h = _report("psl2:7")
+    rep, block_of, h = _report("psl2:7")
     sg_table = ElementTable(_s_generators("psl2:7"), h.degree)
     assert sg_table.order == 512
     assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
@@ -265,8 +265,7 @@ def _with_swapped_images(spec: str, same_block: bool):
     """spec's packets, with the images of two points swapped in the first
     member bijection that has two such points in the same (or in different)
     blocks."""
-    _, _, _, _, _, blocks, h = _pipeline(spec)
-    block_of = blocks.block_of
+    _, _, _, _, _, block_of, h = _pipeline(spec)
     decomp = copy.deepcopy(_stages(spec).decomposition[1])
     for f in decomp.factors:
         if f.s < 2:
@@ -293,14 +292,14 @@ def test_s_generator_check_rejects_a_block_crossing_bijection() -> None:
 
 
 def test_s_generator_check_rejects_a_point_outside_the_members() -> None:
-    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
     decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
     f = next(f for f in decomp.factors if f.s >= 2)
     inside = {p for idx in f.member_orbits[:2] for p in decomp.orbits[idx]}
     p = f.points[0]
     f.bijections[1][p] = next(q for q in range(h.degree) if q not in inside)
     with pytest.raises(RuntimeError, match="outside its orbits"):
-        check_s_generators(decomp, h, blocks.block_of)
+        check_s_generators(decomp, h, block_of)
 
 
 def test_sg_report_checks_s_generators_above_ell_2000() -> None:
@@ -311,10 +310,10 @@ def test_sg_report_checks_s_generators_above_ell_2000() -> None:
 
 
 def test_sg_report_rejects_an_unclosed_self_equivalence_set() -> None:
-    _, _, _, _, _, blocks, h = _pipeline("psl2:7")
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
     decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
     f = decomp.factors[0]
     # a 3-cycle and the identity: the span has order 3, not 2
     f.e_elements = [identity_perm(len(f.points)), (1, 2, 0) + tuple(range(3, len(f.points)))]
     with pytest.raises(RuntimeError, match="self-equivalence set is not closed"):
-        sg_report(decomp, h, blocks.block_of)
+        sg_report(decomp, h, block_of)
