@@ -7,7 +7,7 @@ fails loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import factorial, gcd
 
@@ -33,12 +33,7 @@ class ConstructionError(RuntimeError):
     pass
 
 
-@dataclass
-class ConstructedGroup:
-    spec: str
-    degree: int
-    generators: list[Perm]
-    order: int
+ConstructedGroup = namedtuple("ConstructedGroup", "spec degree generators order")
 
 
 def _gate(spec: str, degree: int, generators: list[Perm], order: int) -> ConstructedGroup:

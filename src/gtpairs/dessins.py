@@ -9,7 +9,7 @@ fixes the distinguished pair and conjugates the images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # extend_pair_map is re-exported: perfbench/spans.py traces it under this name
 from .autgroup import extend_pair_map  # noqa: F401
@@ -29,27 +29,21 @@ class DessinError(ValueError):
     pass
 
 
-@dataclass
 class DessinXY:
     """A dart set with its two permutations."""
 
-    darts: int
-    x: Perm
-    y: Perm
-
-    def __post_init__(self) -> None:
-        if len(self.x) != self.darts or len(self.y) != self.darts:
+    def __init__(self, darts: int, x: Perm, y: Perm) -> None:
+        if len(x) != darts or len(y) != darts:
             raise DessinError("permutations must act on exactly the dart set")
+        self.darts, self.x, self.y = darts, x, y
 
 
-@dataclass
-class DessinAnalysis:
+class DessinAnalysis(
+    namedtuple("DessinAnalysis", "monodromy_order transitive regular table")
+):
     """Monodromy facts for one dessin."""
 
-    monodromy_order: int
-    transitive: bool
-    regular: bool
-    table: ElementTable
+    __slots__ = ()
 
 
 def load_dessin(path: str) -> DessinXY:

@@ -15,7 +15,7 @@ generators are word substitutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 # ConjugacyClassTable, build_pc and out_representatives are re-exported:
@@ -41,25 +41,23 @@ class GbarError(RuntimeError):
     pass
 
 
-@dataclass
-class DoubleCosets:
-    """The model group cut into the double cosets C(x) f C(y), one rep each."""
+class DoubleCosets(namedtuple("DoubleCosets", "cy reps coset_of")):
+    """The model group cut into the double cosets C(x) f C(y), one rep each:
+    cy is C(y) as model ids, ascending; reps holds (element id, coset size)
+    by ascending id; coset_of maps a model id to its double coset's index in
+    reps."""
 
-    cy: list[int]  # model ids, ascending
-    reps: list[tuple[int, int]]  # (element id, coset size), ascending ids
-    coset_of: list[int]  # model id -> its double coset's index in reps
+    __slots__ = ()
 
 
-@dataclass
 class GbarGroup:
     """The model group with its element table, the base group's table and
     the generators as permutations of degree r*d."""
 
-    r: int
-    x: Perm
-    y: Perm
-    base: ElementTable
-    table: ElementTable
+    def __init__(
+        self, r: int, x: Perm, y: Perm, base: ElementTable, table: ElementTable
+    ) -> None:
+        self.r, self.x, self.y, self.base, self.table = r, x, y, base, table
 
     @property
     def order(self) -> int:
@@ -79,29 +77,24 @@ class GbarGroup:
         return _windows(self.base, self.window_ids(i))
 
 
-@dataclass(frozen=True)
-class EndoImages:
+class EndoImages(namedtuple("EndoImages", "x_image y_image")):
     """The words of the images of x and y over the letters 0 = x, 1 = y,
     2 = x^-1, 3 = y^-1."""
 
-    x_image: tuple[int, ...]
-    y_image: tuple[int, ...]
+    __slots__ = ()
 
 
 THETA = EndoImages(x_image=(1,), y_image=(0,))  # x <-> y
 DELTA = EndoImages(x_image=(3, 2), y_image=(1,))  # x -> y^-1 x^-1, y -> y
 
 
-@dataclass
-class DoubleCosetRep:
+class DoubleCosetRep(
+    namedtuple("DoubleCosetRep", "word coset_size generates_model theta_ok delta_ok")
+):
     """One double coset with the survival flags of its representative, the
     model element reached by word from the identity."""
 
-    word: tuple[int, ...]
-    coset_size: int
-    generates_model: bool
-    theta_ok: bool
-    delta_ok: bool
+    __slots__ = ()
 
     @property
     def survives(self) -> bool:
@@ -308,8 +301,8 @@ def double_coset_survey(
     return reps
 
 
-def gt_full_order(gbar: GbarGroup) -> int:
-    """Sum the surviving double cosets over all powers coprime to the order.
+def survivor_counts(gbar: GbarGroup) -> dict[int, int]:
+    """The surviving double cosets of each power k coprime to the order.
 
     The partition is built once and handed to each power's survey, which
     recomputes only the flags.  Validated against cyclic targets only;
@@ -319,8 +312,13 @@ def gt_full_order(gbar: GbarGroup) -> int:
     if perm_order(gbar.y) != n:
         raise GbarError("generator tuples have different orders")
     cosets = _double_cosets(gbar)
-    return sum(
-        sum(1 for rep in double_coset_survey(gbar, k, cosets) if rep.survives)
+    return {
+        k: sum(1 for rep in double_coset_survey(gbar, k, cosets) if rep.survives)
         for k in range(1, n + 1)
         if gcd(k, n) == 1
-    )
+    }
+
+
+def gt_full_order(gbar: GbarGroup) -> int:
+    """Sum the surviving double cosets over all powers coprime to the order."""
+    return sum(survivor_counts(gbar).values())

@@ -12,26 +12,29 @@ reached from the tested one by the moves h -> h g and h -> h^k, k prime to
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
-from .permcore import ConjugacyClassTable, ElementTable, Perm, composer, generates, orbit
+from .permcore import ConjugacyClassTable, ElementTable, composer, generates, orbit
 
 
 class PairLookupError(KeyError):
     pass
 
 
-@dataclass
 class PcSet:
     """Classes of generating pairs under conjugation."""
 
-    table: ElementTable
-    classes: ConjugacyClassTable
-    reps: list[tuple[int, int]]
-    _lookup: list[list[int]]  # per g-conjugacy-class: h id -> pc index or -1
-    # per table generator s: e -> id(s e s^-1), built on the first locate
-    _unconj: list[list[int]] | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        table: ElementTable,
+        classes: ConjugacyClassTable,
+        reps: list[tuple[int, int]],
+        _lookup: list[list[int]],  # per g-conjugacy-class: h id -> pc index or -1
+    ) -> None:
+        self.table, self.classes, self.reps, self._lookup = table, classes, reps, _lookup
+        # per table generator s: e -> id(s e s^-1), built on the first locate
+        self._unconj: list[list[int]] | None = None
 
     @property
     def ell(self) -> int:
@@ -203,14 +206,11 @@ def build_pc(
     return PcSet(table, classes, reps, lookup)
 
 
-@dataclass
-class InducedPerms:
+class InducedPerms(namedtuple("InducedPerms", "theta delta out_perms")):
     """The involutions theta, delta and the outer maps as permutations of
     pair-class indices."""
 
-    theta: Perm
-    delta: Perm
-    out_perms: list[Perm]
+    __slots__ = ()
 
 
 def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:

@@ -8,7 +8,7 @@ This module computes it exactly, from the columns of H, one orbit at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, prod
 
 from .pairs import InducedPerms
@@ -20,7 +20,6 @@ from .permcore import (
     subgroup_table,
 )
 from .structure import (
-    GroupFingerprint,
     composition_factors_small,
     product_fingerprint,
     simple_factor_order,
@@ -63,25 +62,33 @@ def _equivariant_map(src: tuple, dst: tuple) -> dict[int, int]:
     return bij
 
 
-@dataclass
 class WreathFactor:
     """One packet: s equivalent orbits sharing the self-equivalence group E."""
 
-    points: list[int]
-    e_elements: list[Perm]
-    s: int
-    member_orbits: list[int]
-    bijections: list[dict[int, int]]
+    def __init__(
+        self,
+        points: list[int],
+        e_elements: list[Perm],
+        s: int,
+        member_orbits: list[int],
+        bijections: list[dict[int, int]],
+    ) -> None:
+        self.points, self.e_elements, self.s = points, e_elements, s
+        self.member_orbits, self.bijections = member_orbits, bijections
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is WreathFactor and vars(self) == vars(other)
 
     @property
     def e_order(self) -> int:
         return len(self.e_elements)
 
 
-@dataclass
-class PacketDecomposition:
-    orbits: list[list[int]]  # sorted point lists, ascending by base (first point)
-    factors: list[WreathFactor]
+class PacketDecomposition(namedtuple("PacketDecomposition", "orbits factors")):
+    """H's orbits as sorted point lists, ascending by base (first point), and
+    the packets (WreathFactor) they fall into."""
+
+    __slots__ = ()
 
 
 def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecomposition:
@@ -158,13 +165,7 @@ def check_s_generators(
                 raise RuntimeError("S generator fails to commute")
 
 
-@dataclass
-class SgReport:
-    order: int
-    simple_factors: list[str]
-    packets: list[dict]
-    fingerprint: GroupFingerprint | None
-    num_orbits: int
+SgReport = namedtuple("SgReport", "order simple_factors packets fingerprint num_orbits")
 
 
 def sg_report(

@@ -12,7 +12,7 @@ sized for the group orders met here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, lcm
 
 from .permcore import (
@@ -127,19 +127,17 @@ def abelian_invariants(t: ElementTable) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass
-class GroupFingerprint:
-    """Isomorphism-invariant statistics of a finite group."""
+class GroupFingerprint(
+    namedtuple(
+        "GroupFingerprint",
+        "order exponent center_order center_exponent derived_order "
+        "derived_abelian derived_exponent abelianization order_histogram",
+    )
+):
+    """Isomorphism-invariant statistics of a finite group.  derived_exponent
+    is None unless the derived subgroup is abelian."""
 
-    order: int
-    exponent: int
-    center_order: int
-    center_exponent: int
-    derived_order: int
-    derived_abelian: bool
-    derived_exponent: int | None
-    abelianization: tuple[int, ...]
-    order_histogram: dict[int, int]
+    __slots__ = ()
 
     @classmethod
     def from_mul(cls, t: ElementTable) -> GroupFingerprint:

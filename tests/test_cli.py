@@ -322,6 +322,23 @@ def test_cli_import_leaves_sympy_out() -> None:
     assert proc.stdout.strip() == "False False"
 
 
+def test_cli_import_leaves_dataclasses_inspect_and_typing_out() -> None:
+    # -S: no site module, so no .pth file can preload any of them
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, gtpairs.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_threads_flag_deterministic(capsys) -> None:
     rc1, out1, _ = _run(capsys, ["pc", "psl2:7", "--threads", "1"])
     rc2, out2, _ = _run(capsys, ["pc", "psl2:7", "--threads", "2"])
@@ -358,6 +375,17 @@ def test_repro_cyclic_table(capsys) -> None:
     rc, out, _ = _run(capsys, ["repro", "cyclic", "--threads", "1"])
     assert rc == 0
     assert "result: 22 of 22 entries match" in out
+
+
+def test_repro_cyclic_builds_one_partition_per_row(capsys, monkeypatch) -> None:
+    from gtpairs import gbar
+
+    builds = []
+    build = gbar._double_cosets
+    monkeypatch.setattr(gbar, "_double_cosets", lambda g: builds.append(g) or build(g))
+    rc, _, _ = _run(capsys, ["repro", "cyclic", "--threads", "1"])
+    assert rc == 0
+    assert len(builds) == len(cli.CYCLIC_FULL_EXPECTED) == 11
 
 
 def test_repro_psl2_default_rows(capsys, tmp_path) -> None:

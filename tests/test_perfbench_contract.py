@@ -46,6 +46,38 @@ def test_captured_cli_names_exist() -> None:
         assert callable(vars(cli).get(name)), name
 
 
+# attributes the benchmark's checks and span values read off captured return
+# values (perfbench/workloads.py, perfbench/spans.py)
+CAPTURED_ATTRS = {
+    "build_pc": ("table", "reps", "locate", "ell"),
+    "build_gbar": ("x", "y", "order"),
+}
+TABLE_ATTRS = ("order", "elements")
+
+
+def test_captured_results_carry_the_attributes_the_checks_read(monkeypatch) -> None:
+    captured = {}
+    for name in CAPTURED_ATTRS:
+        original = vars(cli)[name]
+
+        def keep(*args, _name=name, _original=original, **kwargs):
+            captured[_name] = out = _original(*args, **kwargs)
+            return out
+
+        monkeypatch.setattr(cli, name, keep)
+    assert cli.run(["gt1", "dihedral:3", "--threads", "1"]) == 0
+    assert set(captured) == set(CAPTURED_ATTRS)
+    for name, attrs in CAPTURED_ATTRS.items():
+        for attr in attrs:
+            assert hasattr(captured[name], attr), (name, attr)
+    pcset = captured["build_pc"]
+    assert isinstance(pcset.table, cli.ElementTable)
+    for attr in TABLE_ATTRS:
+        assert hasattr(pcset.table, attr), ("ElementTable", attr)
+    g, h = pcset.reps[0]
+    assert pcset.locate(g, h) == 0
+
+
 def _calls(tree: ast.AST) -> tuple[set[str], set[str]]:
     """(bare names called, attribute names called) in one module's ast."""
     bare, attrs = set(), set()
