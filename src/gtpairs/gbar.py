@@ -142,17 +142,22 @@ def build_gbar(pcset: PcSet, out_perms: list[Perm], cap: int = DEFAULT_CAP) -> G
     xs = [pcset.reps[i][0] for i in reps]
     ys = [pcset.reps[i][1] for i in reps]
     x, y = _windows(base, xs), _windows(base, ys)
-    # the random fill's bound only: verifying a chain at this degree can take minutes
-    at_least = StabilizerChain([x, y], r * base.degree, stop_at=cap + 1).bound
-    if at_least > cap:
+    # |M| exactly, or a proven lower bound past the cap
+    order = StabilizerChain([x, y], r * base.degree, stop_at=cap + 1).exact_order()
+    if order > cap:
         raise EnumerationCapError(
-            f"model group has at least {at_least} elements, more than --cap {cap}; "
+            f"model group has at least {order} elements, more than --cap {cap}; "
             "raise --cap to allow a larger group"
         )
     inv = base.inverse_ids
     gens = _right_actions(base, [xs, ys, [inv[g] for g in xs], [inv[h] for h in ys]])
     n = base.order
     model = ElementTable(gens, r * n, cap=cap, start=tuple(range(0, r * n, n)))
+    if model.order != order:
+        raise GbarError(
+            f"model order check failed: the table holds {model.order} elements, "
+            f"the Schreier-Sims chain counts {order}"
+        )
     if n**r % model.order:
         raise GbarError("model order fails to divide the full power order")
     for w, (g, h) in enumerate(zip(xs, ys)):

@@ -14,11 +14,10 @@ take either form.
 
 from __future__ import annotations
 
-import random
 import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator
-from itertools import count, islice
+from itertools import islice
 from math import inf, lcm
 from operator import itemgetter
 
@@ -204,45 +203,16 @@ def orbit(generators: list[Perm], point: int) -> list[int]:
     return queue
 
 
-_CHAIN_SEED = 0x67745061  # fixed, so runs repeat; orders never depend on it
-_SIFT_BUDGET = 8  # consecutive identity sifts of random words that end the fill
-_PR_SLOTS = 5  # product-replacement state size (at least)
-_PR_WARMUP = 10  # product-replacement steps discarded before the first word
-
-
-def _random_words(generators: list[Perm], ident: Perm) -> Iterator[Perm]:
-    """Endless product-replacement random words in the generators, which
-    have the form of the identity ident."""
-    rand = random.Random(_CHAIN_SEED).random
-    slots = (list(generators) * _PR_SLOTS)[: max(_PR_SLOTS, len(generators))]
-    n = len(slots)
-    acc = ident
-    for step in count(1):
-        i = int(rand() * n)
-        j = int(rand() * (n - 1))
-        if j >= i:
-            j += 1
-        if rand() < 0.5:
-            slots[i] = compose(slots[i], slots[j])
-        else:
-            slots[i] = compose(slots[j], slots[i])
-        acc = compose(acc, slots[i])
-        if step > _PR_WARMUP:
-            yield acc
-
-
 class StabilizerChain:
     """Schreier-Sims base and strong generating set of <generators>.
 
-    Construction sifts every generator, then product-replacement random
-    words in them, inserting each nontrivial residue at its level and
-    extending the basic orbits in place.  The fill stops once `bound`
-    reaches stop_at, or once _SIFT_BUDGET consecutive words sift to the
-    identity.  Every strong generator at level i lies in the group and
-    fixes base[:i], so each basic orbit lies in the true orbit of the point
-    stabilizer, and `bound`, the product of the orbit lengths, is a proven
-    lower bound on the group order.  exact_order() verifies the same chain.
-    Up to PACKED_DEGREE the chain holds its permutations packed.
+    Construction sifts every generator, inserting each nontrivial residue
+    at its level and extending the basic orbits in place, and stops once
+    `bound` reaches stop_at.  Every strong generator at level i lies in the
+    group and fixes base[:i], so each basic orbit lies in the true orbit of
+    the point stabilizer, and `bound`, the product of the orbit lengths, is
+    a proven lower bound on the group order.  exact_order() completes the
+    chain.  Up to PACKED_DEGREE the chain holds its permutations packed.
     """
 
     def __init__(self, generators: list[Perm], degree: int, stop_at: int | None = None):
@@ -262,12 +232,6 @@ class StabilizerChain:
             if self.bound >= self._stop_at:
                 return
             self._add(g, 0)
-        if not self.base:
-            return  # every generator is the identity
-        words = _random_words(generators, self._ident)
-        idle = 0
-        while idle < _SIFT_BUDGET and self.bound < self._stop_at:
-            idle = 0 if self._add(next(words), 0) is not None else idle + 1
 
     def exact_order(self) -> int:
         """The group order, or `bound` as soon as it reaches stop_at.
@@ -344,14 +308,9 @@ class StabilizerChain:
 
 
 def generates(generators: list[Perm], degree: int, target_order: int) -> bool:
-    """Test whether generators known to lie in a group of target_order span it.
-
-    Las Vegas: the random fill of a Schreier-Sims chain proves generation
-    when its bound reaches target_order; otherwise verifying that chain
-    decides.  The random source only affects the running time.
-    """
-    chain = StabilizerChain(generators, degree, stop_at=target_order)
-    order = chain.bound if chain.bound >= target_order else chain.exact_order()
+    """Test whether generators known to lie in a group of target_order span
+    it: a Schreier-Sims chain stopped once its bound reaches target_order."""
+    order = StabilizerChain(generators, degree, stop_at=target_order).exact_order()
     if order > target_order:
         raise RuntimeError(
             f"generators span at least {order} elements, so the check "

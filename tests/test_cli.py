@@ -275,9 +275,12 @@ def test_small_base_group_leaves_the_model_refusal(capsys) -> None:
     assert rc == 2
     assert not out
     assert err == (
-        "error: model group has at least 28224 elements, more than --cap 20000; "
+        "error: model group has at least 65856 elements, more than --cap 20000; "
         "raise --cap to allow a larger group\n"
     )
+    # a proven bound: past the cap, and at most |G|^r for r = 57 windows
+    bound = int(err.split()[6])
+    assert 20000 < bound <= 168**57
 
 
 def test_bad_thread_count(capsys) -> None:
@@ -327,7 +330,7 @@ def test_cli_import_leaves_dataclasses_inspect_and_typing_out() -> None:
     src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import sys, gtpairs.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'random', 'typing'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-B", "-c", code],
@@ -445,6 +448,21 @@ def test_model_self_check_failure_exits_3(capsys, monkeypatch) -> None:
     assert rc == 3
     assert out == ""
     assert err.startswith("error: internal check failed: left coset check failed")
+    assert len(err.splitlines()) == 1
+
+
+def test_model_order_check_failure_exits_3(capsys, monkeypatch) -> None:
+    from gtpairs import gbar
+
+    class Overcounting(gbar.StabilizerChain):
+        def exact_order(self) -> int:
+            return super().exact_order() * 2
+
+    monkeypatch.setattr(gbar, "StabilizerChain", Overcounting)
+    rc, out, err = _run(capsys, ["gt1", "dihedral:3", "--threads", "1"])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: model order check failed")
     assert len(err.splitlines()) == 1
 
 
