@@ -202,7 +202,10 @@ def build_pc(
         offset = len(reps)
         g_id = classes.reps[cid]
         reps.extend((g_id, h) for h in local_reps)
-        lookup.append([a + offset if a >= 0 else a for a in assign])
+        # one int object per pair class, shared by all its entries, not a
+        # fresh sum for each generating h
+        ids = list(range(offset, len(reps)))
+        lookup.append([ids[a] if a >= 0 else a for a in assign])
     return PcSet(table, classes, reps, lookup)
 
 
@@ -215,17 +218,33 @@ class InducedPerms(namedtuple("InducedPerms", "theta delta out_perms")):
 
 def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:
     """Permutations induced on pair classes by swapping, inversion shift, and
-    each outer representative."""
-    table = pcset.table
-    theta = []
-    delta = []
-    for (g, h) in pcset.reps:
-        theta.append(pcset.locate(h, g))
-        gh_inv = table.inverse_id(table.mul(g, h))
-        delta.append(pcset.locate(gh_inv, h))
-    outs = []
-    for m in out_maps:
-        outs.append(tuple(pcset.locate(m[g], m[h]) for (g, h) in pcset.reps))
+    each outer representative.
+
+    out_maps[0] is the identity (`out_representatives` lists it first), so
+    its permutation is not located.  Every outer map commutes with theta and
+    delta, so both are located only on the first class o of each outer
+    orbit and carried to the rest: theta[a(o)] = a(theta[o]), the same for
+    delta.  A class reached twice means Out does not act freely.
+    """
+    table, reps, locate = pcset.table, pcset.reps, pcset.locate
+    ell = len(reps)
+    outs = [tuple(range(ell))]
+    outs += [tuple([locate(m[g], m[h]) for g, h in reps]) for m in out_maps[1:]]
+    theta = [-1] * ell
+    delta = [-1] * ell
+    for o, (g, h) in enumerate(reps):
+        if theta[o] >= 0:
+            continue
+        t = locate(h, g)
+        d = locate(table.inverse_id(table.mul(g, h)), h)
+        for a in outs:
+            p = a[o]
+            if theta[p] >= 0:
+                raise RuntimeError(
+                    f"outer maps do not act freely: pair class {p} reached twice"
+                )
+            theta[p] = a[t]
+            delta[p] = a[d]
     return InducedPerms(tuple(theta), tuple(delta), outs)
 
 

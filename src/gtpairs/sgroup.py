@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial, prod
+from operator import itemgetter
 
 from .pairs import InducedPerms
 from .permcore import (
@@ -40,9 +41,13 @@ def build_haction(induced: InducedPerms) -> ElementTable:
         raise RuntimeError(message) from None
 
 
-def _column(h: ElementTable, q: int) -> tuple:
-    """The column of q: e(q) for every e of H, in table order."""
-    return tuple([e[q] for e in h.elements])
+def _columns(h: ElementTable, pts: list[int]) -> list[tuple]:
+    """The columns of the points pts, read in one pass over H: the column
+    of q is e(q) for every e of H, in table order.  itemgetter with one
+    index returns a bare int, so a single point keeps the plain form."""
+    if len(pts) == 1:
+        return [tuple(map(itemgetter(pts[0]), h.elements))]
+    return list(zip(*map(itemgetter(*pts), h.elements)))
 
 
 def _point_key(q: int, col: tuple, block_of: list[int]) -> tuple:
@@ -94,41 +99,41 @@ class PacketDecomposition(namedtuple("PacketDecomposition", "orbits factors")):
 def packet_decomposition(h: ElementTable, block_of: list[int]) -> PacketDecomposition:
     """H's orbits, grouped into packets of equivalent orbits, and each E.
 
-    Each orbit's points get their columns once.  An orbit's key is the least
+    Each orbit's columns are read in one pass.  An orbit's key is the least
     point key over its points, so two orbits are equivalent exactly when
     their keys are equal.  Members' bijections start from the column of the
-    representative's base, which the packet keeps.
+    representative's base, which the packet keeps with the base's key.
     """
     orbits: list[list[int]] = []
-    packets: dict[tuple, tuple[WreathFactor, tuple]] = {}
+    packets: dict[tuple, tuple[WreathFactor, tuple, tuple]] = {}
     seen = [False] * h.degree
     for p in range(h.degree):
         if seen[p]:
             continue
-        base_col = _column(h, p)
+        # p is the least point of its orbit, so pts[0] == p below
+        base_col = tuple(map(itemgetter(p), h.elements))
         pts = sorted(set(base_col))
         if len(pts) * base_col.count(p) != h.order:
             raise RuntimeError("orbit size times stabilizer size is not the group size")
         for q in pts:
             seen[q] = True
-        cols = {q: base_col if q == p else _column(h, q) for q in pts}
-        keys = {q: _point_key(q, cols[q], block_of) for q in pts}
-        key = min(keys.values())
+        cols = _columns(h, pts)
+        keys = [_point_key(q, col, block_of) for q, col in zip(pts, cols)]
+        key = min(keys)
         orbits.append(pts)
         if key not in packets:
             pos = {q: i for i, q in enumerate(pts)}
-            maps = [_equivariant_map(base_col, cols[q]) for q in pts if keys[q] == keys[p]]
+            maps = [_equivariant_map(base_col, c) for c, k in zip(cols, keys) if k == keys[0]]
             e_elements = [tuple(pos[bij[x]] for x in pts) for bij in maps]
             f = WreathFactor(pts, e_elements, 1, [len(orbits) - 1], [{q: q for q in pts}])
-            packets[key] = f, base_col
+            packets[key] = f, base_col, keys[0]
             continue
-        f, rep_col = packets[key]
-        rep_key = _point_key(f.points[0], rep_col, block_of)
-        q = next(q for q in pts if keys[q] == rep_key)
+        f, rep_col, rep_key = packets[key]
+        col = next(c for c, k in zip(cols, keys) if k == rep_key)
         f.s += 1
         f.member_orbits.append(len(orbits) - 1)
-        f.bijections.append(_equivariant_map(rep_col, cols[q]))
-    return PacketDecomposition(orbits, [f for f, _ in packets.values()])
+        f.bijections.append(_equivariant_map(rep_col, col))
+    return PacketDecomposition(orbits, [f for f, _, _ in packets.values()])
 
 
 def check_s_generators(
@@ -179,11 +184,18 @@ def sg_report(
     order = prod(f.e_order**f.s * factorial(f.s) for f in decomp.factors)
     simple: list[str] = []
     packets = []
-    e_tables = [subgroup_table(f.e_elements, len(f.points)) for f in decomp.factors]
-    if any(e.order != f.e_order for f, e in zip(decomp.factors, e_tables)):
-        raise RuntimeError("self-equivalence set is not closed")
-    for f, e_table in zip(decomp.factors, e_tables):
-        simple += composition_factors_small(e_table) * f.s
+    # packets often share one E: each distinct set of permutations is
+    # analysed once, since only its isomorphism invariants are read
+    e_keys = [frozenset(f.e_elements) for f in decomp.factors]
+    e_tables: dict[frozenset, ElementTable] = {}
+    for f, key in zip(decomp.factors, e_keys):
+        if key not in e_tables:
+            e_tables[key] = subgroup_table(f.e_elements, len(f.points))
+        if e_tables[key].order != f.e_order:
+            raise RuntimeError("self-equivalence set is not closed")
+    e_factors = {key: composition_factors_small(e) for key, e in e_tables.items()}
+    for f, key in zip(decomp.factors, e_keys):
+        simple += e_factors[key] * f.s
         simple += simple_factors_of_symmetric(f.s)
         packets.append({"e_order": f.e_order, "s": f.s})
     simple = sort_factor_labels(simple)
@@ -191,11 +203,12 @@ def sg_report(
         raise RuntimeError("simple factor orders do not multiply to the order")
     fingerprint = None
     if order & (order - 1) == 0:
+        wreaths = {}
+        for f, key in zip(decomp.factors, e_keys):
+            if (key, f.s) not in wreaths:
+                wreaths[key, f.s] = wreath_fingerprint(e_tables[key], f.s)
         fingerprint = product_fingerprint(
-            [
-                wreath_fingerprint(e_table, f.s)
-                for f, e_table in zip(decomp.factors, e_tables)
-            ]
+            [wreaths[key, f.s] for f, key in zip(decomp.factors, e_keys)]
         )
         if fingerprint.order != order:
             raise RuntimeError("fingerprint order disagrees with the order")

@@ -435,6 +435,19 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch, failure) -> None:
     assert err == f"error: internal check failed: {failure}\n"
 
 
+def test_outer_map_listed_twice_exits_3(capsys, monkeypatch) -> None:
+    true_out_representatives = cli.out_representatives
+
+    def identity_twice(classes, pcset):
+        return true_out_representatives(classes, pcset)[:1] * 2
+
+    monkeypatch.setattr(cli, "out_representatives", identity_twice)
+    rc, out, err = _run(capsys, ["sg", "psl2:7", "--threads", "1"])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: outer maps do not act freely")
+
+
 def test_model_self_check_failure_exits_3(capsys, monkeypatch) -> None:
     from gtpairs import gbar
 

@@ -25,7 +25,7 @@ from gtpairs.permcore import (
     conjugate,
     generates,
 )
-from group_oracles import brute_build_pc, coprime_power_sets
+from group_oracles import brute_build_pc, coprime_power_sets, tuple_locate
 
 
 def _tables(spec):
@@ -300,6 +300,38 @@ def test_theta_delta_relations_small_sweep() -> None:
         for p in ind.out_perms:
             assert compose(p, ind.theta) == compose(ind.theta, p)
             assert compose(p, ind.delta) == compose(ind.delta, p)
+
+
+@pytest.mark.parametrize(
+    "spec, out_order",
+    [("symmetric:4", 1), ("psl2:7", 2), ("psl2:8", 3), ("psl2:9", 4)],
+)
+def test_induced_perms_match_tuple_locate(spec, out_order) -> None:
+    """theta and delta are carried along outer orbits; each class's image
+    is checked against (h, g) and ((gh)^-1, h) formed in tuple arithmetic
+    and located by conjugating with the whole transporter."""
+    table, classes = _tables(spec)
+    pcset = build_pc(table, classes)
+    outs = out_representatives(classes, pcset)
+    assert len(outs) == out_order
+    ind = induced_perms(pcset, outs)
+    elements, index = table.elements, table.index
+    for i, (g, h) in enumerate(pcset.reps):
+        gh_inv = index[_inv(_mul(elements[g], elements[h]))]
+        assert ind.theta[i] == tuple_locate(pcset, h, g)
+        assert ind.delta[i] == tuple_locate(pcset, gh_inv, h)
+        for m, perm in zip(outs, ind.out_perms):
+            assert perm[i] == tuple_locate(pcset, m[g], m[h])
+
+
+def test_induced_perms_refuse_an_outer_map_listed_twice() -> None:
+    """The identity listed twice reaches every class twice: Out would not
+    act freely, and carrying theta along orbits would be unsound."""
+    table, classes = _tables("psl2:7")
+    pcset = build_pc(table, classes)
+    identity = out_representatives(classes, pcset)[0]
+    with pytest.raises(RuntimeError, match="outer maps do not act freely"):
+        induced_perms(pcset, [identity, identity])
 
 
 def test_out_perms_act_freely() -> None:

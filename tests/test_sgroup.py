@@ -12,7 +12,6 @@ from gtpairs.atlas import construct
 from gtpairs.cli import pair_stages
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, identity_perm
 from gtpairs.sgroup import (
-    _column,
     _equivariant_map,
     check_s_generators,
     packet_decomposition,
@@ -22,12 +21,17 @@ from gtpairs.structure import (
     GroupFingerprint,
     abelian_invariants,
     fingerprint_recognize,
+    product_fingerprint,
     quotient,
+    simple_factors_of_symmetric,
+    sort_factor_labels,
 )
 from group_oracles import (
     SgBudgetError,
     brute_force_sg,
     brute_packet_decomposition,
+    mul_composition_factors,
+    mul_fingerprint,
     orbit_equivalence,
     s_generators,
 )
@@ -92,6 +96,11 @@ def test_out_action_is_free() -> None:
             if i == 0:  # entry 0 is the identity, the only inner class
                 continue
             assert all(p[x] != x for x in range(len(p)))
+
+
+def _column(h: ElementTable, q: int) -> tuple:
+    """The column of q: e(q) for every e of H, in table order."""
+    return tuple([e[q] for e in h.elements])
 
 
 def _stabilizer(h: ElementTable, q: int) -> list[int]:
@@ -317,3 +326,70 @@ def test_sg_report_rejects_an_unclosed_self_equivalence_set() -> None:
     f.e_elements = [identity_perm(len(f.points)), (1, 2, 0) + tuple(range(3, len(f.points)))]
     with pytest.raises(RuntimeError, match="self-equivalence set is not closed"):
         sg_report(decomp, h, block_of)
+
+
+def _two_packets_of_one_degree(spec: str):
+    """A copy of spec's decomposition and its first two packets of the
+    largest orbit size that two packets share."""
+    decomp = copy.deepcopy(_stages(spec).decomposition[1])
+    by_size: dict[int, list] = {}
+    for f in decomp.factors:
+        by_size.setdefault(len(f.points), []).append(f)
+    size = max(k for k, fs in by_size.items() if len(fs) >= 2)
+    return decomp, by_size[size][0], by_size[size][1]
+
+
+def test_sg_report_rejects_an_unclosed_set_shared_by_two_packets() -> None:
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
+    decomp, f1, f2 = _two_packets_of_one_degree("psl2:7")
+    k = len(f1.points)
+    bad = [identity_perm(k), (1, 2, 0) + tuple(range(3, k))]
+    f1.e_elements, f2.e_elements = bad, list(bad)
+    with pytest.raises(RuntimeError, match="self-equivalence set is not closed"):
+        sg_report(decomp, h, block_of)
+
+
+def test_sg_report_checks_closure_per_packet_when_the_set_is_shared() -> None:
+    """Two packets list the same set of maps, the second one with a repeat:
+    the span built for the first is closed, but not of the second's size."""
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
+    decomp, f1, f2 = _two_packets_of_one_degree("psl2:7")
+    k = len(f1.points)
+    swap = (1, 0) + tuple(range(2, k))
+    f1.e_elements = [identity_perm(k), swap]
+    f2.e_elements = [identity_perm(k), swap, swap]
+    with pytest.raises(RuntimeError, match="self-equivalence set is not closed"):
+        sg_report(decomp, h, block_of)
+
+
+def _wreath_table(f) -> ElementTable:
+    """E wr Sym(s) on s copies of the packet's orbit: E on the first copy
+    and the swaps of neighbouring copies."""
+    k, s = len(f.points), f.s
+    gens = [tuple(e) + tuple(range(k, s * k)) for e in f.e_elements]
+    for i in range(s - 1):
+        swap = list(range(s * k))
+        for j in range(k):
+            swap[i * k + j], swap[(i + 1) * k + j] = (i + 1) * k + j, i * k + j
+        gens.append(tuple(swap))
+    return ElementTable(gens, s * k)
+
+
+@pytest.mark.parametrize("spec", ["psl2:11", "psl2:13", "alternating:7"])
+def test_shared_e_analysis_matches_per_packet_oracle(spec) -> None:
+    """sg_report analyses each distinct E once; every packet recomputed on
+    its own, by whole-table scans, gives the same factors and fingerprint."""
+    h, decomp, rep = _stages(spec).decomposition
+    assert len({frozenset(f.e_elements) for f in decomp.factors}) < len(decomp.factors)
+    simple = []
+    for f in decomp.factors:
+        e_table = ElementTable(f.e_elements, len(f.points))
+        simple += mul_composition_factors(e_table) * f.s
+        simple += simple_factors_of_symmetric(f.s)
+    assert rep.simple_factors == sort_factor_labels(simple)
+    if rep.order & (rep.order - 1):
+        assert rep.fingerprint is None
+    else:
+        fps = [mul_fingerprint(_wreath_table(f)) for f in decomp.factors]
+        assert rep.fingerprint == product_fingerprint(fps)
+    assert (spec == "alternating:7") == (rep.fingerprint is None)
