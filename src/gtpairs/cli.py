@@ -185,12 +185,11 @@ class PairStages:
         table: ElementTable,
         classes: ConjugacyClassTable,
         pcset: PcSet,
-        outs: list[list[int]],
         ind: InducedPerms,
         block_of: list[int],
         timings: dict[str, float],
     ) -> None:
-        self.table, self.classes, self.pcset, self.outs = table, classes, pcset, outs
+        self.table, self.classes, self.pcset = table, classes, pcset
         self.ind, self.block_of, self.timings = ind, block_of, timings
 
     @cached_property
@@ -230,7 +229,7 @@ def pair_stages(
     timings["action"] = time.perf_counter() - start
     if pcset.ell % len(outs):
         raise RuntimeError("pair classes do not split evenly into outer orbits")
-    return PairStages(table, classes, pcset, outs, ind, block_of, timings)
+    return PairStages(table, classes, pcset, ind, block_of, timings)
 
 
 def model_stages(
@@ -240,7 +239,7 @@ def model_stages(
     orbits; the model build is timed as stage `model`."""
     st = pair_stages(group, cap, threads)
     start = time.perf_counter()
-    gbar = build_gbar(st.pcset, st.ind.out_perms, cap)
+    gbar = build_gbar(st.pcset, st.ind.orbit_reps, cap)
     st.timings["model"] = time.perf_counter() - start
     return st, gbar
 
@@ -253,14 +252,14 @@ def _fingerprint_ab(rep: SgReport) -> list[int] | None:
 
 
 def _pc_report(command: str, spec: str, st: PairStages) -> dict:
-    ind, outs = st.ind, st.outs
+    ind = st.ind
     return {
         "schema": 1,
         "command": command,
         "spec": spec,
         "ell": st.pcset.ell,
-        "out_order": len(outs),
-        "r": st.pcset.ell // len(outs),
+        "out_order": len(ind.out_perms),
+        "r": len(ind.orbit_reps),
         "block_sizes": sorted(Counter(Counter(st.block_of).values()).items()),
         "theta_cycle_type": _fmt_cycle_type(cycle_type(ind.theta)),
         "delta_cycle_type": _fmt_cycle_type(cycle_type(ind.delta)),
@@ -531,12 +530,14 @@ def run(argv: list[str] | None = None) -> int:
 
     0: success; 1: a `repro` table mismatch; 2: bad input or an oversized
     problem; 3: an internal self-check failed.  Ints print in full, however
-    long (|S| of alternating:9 has 21,088 digits).
+    long (|S| of alternating:9 has 21,088 digits): the interpreter's limit on
+    int digits is lifted for the call and the caller's limit restored after.
     """
-    if hasattr(sys, "set_int_max_str_digits"):  # the limit exists from 3.10.7 on
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:  # the limit exists from 3.10.7 on
         sys.set_int_max_str_digits(0)
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.threads < 0:
             raise GroupSpecError("--threads must be nonnegative")
         if args.cap < 1:
@@ -551,8 +552,12 @@ def run(argv: list[str] | None = None) -> int:
     except (RuntimeError, AssertionError) as err:
         print(f"error: internal check failed: {err}", file=sys.stderr)
         return 3
-    print(_render(report))
-    return 0 if report.get("ok", True) else 1
+    else:
+        print(_render(report))
+        return 0 if report.get("ok", True) else 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -87,4 +87,4 @@ def cyclic_structures(
     gens = [table.elements[e] for e in pair]
     if not generates(gens, table.degree, table.order):
         raise DessinError("the pair must generate the group")
-    return [z for z in classes.reps if n % table.element_order(z) == 0]
+    return [z for z, o in zip(classes.reps, classes.class_orders) if n % o == 0]

@@ -31,7 +31,6 @@ from .permcore import (
     StabilizerChain,
     composer,
     generates,
-    orbit,
     pack,
     perm_order,
 )
@@ -124,23 +123,15 @@ def _right_actions(base: ElementTable, windows: list[list[int]]) -> list[list[in
     return out
 
 
-def build_gbar(pcset: PcSet, out_perms: list[Perm], cap: int = DEFAULT_CAP) -> GbarGroup:
-    """Enumerate the model group, one window per orbit of the outer
-    automorphisms (out_perms, on pair-class indices) on the pair classes."""
+def build_gbar(
+    pcset: PcSet, orbit_reps: list[int], cap: int = DEFAULT_CAP
+) -> GbarGroup:
+    """Enumerate the model group, one window per outer orbit of pair
+    classes, on its least class: `InducedPerms.orbit_reps`."""
     base = pcset.table
-    seen = [False] * pcset.ell
-    reps = []
-    for i in range(pcset.ell):
-        if seen[i]:
-            continue
-        for q in orbit(out_perms, i):
-            seen[q] = True
-        reps.append(i)
-    r = len(reps)
-    if r != pcset.ell // len(out_perms):
-        raise GbarError("outer orbit count disagrees with the free-action count")
-    xs = [pcset.reps[i][0] for i in reps]
-    ys = [pcset.reps[i][1] for i in reps]
+    r = len(orbit_reps)
+    xs = [pcset.reps[i][0] for i in orbit_reps]
+    ys = [pcset.reps[i][1] for i in orbit_reps]
     x, y = _windows(base, xs), _windows(base, ys)
     # |M| exactly, or a proven lower bound past the cap
     order = StabilizerChain([x, y], r * base.degree, stop_at=cap + 1).exact_order()

@@ -209,9 +209,10 @@ def build_pc(
     return PcSet(table, classes, reps, lookup)
 
 
-class InducedPerms(namedtuple("InducedPerms", "theta delta out_perms")):
+class InducedPerms(namedtuple("InducedPerms", "theta delta out_perms orbit_reps")):
     """The involutions theta, delta and the outer maps as permutations of
-    pair-class indices."""
+    pair-class indices, and the least pair class of each outer orbit,
+    ascending."""
 
     __slots__ = ()
 
@@ -232,9 +233,11 @@ def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:
     outs += [tuple([locate(m[g], m[h]) for g, h in reps]) for m in out_maps[1:]]
     theta = [-1] * ell
     delta = [-1] * ell
+    orbit_reps = []
     for o, (g, h) in enumerate(reps):
         if theta[o] >= 0:
             continue
+        orbit_reps.append(o)
         t = locate(h, g)
         d = locate(table.inverse_id(table.mul(g, h)), h)
         for a in outs:
@@ -245,7 +248,7 @@ def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:
                 )
             theta[p] = a[t]
             delta[p] = a[d]
-    return InducedPerms(tuple(theta), tuple(delta), outs)
+    return InducedPerms(tuple(theta), tuple(delta), outs, orbit_reps)
 
 
 def block_partition(pcset: PcSet) -> list[int]:

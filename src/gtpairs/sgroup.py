@@ -17,23 +17,22 @@ from .permcore import (
     ElementTable,
     EnumerationCapError,
     Perm,
+    composer,
     is_identity,
     subgroup_table,
 )
 from .structure import (
     composition_factors_small,
     product_fingerprint,
-    simple_factor_order,
     simple_factors_of_symmetric,
-    sort_factor_labels,
     wreath_fingerprint,
 )
 
 def build_haction(induced: InducedPerms) -> ElementTable:
-    """The closure H of the outer, theta and delta permutations of the pair
-    classes, generated in that order.  |H| is at most 6 |Out|, so the
-    enumeration stops as soon as it passes that bound."""
-    gens = list(induced.out_perms) + [induced.theta, induced.delta]
+    """The closure H of the non-identity outer, theta and delta permutations
+    of the pair classes, generated in that order.  |H| is at most 6 |Out|,
+    so the enumeration stops as soon as it passes that bound."""
+    gens = list(induced.out_perms[1:]) + [induced.theta, induced.delta]
     try:
         return ElementTable(gens, len(induced.theta), cap=6 * len(induced.out_perms))
     except EnumerationCapError:
@@ -43,11 +42,8 @@ def build_haction(induced: InducedPerms) -> ElementTable:
 
 def _columns(h: ElementTable, pts: list[int]) -> list[tuple]:
     """The columns of the points pts, read in one pass over H: the column
-    of q is e(q) for every e of H, in table order.  itemgetter with one
-    index returns a bare int, so a single point keeps the plain form."""
-    if len(pts) == 1:
-        return [tuple(map(itemgetter(pts[0]), h.elements))]
-    return list(zip(*map(itemgetter(*pts), h.elements)))
+    of q is e(q) for every e of H, in table order."""
+    return list(zip(*map(composer(tuple(pts)), h.elements)))
 
 
 def _point_key(q: int, col: tuple, block_of: list[int]) -> tuple:
@@ -182,7 +178,7 @@ def sg_report(
     which it can match C2^a x D8^b.
     """
     order = prod(f.e_order**f.s * factorial(f.s) for f in decomp.factors)
-    simple: list[str] = []
+    simple: list[tuple[int, str]] = []
     packets = []
     # packets often share one E: each distinct set of permutations is
     # analysed once, since only its isomorphism invariants are read
@@ -198,8 +194,8 @@ def sg_report(
         simple += e_factors[key] * f.s
         simple += simple_factors_of_symmetric(f.s)
         packets.append({"e_order": f.e_order, "s": f.s})
-    simple = sort_factor_labels(simple)
-    if prod(simple_factor_order(label) for label in simple) != order:
+    simple.sort()
+    if prod(n for n, _ in simple) != order:
         raise RuntimeError("simple factor orders do not multiply to the order")
     fingerprint = None
     if order & (order - 1) == 0:
@@ -215,7 +211,7 @@ def sg_report(
     check_s_generators(decomp, h, block_of)
     return SgReport(
         order=order,
-        simple_factors=simple,
+        simple_factors=[name for _, name in simple],
         packets=packets,
         fingerprint=fingerprint,
         num_orbits=len(decomp.orbits),

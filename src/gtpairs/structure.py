@@ -267,53 +267,32 @@ def fingerprint_recognize(fp: GroupFingerprint) -> tuple[int, int] | None:
     return None
 
 
-def simple_factors_of_symmetric(s: int) -> list[str]:
-    """Composition factor labels of Sym(s)."""
+def simple_factors_of_symmetric(s: int) -> list[tuple[int, str]]:
+    """Composition factors of Sym(s) as (order, name), ascending."""
     if s <= 1:
         return []
     if s == 2:
-        return ["C2"]
+        return [(2, "C2")]
     if s == 3:
-        return ["C2", "C3"]
+        return [(2, "C2"), (3, "C3")]
     if s == 4:
-        return ["C2", "C2", "C2", "C3"]
-    return sorted([f"A{s}", "C2"], key=_label_key)
+        return [(2, "C2"), (2, "C2"), (2, "C2"), (3, "C3")]
+    return [(2, "C2"), (factorial(s) // 2, f"A{s}")]
 
 
-def simple_factor_order(label: str) -> int:
-    if label.startswith("Other(") and label.endswith(")"):
-        return int(label[6:-1])
-    if label.startswith("A"):
-        return factorial(int(label[1:])) // 2
-    if label.startswith("C"):
-        return int(label[1:])
-    raise ValueError(f"unknown simple factor label {label!r}")
-
-
-def _label_key(label: str) -> tuple[int, str]:
-    return (simple_factor_order(label), label)
-
-
-def sort_factor_labels(labels: list[str]) -> list[str]:
-    return sorted(labels, key=_label_key)
-
-
-def _simple_label(t: ElementTable) -> str:
+def _simple_factor(t: ElementTable) -> tuple[int, str]:
     n = t.order
     if isprime(n):
-        return f"C{n}"
-    if n == 60:
-        return "A5"
-    if n == 360:
-        return "A6"
-    if n == 2520:
-        return "A7"
-    return f"Other({n})"
+        return n, f"C{n}"
+    return n, {60: "A5", 360: "A6", 2520: "A7"}.get(n, f"Other({n})")
 
 
-def composition_factors_small(t: ElementTable, limit: int = 10**4) -> list[str]:
-    """Composition factor labels of a group, by minimal normal subgroups: the
-    least subgroup spanned by a conjugacy class, then its quotient."""
+def composition_factors_small(
+    t: ElementTable, limit: int = 10**4
+) -> list[tuple[int, str]]:
+    """Composition factors of a group as (order, name), ascending, by minimal
+    normal subgroups: the least subgroup spanned by a conjugacy class, then
+    its quotient."""
     if t.order > limit:
         raise StructureSizeError(
             f"composition factors supported up to order {limit}, got {t.order}"
@@ -328,7 +307,7 @@ def composition_factors_small(t: ElementTable, limit: int = 10**4) -> list[str]:
         (subgroup_table(m, t.degree) for m in members[1:]), key=lambda n: n.order
     )
     if best.order == t.order:
-        return [_simple_label(t)]
+        return [_simple_factor(t)]
     sub = composition_factors_small(best, limit)
     quo = composition_factors_small(quotient(t, best), limit)
-    return sort_factor_labels(sub + quo)
+    return sorted(sub + quo)

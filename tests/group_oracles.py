@@ -40,7 +40,6 @@ from gtpairs.structure import (
     StructureSizeError,
     abelian_invariants,
     element_order_histogram,
-    sort_factor_labels,
 )
 
 DEFAULT_BRUTE_BUDGET = 10**7
@@ -641,17 +640,18 @@ def _conjugacy_class_lists(t) -> list[list[int]]:
     return out
 
 
-def _simple_label(order: int) -> str:
-    """Label of a simple group from its order alone: C_p for a prime, A5, A6
-    and A7 by their orders, Other(n) otherwise."""
+def _simple_factor(order: int) -> tuple[int, str]:
+    """(order, label) of a simple group from its order alone: C_p for a
+    prime, A5, A6 and A7 by their orders, Other(n) otherwise."""
     if order > 1 and all(order % k for k in range(2, isqrt(order) + 1)):
-        return f"C{order}"
-    return {60: "A5", 360: "A6", 2520: "A7"}.get(order, f"Other({order})")
+        return order, f"C{order}"
+    return order, {60: "A5", 360: "A6", 2520: "A7"}.get(order, f"Other({order})")
 
 
-def mul_composition_factors(t, limit: int = 10**4) -> list[str]:
-    """Composition factor labels of a mul table, by minimal normal subgroups
-    found from every conjugacy class's subgroup closure."""
+def mul_composition_factors(t, limit: int = 10**4) -> list[tuple[int, str]]:
+    """Composition factors of a mul table as (order, label), ascending, by
+    minimal normal subgroups found from every conjugacy class's subgroup
+    closure."""
     if t.order > limit:
         raise StructureSizeError(
             f"composition factors supported up to order {limit}, got {t.order}"
@@ -666,7 +666,7 @@ def mul_composition_factors(t, limit: int = 10**4) -> list[str]:
         if best is None or len(closure) < len(best):
             best = closure
     if len(best) == t.order:
-        return [_simple_label(t.order)]
+        return [_simple_factor(t.order)]
     sub = mul_composition_factors(SubgroupTable(t, best), limit)
     quo = mul_composition_factors(QuotientTable(t, best), limit)
-    return sort_factor_labels(sub + quo)
+    return sorted(sub + quo)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -31,7 +31,6 @@ from gtpairs.structure import (
     factorint,
     fingerprint_recognize,
     quotient,
-    simple_factor_order,
 )
 from group_oracles import (
     GammaStructure,
@@ -48,13 +47,13 @@ THREADS = os.cpu_count() or 1
 
 def _pipeline(spec: str, threads: int = 1):
     st = pair_stages(construct(spec), threads=threads)
-    return st.table, st.classes, st.pcset, st.outs, st.ind, st.block_of
+    return st.table, st.classes, st.pcset, st.ind.out_perms, st.ind, st.block_of
 
 
 def _sg(spec: str, threads: int = 1):
     st = pair_stages(construct(spec), threads=threads)
     h, decomp, rep = st.decomposition
-    return rep, st.table, st.classes, st.pcset, st.outs, st.block_of, h, decomp
+    return rep, st.table, st.classes, st.pcset, st.ind.out_perms, st.block_of, h, decomp
 
 
 def _perm_closure(perms, ell: int) -> set:
@@ -271,7 +270,12 @@ M11_PACKET_SHAPES = {
 
 
 def _factor_product(multiset: dict[str, int]) -> int:
-    return prod(simple_factor_order(label) ** n for label, n in multiset.items())
+    """The product of the factor orders: Cp has order p, An has n!/2."""
+    orders = {
+        label: int(label[1:]) if label[0] == "C" else factorial(int(label[1:])) // 2
+        for label in multiset
+    }
+    return prod(orders[label] ** n for label, n in multiset.items())
 
 
 @pytest.mark.extended

@@ -565,17 +565,31 @@ def test_report_with_a_5000_digit_order_renders_and_writes(
         argv = ["sg", "cyclic:5", "--threads", "1", "--json", str(path)]
         rc, out, _ = _run(capsys, argv)
         assert rc == 0
-        assert f"order: {order} = " in out
         text = path.read_text()
         if limit is not None:
-            sys.set_int_max_str_digits(4300)
+            # run lifted the limit for itself only
             with pytest.raises(ValueError, match="limit"):
                 json.loads(text)
             sys.set_int_max_str_digits(0)
+        assert f"order: {order} = " in out
         assert json.loads(text)["order"] == order
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+)
+def test_run_restores_the_callers_int_digit_limit(capsys) -> None:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc, _, _ = _run(capsys, ["pc", "cyclic:4", "--threads", "1"])
+        assert rc == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_induced_action_past_its_bound_exits_3(capsys, monkeypatch) -> None:
@@ -586,6 +600,7 @@ def test_induced_action_past_its_bound_exits_3(capsys, monkeypatch) -> None:
         theta=tuple(list(range(1, degree)) + [0]),
         delta=tuple([1, 0] + list(range(2, degree))),
         out_perms=[tuple(range(degree))],
+        orbit_reps=list(range(degree)),
     )
     with pytest.raises(RuntimeError, match="exceeded six per outer class"):
         build_haction(fake)

@@ -94,6 +94,20 @@ def test_window_projections_cover_base() -> None:
         assert generates([xs, ys], d, gbar.base.order)
 
 
+@pytest.mark.parametrize(
+    "spec", ["dihedral:7", "cyclic:12", "quaternion8", "alternating:4"]
+)
+def test_model_windows_are_the_outer_orbit_reps(spec) -> None:
+    """Window w of the generators is the pair class orbit_reps[w]; quaternion8
+    has |Out| = 6, so most classes are no window."""
+    st, gbar = cli.model_stages(construct(spec), threads=1)
+    table = gbar.table
+    x_id, y_id = table.gen_cols[0][0], table.gen_cols[1][0]
+    windows = list(zip(gbar.window_ids(x_id), gbar.window_ids(y_id)))
+    assert windows == [st.pcset.reps[o] for o in st.ind.orbit_reps]
+    assert gbar.r * len(st.ind.out_perms) == st.pcset.ell
+
+
 def test_model_order_divides_power() -> None:
     for spec in ["cyclic:5", "dihedral:3", "dihedral:5", "quaternion8"]:
         gbar = _gbar(spec)

@@ -345,6 +345,10 @@ def test_out_perms_act_freely() -> None:
                 assert p == tuple(range(pcset.ell))
             else:
                 assert all(p[i] != i for i in range(pcset.ell))
+        # the out perms are all of Out, so {p[i]} is the whole outer orbit of i
+        least = {min(p[i] for p in ind.out_perms) for i in range(pcset.ell)}
+        assert ind.orbit_reps == sorted(least)
+        assert len(ind.orbit_reps) * len(ind.out_perms) == pcset.ell
 
 
 def test_block_partition_dihedral5() -> None:
@@ -448,4 +452,5 @@ def test_eulerian_identity_on_a_relabelled_file_group(tmp_path, spec, seed) -> N
 def test_hall_d2_published_values(spec, d2) -> None:
     # Hall (1936): A5 = PSL(2,4) = PSL(2,5) has d_2 = 19, PSL(2,7) has d_2 = 57
     stages = pair_stages(construct(spec))
-    assert stages.pcset.ell // len(stages.outs) == d2
+    assert stages.pcset.ell // len(stages.ind.out_perms) == d2
+    assert len(stages.ind.orbit_reps) == d2

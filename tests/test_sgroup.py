@@ -24,7 +24,6 @@ from gtpairs.structure import (
     product_fingerprint,
     quotient,
     simple_factors_of_symmetric,
-    sort_factor_labels,
 )
 from group_oracles import (
     SgBudgetError,
@@ -49,7 +48,7 @@ def _pipeline(spec: str):
     """Table, classes, pcset, outs, induced perms, blocks and the closed H-action."""
     st = _stages(spec)
     h = st.decomposition[0]
-    return st.table, st.classes, st.pcset, st.outs, st.ind, st.block_of, h
+    return st.table, st.classes, st.pcset, st.ind.out_perms, st.ind, st.block_of, h
 
 
 def _report(spec: str):
@@ -386,7 +385,7 @@ def test_shared_e_analysis_matches_per_packet_oracle(spec) -> None:
         e_table = ElementTable(f.e_elements, len(f.points))
         simple += mul_composition_factors(e_table) * f.s
         simple += simple_factors_of_symmetric(f.s)
-    assert rep.simple_factors == sort_factor_labels(simple)
+    assert rep.simple_factors == [name for _, name in sorted(simple)]
     if rep.order & (rep.order - 1):
         assert rep.fingerprint is None
     else:

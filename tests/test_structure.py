@@ -26,9 +26,7 @@ from gtpairs.structure import (
     isprime,
     lcm_convolve,
     quotient,
-    simple_factor_order,
     simple_factors_of_symmetric,
-    sort_factor_labels,
     trivial_fingerprint,
     wreath_fingerprint,
 )
@@ -256,47 +254,32 @@ def test_fingerprint_recognize_rejects_non_two_power() -> None:
 
 
 def test_simple_factors_of_symmetric_small() -> None:
+    """Factors carry their orders and sort by them, not by name: C2 before
+    A5, C3 after every C2."""
     assert simple_factors_of_symmetric(0) == []
     assert simple_factors_of_symmetric(1) == []
-    assert simple_factors_of_symmetric(2) == ["C2"]
-    assert simple_factors_of_symmetric(3) == ["C2", "C3"]
-    assert simple_factors_of_symmetric(4) == ["C2", "C2", "C2", "C3"]
-    assert simple_factors_of_symmetric(5) == ["C2", "A5"]
-    assert simple_factors_of_symmetric(9) == ["C2", "A9"]
-
-
-def test_simple_factor_order_values() -> None:
-    assert simple_factor_order("C2") == 2
-    assert simple_factor_order("C13") == 13
-    assert simple_factor_order("A5") == 60
-    assert simple_factor_order("A9") == 181440
-    assert simple_factor_order("Other(42)") == 42
-    with pytest.raises(ValueError):
-        simple_factor_order("X7")
-
-
-def test_sort_factor_labels_orders_by_group_order() -> None:
-    labels = ["A6", "C2", "A5", "C3", "C2"]
-    assert sort_factor_labels(labels) == ["C2", "C2", "C3", "A5", "A6"]
+    assert simple_factors_of_symmetric(2) == [(2, "C2")]
+    assert simple_factors_of_symmetric(3) == [(2, "C2"), (3, "C3")]
+    assert simple_factors_of_symmetric(4) == [(2, "C2")] * 3 + [(3, "C3")]
+    assert simple_factors_of_symmetric(5) == [(2, "C2"), (60, "A5")]
+    assert simple_factors_of_symmetric(9) == [(2, "C2"), (181440, "A9")]
 
 
 def test_composition_factors_of_solvable_groups() -> None:
+    c2, c3 = (2, "C2"), (3, "C3")
     assert composition_factors_small(_table("cyclic:1")) == []
-    assert composition_factors_small(_table("cyclic:6")) == ["C2", "C3"]
-    assert composition_factors_small(_table("dihedral:4")) == ["C2", "C2", "C2"]
-    assert composition_factors_small(_table("quaternion8")) == ["C2", "C2", "C2"]
-    assert composition_factors_small(_table("symmetric:4")) == [
-        "C2",
-        "C2",
-        "C2",
-        "C3",
-    ]
+    assert composition_factors_small(_table("cyclic:6")) == [c2, c3]
+    assert composition_factors_small(_table("dihedral:4")) == [c2] * 3
+    assert composition_factors_small(_table("quaternion8")) == [c2] * 3
+    assert composition_factors_small(_table("symmetric:4")) == [c2] * 3 + [c3]
 
 
 def test_composition_factors_of_simple_and_almost_simple() -> None:
-    assert composition_factors_small(_table("alternating:5")) == ["A5"]
-    assert composition_factors_small(_table("symmetric:5")) == ["C2", "A5"]
-    assert composition_factors_small(_table("cyclic:13")) == ["C13"]
+    assert composition_factors_small(_table("alternating:5")) == [(60, "A5")]
+    assert composition_factors_small(_table("symmetric:5")) == [(2, "C2"), (60, "A5")]
+    assert composition_factors_small(_table("cyclic:13")) == [(13, "C13")]
+    assert composition_factors_small(_table("alternating:6")) == [(360, "A6")]
+    assert composition_factors_small(_table("psl2:7")) == [(168, "Other(168)")]
 
 
 def test_composition_factors_size_limit() -> None:
