@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import factorial, prod
+
 import pytest
 
 from gtpairs.atlas import construct
@@ -263,6 +265,37 @@ def test_simple_factors_of_symmetric_small() -> None:
     assert simple_factors_of_symmetric(4) == [(2, "C2")] * 3 + [(3, "C3")]
     assert simple_factors_of_symmetric(5) == [(2, "C2"), (60, "A5")]
     assert simple_factors_of_symmetric(9) == [(2, "C2"), (181440, "A9")]
+
+
+def test_simple_factor_order_values() -> None:
+    """Each factor's order is the order of the simple group it names, and the
+    orders multiply to the order of the group."""
+    assert composition_factors_small(_table("cyclic:2")) == [(2, "C2")]
+    assert composition_factors_small(_table("cyclic:13")) == [(13, "C13")]
+    assert composition_factors_small(_table("alternating:5")) == [(60, "A5")]
+    assert simple_factors_of_symmetric(9)[-1] == (181440, "A9")
+    assert composition_factors_small(_table("psl2:7")) == [(168, "Other(168)")]
+    for spec in ("cyclic:12", "dihedral:6", "quaternion8", "symmetric:4", "symmetric:5"):
+        t = _table(spec)
+        assert prod(o for o, _ in composition_factors_small(t)) == t.order, spec
+    for s in range(2, 10):
+        assert prod(o for o, _ in simple_factors_of_symmetric(s)) == factorial(s), s
+
+
+def test_sort_factor_labels_orders_by_group_order() -> None:
+    """Factors come ascending by group order, not by name: C2 before A5 and
+    A6, C3 after every C2, C5 after C3."""
+    assert composition_factors_small(_table("symmetric:5")) == [(2, "C2"), (60, "A5")]
+    assert simple_factors_of_symmetric(6) == [(2, "C2"), (360, "A6")]
+    assert composition_factors_small(_table("dihedral:6")) == [
+        (2, "C2"),
+        (2, "C2"),
+        (3, "C3"),
+    ]
+    assert composition_factors_small(_table("cyclic:15")) == [(3, "C3"), (5, "C5")]
+    for spec in ("cyclic:30", "symmetric:4", "symmetric:5", "alternating:5"):
+        orders = [o for o, _ in composition_factors_small(_table(spec))]
+        assert orders == sorted(orders), spec
 
 
 def test_composition_factors_of_solvable_groups() -> None:
