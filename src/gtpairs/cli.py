@@ -360,7 +360,9 @@ def _cmd_dessin(args: argparse.Namespace) -> dict:
         reps = cyclic_structures(classes, pair, args.cyclic)
         report["cyclic_n"] = args.cyclic
         report["structure_classes"] = len(reps)
-        report["structure_orders"] = sorted(table.element_order(z) for z in reps)
+        report["structure_orders"] = sorted(
+            classes.class_orders[classes.class_of[z]] for z in reps
+        )
     report["timings"] = {"total": time.perf_counter() - start}
     return report
 

@@ -21,7 +21,7 @@ from math import gcd
 # ConjugacyClassTable, build_pc and out_representatives are re-exported:
 # perfbench/spans.py traces them under these names
 from .autgroup import out_representatives  # noqa: F401
-from .pairs import PcSet, build_pc  # noqa: F401
+from .pairs import PairLookupError, PcSet, build_pc  # noqa: F401
 from .permcore import (
     DEFAULT_CAP,
     ConjugacyClassTable,  # noqa: F401
@@ -50,13 +50,17 @@ class DoubleCosets(namedtuple("DoubleCosets", "cy reps coset_of")):
 
 
 class GbarGroup:
-    """The model group with its element table, the base group's table and
-    the generators as permutations of degree r*d."""
+    """The model group with its element table, the base group's pair
+    classes and the generators as permutations of degree r*d."""
 
     def __init__(
-        self, r: int, x: Perm, y: Perm, base: ElementTable, table: ElementTable
+        self, r: int, x: Perm, y: Perm, pcset: PcSet, table: ElementTable
     ) -> None:
-        self.r, self.x, self.y, self.base, self.table = r, x, y, base, table
+        self.r, self.x, self.y, self.pcset, self.table = r, x, y, pcset, table
+
+    @property
+    def base(self) -> ElementTable:
+        return self.pcset.table
 
     @property
     def order(self) -> int:
@@ -154,7 +158,7 @@ def build_gbar(
     for w, (g, h) in enumerate(zip(xs, ys)):
         if not generates([base.elements[g], base.elements[h]], base.degree, n):
             raise GbarError(f"window {w} projection fails to cover the base group")
-    return GbarGroup(r=r, x=x, y=y, base=base, table=model)
+    return GbarGroup(r=r, x=x, y=y, pcset=pcset, table=model)
 
 
 def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -196,13 +200,26 @@ def _double_cosets(gbar: GbarGroup) -> DoubleCosets:
 
     Each double coset starts from its least unvisited element f and is the
     union of the left cosets c f C(y), c in C(x): the left coset of every
-    unvisited product c f is materialized.
+    unvisited product c f is materialized.  y is central in C(y), so a left
+    coset g C(y) is the union of the g t <y> over a transversal t of <y> in
+    C(y): one product g t, then a walk of y's column.
     """
     table = gbar.table
     index, elements, word = table.index, table.elements, table.word
+    ycol = table.gen_cols[1]
     cx = _window_centralizer(gbar, table.gen_cols[0][0])
-    cy = _window_centralizer(gbar, table.gen_cols[1][0])
-    rights = _right_actions(gbar.base, [gbar.window_ids(t) for t in cy])
+    cy = _window_centralizer(gbar, ycol[0])
+    transversal: list[int] = []
+    seen: set[int] = set()
+    for t in cy:
+        if t not in seen:
+            transversal.append(t)
+            e = t
+            while e not in seen:  # the coset t <y>
+                seen.add(e)
+                e = ycol[e]
+    y_order = perm_order(gbar.y)
+    rights = _right_actions(gbar.base, [gbar.window_ids(t) for t in transversal])
     if table.packed:
         rights = [pack(right) for right in rights]
     coset_of = [-1] * gbar.order
@@ -214,9 +231,11 @@ def _double_cosets(gbar: GbarGroup) -> DoubleCosets:
         by_g = composer(elements[g])
         for right in rights:
             i = index[by_g(right)]
-            if coset_of[i] < 0:
-                coset_of[i] = d
-                moved += 1
+            for _ in range(y_order):
+                if coset_of[i] < 0:
+                    coset_of[i] = d
+                    moved += 1
+                i = ycol[i]
         if moved != len(cy):
             raise GbarError(
                 f"left coset check failed: a left coset of C(y) moved {moved} "
@@ -253,7 +272,10 @@ def double_coset_survey(
     For such k, C(x^k) = C(x) and C(y^k) = C(y), so every power reads the
     same partition; it is built here unless cosets is given.  Only the
     generation, theta and delta flags depend on k.  The flags are model-id
-    arithmetic; the generation test runs on permutations of degree r*d.
+    arithmetic.  M projects onto G in every window, so a window pair of
+    (x^k)^f and y^k that fails to generate G (`PcSet.locate`) proves that
+    the coset fails; only when every window generates does the generation
+    test run on permutations of degree r*d.
     """
     if gcd(k, perm_order(gbar.x)) != 1 or gcd(k, perm_order(gbar.y)) != 1:
         raise ValueError(f"power {k} is not prime to the generator orders")
@@ -266,11 +288,24 @@ def double_coset_survey(
     cy, coset_of = cosets.cy, cosets.coset_of
     prod_inv_k = DELTA.x_image * k  # (y^-1 x^-1)^k
     yk_perm = gbar.perm(yk)
+    yk_windows = gbar.window_ids(yk)
+    locate = gbar.pcset.locate
+
+    def windows_generate(i: int) -> bool:
+        try:
+            for g, h in zip(gbar.window_ids(i), yk_windows):
+                locate(g, h)
+        except PairLookupError:
+            return False
+        return True
+
     reps: list[DoubleCosetRep] = []
     for d, (fid, size) in enumerate(cosets.reps):
         f = word(fid)
         xkf = _walk(table, _walk(table, 0, _inverse_word(f)), xk_word + f)
-        gen_ok = generates([gbar.perm(xkf), yk_perm], gbar.degree, gbar.order)
+        gen_ok = windows_generate(xkf) and generates(
+            [gbar.perm(xkf), yk_perm], gbar.degree, gbar.order
+        )
         theta_ok = False
         delta_ok = False
         if gen_ok:

@@ -102,9 +102,12 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
 
     <g, h> is also <g, h g> and <g, h^k> for every k prime to |h|, so one
     verdict holds for every h reached by those moves.  h^-1 = h^(|h|-1) is
-    one of them.  A C(g)-orbit, walked through the conjugation columns of
-    the generators of C(g), takes the verdict of any member that has one,
-    and only an orbit without one runs a generation test.
+    one of them.  An element gets its verdict together with its whole
+    coprime-power list, so an element that has one had its list spread
+    with it, and the queue makes only the moves h -> h g.  A C(g)-orbit,
+    walked through the conjugation columns of the generators of C(g),
+    takes the verdict of any member that has one, and only an orbit
+    without one runs a generation test.
     """
     table: ElementTable = _SWEEP_STATE["table"]
     classes: ConjugacyClassTable = _SWEEP_STATE["classes"]
@@ -138,17 +141,15 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
                 gen = -1
             else:
                 gen = 1 if generates([g_perm, h_perm], degree, n) else -1
-            verdict[h] = gen
-            queue = [h]
+            queue = list(powers[h])
+            for f in queue:
+                verdict[f] = gen
             for e in queue:
                 f = right[e]
                 if not verdict[f]:
-                    verdict[f] = gen
-                    queue.append(f)
-                for f in powers[e]:
-                    if not verdict[f]:
-                        verdict[f] = gen
-                        queue.append(f)
+                    for p in powers[f]:
+                        verdict[p] = gen
+                    queue += powers[f]
         if gen > 0:
             mark = len(local_reps)
             local_reps.append(h)

@@ -283,10 +283,46 @@ ORACLE_SPECS = [f"dihedral:{n}" for n in range(3, 10)] + [
 ]
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS)
+@pytest.mark.parametrize("spec", ORACLE_SPECS + ["dihedral:15", "cyclic:12"])
 def test_survey_matches_brute_oracle(spec) -> None:
     gbar = _gbar(spec)
     assert _survey_rows(gbar) == brute_double_coset_survey(gbar)
+
+
+@pytest.mark.parametrize("spec, tests, cosets", [
+    ("dihedral:9", 6, 9), ("dihedral:15", 8, 15), ("alternating:4", 9, 16),
+])
+def test_survey_tests_generation_only_where_every_window_generates(
+    spec, tests, cosets, monkeypatch
+) -> None:
+    """A window pair that fails to generate G settles a coset without a
+    chain; on these models the windows catch every coset that fails."""
+    gbar = _gbar(spec)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return generates(*args)
+
+    monkeypatch.setattr(gbar_module, "generates", counting)
+    reps = double_coset_survey(gbar)
+    assert len(reps) == cosets
+    assert len(calls) == tests
+    assert sum(rep.generates_model for rep in reps) == tests
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ORACLE_SPECS
+    + ["dihedral:15", pytest.param("symmetric:4", marks=pytest.mark.extended)],
+)
+def test_window_check_keeps_every_generating_coset(spec) -> None:
+    """Each representative's flag is the degree r*d generation test of
+    (x^f, y): the window check never turns a generating coset into "no"."""
+    gbar = _gbar(spec)
+    for rep in double_coset_survey(gbar):
+        xf = conjugate(gbar.x, _rep_perm(gbar, rep.word))
+        assert rep.generates_model == generates([xf, gbar.y], gbar.degree, gbar.order)
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
