@@ -239,7 +239,12 @@ def model_stages(
     orbits; the model build is timed as stage `model`."""
     st = pair_stages(group, cap, threads)
     start = time.perf_counter()
-    gbar = build_gbar(st.pcset, st.ind.orbit_reps, cap)
+    ind = st.ind
+    orbit_of = [0] * st.pcset.ell  # pair class -> the window of its outer orbit
+    for w, o in enumerate(ind.orbit_reps):
+        for a in ind.out_perms:
+            orbit_of[a[o]] = w
+    gbar = build_gbar(st.pcset, ind.orbit_reps, orbit_of, cap)
     st.timings["model"] = time.perf_counter() - start
     return st, gbar
 

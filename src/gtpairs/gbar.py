@@ -51,12 +51,20 @@ class DoubleCosets(namedtuple("DoubleCosets", "cy reps coset_of")):
 
 class GbarGroup:
     """The model group with its element table, the base group's pair
-    classes and the generators as permutations of degree r*d."""
+    classes, the outer orbit of each pair class (orbit_of[c] = the window
+    of c's orbit) and the generators as permutations of degree r*d."""
 
     def __init__(
-        self, r: int, x: Perm, y: Perm, pcset: PcSet, table: ElementTable
+        self,
+        r: int,
+        x: Perm,
+        y: Perm,
+        pcset: PcSet,
+        table: ElementTable,
+        orbit_of: list[int],
     ) -> None:
         self.r, self.x, self.y, self.pcset, self.table = r, x, y, pcset, table
+        self.orbit_of = orbit_of
 
     @property
     def base(self) -> ElementTable:
@@ -128,10 +136,11 @@ def _right_actions(base: ElementTable, windows: list[list[int]]) -> list[list[in
 
 
 def build_gbar(
-    pcset: PcSet, orbit_reps: list[int], cap: int = DEFAULT_CAP
+    pcset: PcSet, orbit_reps: list[int], orbit_of: list[int], cap: int = DEFAULT_CAP
 ) -> GbarGroup:
     """Enumerate the model group, one window per outer orbit of pair
-    classes, on its least class: `InducedPerms.orbit_reps`."""
+    classes, on its least class: `InducedPerms.orbit_reps`.  orbit_of maps
+    each pair class to the window of its outer orbit."""
     base = pcset.table
     r = len(orbit_reps)
     xs = [pcset.reps[i][0] for i in orbit_reps]
@@ -155,10 +164,16 @@ def build_gbar(
         )
     if n**r % model.order:
         raise GbarError("model order fails to divide the full power order")
-    for w, (g, h) in enumerate(zip(xs, ys)):
-        if not generates([base.elements[g], base.elements[h]], base.degree, n):
+    # each window is a pair-class representative, which the sweep proved
+    # generates G: it locates back to its own class
+    for w, o in enumerate(orbit_reps):
+        try:
+            located = pcset.locate(*pcset.reps[o])
+        except PairLookupError:
+            located = -1
+        if located != o:
             raise GbarError(f"window {w} projection fails to cover the base group")
-    return GbarGroup(r=r, x=x, y=y, pcset=pcset, table=model)
+    return GbarGroup(r=r, x=x, y=y, pcset=pcset, table=model, orbit_of=orbit_of)
 
 
 def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -272,10 +287,17 @@ def double_coset_survey(
     For such k, C(x^k) = C(x) and C(y^k) = C(y), so every power reads the
     same partition; it is built here unless cosets is given.  Only the
     generation, theta and delta flags depend on k.  The flags are model-id
-    arithmetic.  M projects onto G in every window, so a window pair of
-    (x^k)^f and y^k that fails to generate G (`PcSet.locate`) proves that
-    the coset fails; only when every window generates does the generation
-    test run on permutations of degree r*d.
+    arithmetic.
+
+    Generation of M by a = (x^k)^f and b = y^k is read off their window
+    pairs (`PcSet.locate`).  M projects onto G in every window, so a window
+    pair that fails to generate G proves that the coset fails.  The kernel
+    of F_2 -> G, (X, Y) -> (g, h), depends only on the outer orbit of the
+    generating pair (g, h), and M's windows hold one pair of each orbit.
+    So when the r window pairs of (a, b) lie in r distinct outer orbits,
+    <a, b> has M's kernel, hence M's order, and lies in M: it is M.  Only
+    when two windows share an orbit does the generation test run on
+    permutations of degree r*d.
     """
     if gcd(k, perm_order(gbar.x)) != 1 or gcd(k, perm_order(gbar.y)) != 1:
         raise ValueError(f"power {k} is not prime to the generator orders")
@@ -287,25 +309,24 @@ def double_coset_survey(
     yk = _walk(table, 0, yk_word)
     cy, coset_of = cosets.cy, cosets.coset_of
     prod_inv_k = DELTA.x_image * k  # (y^-1 x^-1)^k
-    yk_perm = gbar.perm(yk)
     yk_windows = gbar.window_ids(yk)
-    locate = gbar.pcset.locate
+    locate, orbit_of = gbar.pcset.locate, gbar.orbit_of
 
-    def windows_generate(i: int) -> bool:
+    def generates_model(i: int) -> bool:
+        pairs = zip(gbar.window_ids(i), yk_windows)
         try:
-            for g, h in zip(gbar.window_ids(i), yk_windows):
-                locate(g, h)
+            orbits = {orbit_of[locate(g, h)] for g, h in pairs}
         except PairLookupError:
             return False
-        return True
+        return len(orbits) == gbar.r or generates(
+            [gbar.perm(i), gbar.perm(yk)], gbar.degree, gbar.order
+        )
 
     reps: list[DoubleCosetRep] = []
     for d, (fid, size) in enumerate(cosets.reps):
         f = word(fid)
         xkf = _walk(table, _walk(table, 0, _inverse_word(f)), xk_word + f)
-        gen_ok = windows_generate(xkf) and generates(
-            [gbar.perm(xkf), yk_perm], gbar.degree, gbar.order
-        )
+        gen_ok = generates_model(xkf)
         theta_ok = False
         delta_ok = False
         if gen_ok:

@@ -8,11 +8,14 @@ import pytest
 import gtpairs.gbar as gbar_module
 from gtpairs import cli, permcore
 from gtpairs.atlas import construct
+from gtpairs.pairs import PairLookupError
 from gtpairs.gbar import (
     DELTA,
     THETA,
     EndoImages,
     GbarError,
+    GbarGroup,
+    build_gbar,
     double_coset_survey,
     evaluate_endo,
     gt_full_order,
@@ -295,8 +298,9 @@ def test_survey_matches_brute_oracle(spec) -> None:
 def test_survey_tests_generation_only_where_every_window_generates(
     spec, tests, cosets, monkeypatch
 ) -> None:
-    """A window pair that fails to generate G settles a coset without a
-    chain; on these models the windows catch every coset that fails."""
+    """A window pair that fails to generate G settles a coset as "no", and
+    window pairs in r distinct outer orbits settle it as "yes": on these
+    models the windows settle every coset, with no degree r*d chain."""
     gbar = _gbar(spec)
     calls = []
 
@@ -307,8 +311,60 @@ def test_survey_tests_generation_only_where_every_window_generates(
     monkeypatch.setattr(gbar_module, "generates", counting)
     reps = double_coset_survey(gbar)
     assert len(reps) == cosets
-    assert len(calls) == tests
+    assert len(calls) == 0
     assert sum(rep.generates_model for rep in reps) == tests
+
+
+@pytest.mark.parametrize("spec, tests", [
+    ("dihedral:9", 6), ("alternating:4", 9), ("cyclic:12", 1),
+])
+def test_survey_falls_back_to_the_chain_where_windows_share_an_orbit(
+    spec, tests, monkeypatch
+) -> None:
+    """With every outer orbit merged into one label, or only the first two,
+    no coset's windows show r distinct labels: each coset whose windows all
+    generate runs the degree r*d generation test once, and every flag is
+    the normal survey's."""
+    gbar = _gbar(spec)
+    expected = double_coset_survey(gbar)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return generates(*args)
+
+    monkeypatch.setattr(gbar_module, "generates", counting)
+    for orbit_of in (
+        [0] * gbar.pcset.ell,
+        [0 if w == 1 else w for w in gbar.orbit_of],
+    ):
+        merged = GbarGroup(gbar.r, gbar.x, gbar.y, gbar.pcset, gbar.table, orbit_of)
+        calls.clear()
+        assert double_coset_survey(merged) == expected
+        assert len(calls) == tests
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "symmetric:3", "cyclic:5"])
+def test_windows_in_every_outer_orbit_generate_the_model(spec) -> None:
+    """For every pair (a, b) of M: when each window pair generates G and
+    the r window pairs lie in r distinct outer orbits, <a, b> = M by the
+    degree r*d generation test."""
+    gbar = _gbar(spec)
+    windows = [gbar.window_ids(i) for i in range(gbar.order)]
+    perms = [gbar.perm(i) for i in range(gbar.order)]
+    locate, orbit_of = gbar.pcset.locate, gbar.orbit_of
+    covering = 0
+    for a in range(gbar.order):
+        for b in range(gbar.order):
+            try:
+                pairs = zip(windows[a], windows[b])
+                orbits = {orbit_of[locate(g, h)] for g, h in pairs}
+            except PairLookupError:
+                continue
+            if len(orbits) == gbar.r:
+                covering += 1
+                assert generates([perms[a], perms[b]], gbar.degree, gbar.order)
+    assert covering
 
 
 @pytest.mark.parametrize(
@@ -379,6 +435,15 @@ def test_left_coset_check_names_the_check(monkeypatch) -> None:
     monkeypatch.setattr(gbar_module, "_window_centralizer", with_identity_twice)
     with pytest.raises(GbarError, match="left coset check failed"):
         double_coset_survey(model_group(construct("dihedral:3")))
+
+
+def test_window_check_names_the_check(monkeypatch) -> None:
+    """A window pair that does not locate to its own pair class fails
+    build_gbar's window check, by window."""
+    st = cli.pair_stages(construct("dihedral:3"))
+    monkeypatch.setattr(st.pcset, "locate", lambda g, h: 0)
+    with pytest.raises(GbarError, match="window 1 projection fails to cover"):
+        build_gbar(st.pcset, st.ind.orbit_reps, [0] * st.pcset.ell)
 
 
 @pytest.mark.parametrize("spec, packed", [
