@@ -8,7 +8,6 @@ import pytest
 import gtpairs.gbar as gbar_module
 from gtpairs import cli, permcore
 from gtpairs.atlas import construct
-from gtpairs.pairs import PairLookupError
 from gtpairs.gbar import (
     DELTA,
     THETA,
@@ -20,6 +19,7 @@ from gtpairs.gbar import (
     evaluate_endo,
     gt_full_order,
 )
+from gtpairs.pairs import PairLookupError
 from gtpairs.permcore import (
     BaseImageError,
     EnumerationCapError,
