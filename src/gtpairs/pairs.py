@@ -1,12 +1,20 @@
 """Generating pairs of a finite group up to conjugation.
 
 A pair class is the conjugation orbit of an ordered generating pair (g, h).
-Classes are canonically numbered: sweep conjugacy classes of g in table
-order; within one sweep, h runs over element ids ascending and a whole
-C(g)-orbit of h is settled at once.  One generation test settles every h
-reached from the tested one by the moves h -> h g and h -> h^k, k prime to
-|h|, and their C(g)-orbits.  The canonical representative of a class is
-(class rep of g, smallest h in its C(g)-orbit).
+Classes are canonically numbered: conjugacy classes of g in table order;
+within one class, by the least h of each C(g)-orbit, ascending.  The
+canonical representative of a class is (class rep of g, that least h).
+
+Two symmetries cut the work (P. Hall, "The Eulerian functions of a group",
+1936).  C(g) = C(g^k) and <g, h> = <g^k, h> for k prime to |g|, so only one
+g-class per rational class is swept: a class whose rep has a power in an
+earlier class is transported from that class by one conjugation column.
+And <g, h> = <a, g> for a generator a of <h> or of <h g>, so before a sweep
+tests a pair it reads the verdict of (a, g) from a class this process has
+already swept.  One verdict, read or tested, settles every h reached by
+h -> h g and h -> h^k, k prime to |h|, and their C(g)-orbits.  Pool workers
+read only the classes they swept themselves, so they may run more tests
+than a serial sweep; the classes and their numbering do not change.
 """
 
 from __future__ import annotations
@@ -22,6 +30,30 @@ class PairLookupError(KeyError):
     pass
 
 
+def unconjugation_columns(table: ElementTable) -> list[list[int]]:
+    """Per table generator s: e -> id(s e s^-1)."""
+    inv = table.inverse_ids
+    return [table.conjugation_column(inv[table.index[s]]) for s in table.generators]
+
+
+def _lookup_pair(
+    table: ElementTable,
+    classes: ConjugacyClassTable,
+    unconj: list[list[int]],
+    lookups: list[list[int]] | dict[int, list[int]],  # by cid: h -> idx or -2
+    g: int,
+    h: int,
+) -> int:
+    """The entry of (g, h) conjugated by t^-1, t the transporter of g:
+    (rep, t h t^-1).  The tree word s_1..s_m of t is followed back from its
+    last letter, one `unconjugation_columns` column per letter."""
+    parent, letter, t = table.parent, table.letter, classes.transporter_ids[g]
+    while t:
+        h = unconj[letter[t]][h]
+        t = parent[t]
+    return lookups[classes.class_of[g]][h]
+
+
 class PcSet:
     """Classes of generating pairs under conjugation."""
 
@@ -30,35 +62,20 @@ class PcSet:
         table: ElementTable,
         classes: ConjugacyClassTable,
         reps: list[tuple[int, int]],
-        _lookup: list[list[int]],  # per g-conjugacy-class: h id -> pc index or -1
+        _lookup: list[list[int]],  # per g-conjugacy-class: h id -> pc index or -2
+        unconj: list[list[int]],  # unconjugation_columns(table)
     ) -> None:
         self.table, self.classes, self.reps, self._lookup = table, classes, reps, _lookup
-        # per table generator s: e -> id(s e s^-1), built on the first locate
-        self._unconj: list[list[int]] | None = None
+        self._unconj = unconj
 
     @property
     def ell(self) -> int:
         return len(self.reps)
 
     def locate(self, g: int, h: int) -> int:
-        """Pair-class index of a generating pair, by conjugating g to its rep.
-
-        The transporter t of g has tree word s_1..s_m, and (g, h)^(t^-1)
-        = (rep, t h t^-1) is reached by one inverse generator-conjugation
-        column per letter, last letter first.
-        """
-        table = self.table
-        if self._unconj is None:
-            inv = table.inverse_ids
-            self._unconj = [
-                table.conjugation_column(inv[table.index[s]]) for s in table.generators
-            ]
-        t, moved = self.classes.transporter_ids[g], h
-        parent, letter, unconj = table.parent, table.letter, self._unconj
-        while t:
-            moved = unconj[letter[t]][moved]
-            t = parent[t]
-        idx = self._lookup[self.classes.class_of[g]][moved]
+        """Pair-class index of a generating pair, by conjugating g to its rep:
+        with t the transporter of g, (g, h)^(t^-1) = (rep, t h t^-1)."""
+        idx = _lookup_pair(self.table, self.classes, self._unconj, self._lookup, g, h)
         if idx < 0:
             raise PairLookupError(f"pair ({g}, {h}) does not generate the group")
         return idx
@@ -92,9 +109,16 @@ _SWEEP_STATE: dict = {}
 
 
 def _init_sweep(
-    table: ElementTable, classes: ConjugacyClassTable, transitive: bool, powers: list
+    table: ElementTable,
+    classes: ConjugacyClassTable,
+    transitive: bool,
+    powers: list,
+    unconj: list[list[int]],
 ) -> None:
-    _SWEEP_STATE.update(table=table, classes=classes, transitive=transitive, powers=powers)
+    _SWEEP_STATE.update(
+        table=table, classes=classes, transitive=transitive, powers=powers,
+        unconj=unconj, done={},
+    )
 
 
 def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
@@ -106,13 +130,18 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
     coprime-power list, so an element that has one had its list spread
     with it, and the queue makes only the moves h -> h g.  A C(g)-orbit,
     walked through the conjugation columns of the generators of C(g),
-    takes the verdict of any member that has one, and only an orbit
-    without one runs a generation test.
+    takes the verdict of any member that has one.  An orbit without one
+    reads it from a class swept earlier in this process, which holds a
+    generator a of <h> or of <h g>: <g, h> = <a, g>, located like
+    `PcSet.locate` does.  Only an orbit with neither runs a generation test.
     """
     table: ElementTable = _SWEEP_STATE["table"]
     classes: ConjugacyClassTable = _SWEEP_STATE["classes"]
     transitive: bool = _SWEEP_STATE["transitive"]
     powers: list[list[int]] = _SWEEP_STATE["powers"]
+    unconj: list[list[int]] = _SWEEP_STATE["unconj"]
+    done: dict[int, list[int]] = _SWEEP_STATE["done"]  # swept cid -> its assign
+    class_of = classes.class_of
     n = table.order
     degree = table.degree
     elements = table.elements
@@ -136,11 +165,16 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
                     orbit_ids.append(f)
         gen = next((verdict[e] for e in orbit_ids if verdict[e]), 0)
         if not gen:
-            h_perm = elements[h]
-            if transitive and len(orbit([g_perm, h_perm], 0)) != degree:
+            a = next(
+                (a for a in powers[h] + powers[right[h]] if class_of[a] in done), None
+            )
+            if a is not None:
+                entry = _lookup_pair(table, classes, unconj, done, a, g_id)
+                gen = 1 if entry >= 0 else -1
+            elif transitive and len(orbit([g_perm, elements[h]], 0)) != degree:
                 gen = -1
             else:
-                gen = 1 if generates([g_perm, h_perm], degree, n) else -1
+                gen = 1 if generates([g_perm, elements[h]], degree, n) else -1
             queue = list(powers[h])
             for f in queue:
                 verdict[f] = gen
@@ -157,6 +191,7 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
             mark = -2
         for e in orbit_ids:
             assign[e] = mark
+    done[cid] = assign
     return local_reps, assign
 
 
@@ -165,23 +200,32 @@ def build_pc(
     classes: ConjugacyClassTable,
     threads: int = 1,
 ) -> PcSet:
-    """Enumerate pair classes; one generation test settles the closure of h
-    under h -> h g and h -> h^k, k prime to |h| (`_sweep_class`).
+    """Enumerate pair classes: sweep one g-class per rational class
+    (`_sweep_class`) and transport the rest, here, after the sweep.
 
-    The power lists are built once here and handed to every sweep.  The pool
-    forks all its workers up front, so they inherit the lists, and it gets
+    A class is transported when its rep g has a power a = g^k, k prime to
+    |g|, in an earlier class; a is taken in the least such class, which is
+    swept, since its rep's powers lie in the same classes.  (g, h) and
+    (a, h) generate together, C(g) = C(a), and the transporter s of a
+    carries (a, h) to (rep of a's class, s h s^-1).
+
+    The power lists and unconjugation columns are built once here.  The
+    pool forks all its workers up front, so they inherit them, and it gets
     no more workers than there are classes to sweep or CPUs to run them on.
     """
     transitive = (
         len(orbit(table.generators, 0)) == table.degree if table.generators else False
     )
     powers = coprime_powers(table)
-    cids = list(range(classes.num_classes))
+    unconj = unconjugation_columns(table)
+    class_of = classes.class_of
+    least = [min(powers[g], key=class_of.__getitem__) for g in classes.reps]
+    swept = [c for c, a in enumerate(least) if class_of[a] == c]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # macOS and Windows have no affinity mask
         cpus = os.cpu_count() or 1
-    workers = min(threads, len(cids), cpus)
+    workers = min(threads, len(swept), cpus)
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, pickle and socket,
         # which a --threads 1 run never needs
@@ -190,24 +234,33 @@ def build_pc(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_sweep,
-            initargs=(table, classes, transitive, powers),
+            initargs=(table, classes, transitive, powers, unconj),
         ) as pool:
-            swept = list(pool.map(_sweep_class, cids))
+            results = dict(zip(swept, pool.map(_sweep_class, swept)))
     else:
-        _init_sweep(table, classes, transitive, powers)
-        swept = [_sweep_class(c) for c in cids]
+        _init_sweep(table, classes, transitive, powers, unconj)
+        results = {c: _sweep_class(c) for c in swept}
         _SWEEP_STATE.clear()  # keeps no table alive past its results
+    n, inv = table.order, table.inverse_ids
     reps: list[tuple[int, int]] = []
     lookup: list[list[int]] = []
-    for cid, (local_reps, assign) in zip(cids, swept):
-        offset = len(reps)
+    for cid, a in enumerate(least):
+        if cid in results:
+            hs, marks = results.pop(cid)  # local idx or -2
+        else:
+            col = table.conjugation_column(inv[classes.transporter_ids[a]])
+            marks = list(map(lookup[class_of[a]].__getitem__, col))  # pc idx or -2
+            # mark -> its least h: of the writes to one key, the last stays
+            first = dict(zip(reversed(marks), range(n - 1, -1, -1)))
+            first.pop(-2, None)
+            hs = sorted(first.values())
+        # one int object per pair class, shared by all its entries
+        renumber = {marks[h]: i for i, h in enumerate(hs, len(reps))}
+        renumber[-2] = -2
         g_id = classes.reps[cid]
-        reps.extend((g_id, h) for h in local_reps)
-        # one int object per pair class, shared by all its entries, not a
-        # fresh sum for each generating h
-        ids = list(range(offset, len(reps)))
-        lookup.append([ids[a] if a >= 0 else a for a in assign])
-    return PcSet(table, classes, reps, lookup)
+        reps.extend((g_id, h) for h in hs)
+        lookup.append(list(map(renumber.__getitem__, marks)))
+    return PcSet(table, classes, reps, lookup, unconj)
 
 
 class InducedPerms(namedtuple("InducedPerms", "theta delta out_perms orbit_reps")):

@@ -21,7 +21,7 @@ from gtpairs.autgroup import extend_pair_map
 from gtpairs.cli import model_stages
 from gtpairs.dessins import DessinError
 from gtpairs.gbar import GbarGroup, double_coset_survey
-from gtpairs.pairs import PcSet
+from gtpairs.pairs import PcSet, unconjugation_columns
 from gtpairs.permcore import (
     DEFAULT_CAP,
     ConjugacyClassTable,
@@ -393,7 +393,7 @@ def brute_build_pc(table: ElementTable, classes: ConjugacyClassTable) -> PcSet:
             for e in orbit_ids:
                 assign[e] = mark
         lookup.append(assign)
-    return PcSet(table, classes, reps, lookup)
+    return PcSet(table, classes, reps, lookup, unconjugation_columns(table))
 
 
 def coprime_power_sets(elements: list[Perm]) -> list[set[Perm]]:

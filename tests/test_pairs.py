@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from gtpairs import pairs
 from gtpairs.atlas import construct
 from gtpairs.autgroup import out_representatives
 from gtpairs.cli import pair_stages
@@ -17,6 +18,7 @@ from gtpairs.pairs import (
     build_pc,
     coprime_powers,
     induced_perms,
+    unconjugation_columns,
 )
 from gtpairs.permcore import (
     ConjugacyClassTable,
@@ -24,6 +26,7 @@ from gtpairs.permcore import (
     compose,
     conjugate,
     generates,
+    orbit,
 )
 from group_oracles import brute_build_pc, coprime_power_sets, tuple_locate
 
@@ -174,10 +177,11 @@ def test_serial_sweep_keeps_no_table_alive() -> None:
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially
-    in this process and starts nothing."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the cids it
+    maps, maps serially in this process and starts nothing."""
 
     seen: list[int] = []
+    mapped: list[int] = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.seen.append(max_workers)
@@ -190,11 +194,12 @@ class _SerialPool:
         return False
 
     def map(self, fn, items):
+        self.mapped.extend(items)
         return map(fn, items)
 
 
 @pytest.mark.parametrize(
-    ("threads", "cpus", "workers"), [(8, 4, 4), (8, 64, 5), (3, 64, 3), (8, 1, None)]
+    ("threads", "cpus", "workers"), [(8, 4, 4), (8, 64, 4), (3, 64, 3), (8, 1, None)]
 )
 def test_workers_bounded_by_classes_and_cpus(monkeypatch, threads, cpus, workers) -> None:
     import concurrent.futures
@@ -202,11 +207,40 @@ def test_workers_bounded_by_classes_and_cpus(monkeypatch, threads, cpus, workers
     monkeypatch.setattr(_SerialPool, "seen", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
-    table, classes = _tables("psl2:5")  # 5 conjugacy classes
+    # 5 conjugacy classes; the two classes of order 5 are one rational
+    # class, so 4 are swept
+    table, classes = _tables("psl2:5")
     serial = build_pc(table, classes, threads=1)
     assert _SerialPool.seen == []
     pooled = build_pc(table, classes, threads=threads)
     assert _SerialPool.seen == ([] if workers is None else [workers])
+    assert pooled.reps == serial.reps and pooled._lookup == serial._lookup
+
+
+def _transported(table, classes):
+    """The classes whose rep has a power in an earlier class."""
+    powers, class_of = coprime_powers(table), classes.class_of
+    return [
+        c for c, g in enumerate(classes.reps) if min(class_of[a] for a in powers[g]) < c
+    ]
+
+
+def test_pool_maps_only_swept_classes(monkeypatch) -> None:
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "seen", [])
+    monkeypatch.setattr(_SerialPool, "mapped", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)))
+    table, classes = _tables("psl2:13")
+    assert classes.num_classes == 9
+    pooled = build_pc(table, classes, threads=8)
+    # the two classes of order 13 and the three of order 7 are power-related
+    transported = _transported(table, classes)
+    assert len(transported) == 3
+    assert _SerialPool.mapped == [c for c in range(9) if c not in transported]
+    assert _SerialPool.seen == [6]
+    serial = build_pc(table, classes)
     assert pooled.reps == serial.reps and pooled._lookup == serial._lookup
 
 
@@ -232,6 +266,52 @@ def test_sweep_matches_per_orbit_oracle(spec) -> None:
     assert got._lookup == want._lookup
 
 
+# m11 runs here at tier 1: its classes 8a/8b and 11a/11b are transported
+@pytest.mark.parametrize("spec", ORACLE_SPECS[:-4] + [
+    "m11", *(pytest.param(spec, marks=pytest.mark.extended)
+             for spec in ("psl2:16", "psl2:17", "psl2:19")),
+])
+def test_transported_classes_match_a_direct_sweep(spec) -> None:
+    # a transported class holds what sweeping it from scratch would give:
+    # the same least h per orbit, numbered in the same order
+    table, classes = _tables(spec)
+    pcset = build_pc(table, classes)
+    transitive = len(orbit(table.generators, 0)) == table.degree
+    powers, unconj = coprime_powers(table), unconjugation_columns(table)
+    try:
+        for cid in _transported(table, classes):
+            pairs._init_sweep(table, classes, transitive, powers, unconj)
+            local_reps, assign = pairs._sweep_class(cid)
+            g = classes.reps[cid]
+            got = [i for i, (rep_g, _) in enumerate(pcset.reps) if rep_g == g]
+            assert [pcset.reps[i][1] for i in got] == local_reps
+            offset = got[0] if got else 0
+            assert pcset._lookup[cid] == [offset + a if a >= 0 else a for a in assign]
+    finally:
+        pairs._SWEEP_STATE.clear()
+
+
+@pytest.mark.parametrize("spec", ["psl2:7", "psl2:13", "alternating:7", "psl3:3", "m11"])
+def test_verdicts_read_from_earlier_classes_match_generates(monkeypatch, spec) -> None:
+    # the sweep looks up no pair but (a, g), a in an earlier swept class
+    reads = []
+    original = pairs._lookup_pair
+
+    def recording(table, classes, unconj, lookups, a, g):
+        got = original(table, classes, unconj, lookups, a, g)
+        reads.append((a, g, got >= 0))
+        return got
+
+    monkeypatch.setattr(pairs, "_lookup_pair", recording)
+    table, classes = _tables(spec)
+    build_pc(table, classes)
+    elements, degree, n = table.elements, table.degree, table.order
+    for a, g, got in reads:
+        assert classes.class_of[a] < classes.class_of[g]
+        assert got == generates([elements[a], elements[g]], degree, n)
+    assert {got for *_, got in reads} == {True, False}
+
+
 @pytest.mark.parametrize(
     "spec",
     ["cyclic:1", "cyclic:12", "cyclic:30", "dihedral:12", "quaternion8",
@@ -251,17 +331,18 @@ def test_coprime_powers_match_oracle(spec) -> None:
 
 
 GENERATION_TESTS = [
-    ("psl2:5", 7), ("psl2:7", 16), ("psl2:9", 18), ("psl2:11", 31),
-    ("psl2:13", 17), ("alternating:7", 55), ("psl3:3", 44),
-    pytest.param("m11", 45, marks=pytest.mark.extended),
-    pytest.param("alternating:8", 270, marks=pytest.mark.extended),
+    ("psl2:5", 4), ("psl2:7", 8), ("psl2:9", 6), ("psl2:11", 17),
+    ("psl2:13", 7), ("alternating:7", 21), ("psl3:3", 15),
+    pytest.param("m11", 19, marks=pytest.mark.extended),
+    pytest.param("alternating:8", 77, marks=pytest.mark.extended),
 ]
 
 
 @pytest.mark.parametrize("spec, tests", GENERATION_TESTS)
 def test_generation_test_counts(monkeypatch, spec, tests) -> None:
-    # the closure of the sweep's moves fixes which h are tested, so the count
-    # is exact: a lost move or a narrower spread tests more h
+    # the closure of the sweep's moves, the transported classes and the
+    # verdicts read from earlier classes fix which h are tested, so the serial
+    # count is exact: a lost move, a narrower spread or a missed read tests more h
     calls = []
 
     def counting(*args):
