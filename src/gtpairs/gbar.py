@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-# ConjugacyClassTable, build_pc and out_representatives are re-exported:
-# perfbench/spans.py traces them under these names
+# ConjugacyClassTable, build_pc, out_representatives and generates are
+# re-exported: perfbench/spans.py traces them under these names
 from .autgroup import out_representatives  # noqa: F401
 from .pairs import PairLookupError, PcSet, build_pc  # noqa: F401
 from .permcore import (
@@ -30,7 +30,7 @@ from .permcore import (
     Perm,
     StabilizerChain,
     composer,
-    generates,
+    generates,  # noqa: F401
     pack,
     perm_order,
 )
@@ -74,18 +74,10 @@ class GbarGroup:
     def order(self) -> int:
         return self.table.order
 
-    @property
-    def degree(self) -> int:
-        return self.r * self.base.degree
-
     def window_ids(self, i: int) -> list[int]:
         """The base-group ids of model element i, one per window."""
         n = self.base.order
         return [p - w * n for w, p in enumerate(self.table.elements[i])]
-
-    def perm(self, i: int) -> Perm:
-        """Model element i as a permutation of degree r*d."""
-        return _windows(self.base, self.window_ids(i))
 
 
 class EndoImages(namedtuple("EndoImages", "x_image y_image")):
@@ -290,14 +282,18 @@ def double_coset_survey(
     arithmetic.
 
     Generation of M by a = (x^k)^f and b = y^k is read off their window
-    pairs (`PcSet.locate`).  M projects onto G in every window, so a window
-    pair that fails to generate G proves that the coset fails.  The kernel
-    of F_2 -> G, (X, Y) -> (g, h), depends only on the outer orbit of the
-    generating pair (g, h), and M's windows hold one pair of each orbit.
-    So when the r window pairs of (a, b) lie in r distinct outer orbits,
-    <a, b> has M's kernel, hence M's order, and lies in M: it is M.  Only
-    when two windows share an orbit does the generation test run on
-    permutations of degree r*d.
+    pairs (`PcSet.locate`): <a, b> = M exactly when every window pair
+    generates G and the r window pairs lie in r distinct outer orbits.  The
+    kernel of F_2 -> G, (X, Y) -> (g, h), depends only on the outer orbit
+    of the generating pair (g, h) (P. Hall, 1936), and M's windows hold one
+    pair of each orbit.  If the r window pairs lie in r distinct orbits,
+    <a, b> has M's kernel, hence M's order, and lies in M: it is M.
+    Conversely let phi: F_2 -> M send X -> a, Y -> b, onto if <a, b> = M.
+    Window w's kernel is then phi^-1(K_w), K_w the kernel of M's projection
+    to window w.  The K_w are distinct, as M's own windows lie in distinct
+    orbits, so the window kernels are distinct and the window pairs lie in
+    distinct orbits.  A window pair that fails to generate G, or two
+    windows in one orbit, prove that <a, b> != M.
     """
     if gcd(k, perm_order(gbar.x)) != 1 or gcd(k, perm_order(gbar.y)) != 1:
         raise ValueError(f"power {k} is not prime to the generator orders")
@@ -318,9 +314,7 @@ def double_coset_survey(
             orbits = {orbit_of[locate(g, h)] for g, h in pairs}
         except PairLookupError:
             return False
-        return len(orbits) == gbar.r or generates(
-            [gbar.perm(i), gbar.perm(yk)], gbar.degree, gbar.order
-        )
+        return len(orbits) == gbar.r
 
     reps: list[DoubleCosetRep] = []
     for d, (fid, size) in enumerate(cosets.reps):

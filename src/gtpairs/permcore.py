@@ -86,12 +86,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def conjugate(a: Perm, b: Perm) -> Perm:
-    """Return a^b = b^-1 * a * b."""
-    binv = inverse(b)
-    return compose(binv, compose(a, b))
-
-
 def is_identity(p: Perm) -> bool:
     return all(i == img for i, img in enumerate(p))
 
@@ -333,9 +327,9 @@ class ElementTable:
     element when the group acts regularly on the orbits of those points.
     Up to PACKED_DEGREE they are bytes (`packed`), and each BFS step is one
     bytes.translate by a packed generator.  Words, gen_cols and left columns
-    stay valid; mul, inverse_ids (and so right and conjugation columns) and
-    element_order need permutations and raise BaseImageError.  Permutation
-    tables stay tuples: their elements go on into chains and dict lookups.
+    stay valid; mul and inverse_ids (and so right and conjugation columns)
+    need permutations and raise BaseImageError.  Permutation tables stay
+    tuples: their elements go on into chains and dict lookups.
     """
 
     def __init__(
@@ -405,10 +399,6 @@ class ElementTable:
 
     def inverse_id(self, i: int) -> int:
         return self.inverse_ids[i]
-
-    def element_order(self, i: int) -> int:
-        self._need_perms("element_order")
-        return perm_order(self.elements[i])
 
     def word(self, i: int) -> tuple[int, ...]:
         """The BFS tree's word for element i, a shortest one, as generator indices."""
@@ -511,10 +501,6 @@ class ConjugacyClassTable:
                     f"transporter check failed: the transporter of element {e} "
                     "does not conjugate its class representative onto it"
                 )
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.reps)
 
     def _schreier_generators(self, cid: int) -> Iterator[Perm]:
         """t_x s t_y^-1 for each member x of class cid, in BFS order, and

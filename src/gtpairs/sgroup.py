@@ -174,8 +174,10 @@ def sg_report(
 ) -> SgReport:
     """Order, composition factors and packets of S = prod E wr Sym(s).
 
-    The fingerprint is built only when |S| is a power of 2, the only case in
-    which it can match C2^a x D8^b.
+    The fingerprint counts S's direct factors as C2, D8 or `other`, read
+    exactly from each distinct (E, s) and summed over the packets.  It is
+    built only when |S| is a power of 2, the only case in which S can be
+    C2^a x D8^b.
     """
     order = prod(f.e_order**f.s * factorial(f.s) for f in decomp.factors)
     simple: list[tuple[int, str]] = []
@@ -206,7 +208,8 @@ def sg_report(
         fingerprint = product_fingerprint(
             [wreaths[key, f.s] for f, key in zip(decomp.factors, e_keys)]
         )
-        if fingerprint.order != order:
+        a, b = fingerprint["C2"], fingerprint["D8"]
+        if not fingerprint["other"] and 2 ** (a + 3 * b) != order:
             raise RuntimeError("fingerprint order disagrees with the order")
     check_s_generators(decomp, h, block_of)
     return SgReport(

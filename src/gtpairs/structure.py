@@ -1,27 +1,28 @@
-"""Composition factors and group fingerprints.
+"""Composition factors and the direct-factor shape of wreath products.
 
 Every group here is a permutation group held as an ElementTable.  Subgroups
-come from `subgroup_table`, the span of conjugacy classes or commutators,
-and quotients from `quotient`, the action on the cosets of a normal
-subgroup, so derived subgroups, abelianizations and composition series are
-ElementTables too.  Fingerprints of large products are assembled per factor
-with closed wreath-product formulas instead of materializing the group.
-The small integer helpers (factorint, isprime) are stdlib trial division,
-sized for the group orders met here.
+come from `subgroup_table`, the span of conjugacy classes or of chosen
+elements, and quotients from `quotient`, the action on the cosets of a
+normal subgroup, so composition series are ElementTables too.  The shape of
+S = prod E wr Sym(s) is read exactly, one factor at a time, as counts of
+C2 and D8 direct factors: by Remak-Krull-Schmidt S is C2^a x D8^b exactly
+when every factor is.  The small integer helpers (factorint, isprime) are
+stdlib trial division, sized for the group orders met here.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from math import factorial, lcm
+from collections import Counter
+from math import factorial
 
 from .permcore import (
     ConjugacyClassTable,
     ElementTable,
     Perm,
     compose,
-    conjugate,
     inverse,
+    is_identity,
+    perm_order,
     subgroup_table,
 )
 
@@ -74,197 +75,73 @@ def quotient(t: ElementTable, normal: ElementTable) -> ElementTable:
     return ElementTable(gens, len(reps))
 
 
-def derived_subgroup(t: ElementTable) -> ElementTable:
-    """The commutator subgroup, spanned by the commutators [x, s] of the
-    elements x with the generators s.
+def _direct_factors(e: ElementTable) -> Counter:
+    """The direct factors of E counted as C2, D8 or `other`; `other` is
+    counted when E is not C2^a x D8^b.
 
-    [x, s]^g = [xg, s][g, s]^-1, so the span is normal, and every generator
-    is central modulo it, so the quotient is abelian.
+    A group whose order is not a power of 2 is `other`.  An abelian E is
+    C2^k exactly when every generator squares to 1.  A nonabelian E that
+    is C2^a x D8^b holds r of order 4 and an involution t with t r t = r^-1,
+    spanning D ~ D8 with centre <z>, z = r^2.  Let C = C_E(D).  If |C| =
+    |E|/4 and z lies outside <c^2 : c in C>, which is Phi(C) for a
+    2-group, then E = DC with D n C = <z>, a maximal subgroup M of C
+    misses z, and E = D x M with M ~ C/<z>.  Conversely E = D8 x M gives
+    C = <z> x M with Phi(C) inside M.  By Krull-Schmidt D8 x M ~ D8 x M'
+    forces M ~ M', so the first such pair decides: E is C2^a x D8^b
+    exactly when M is C2^a x D8^(b-1).  No such pair means `other`.
     """
-    comms = (
-        compose(inverse(x), conjugate(x, s)) for x in t.elements for s in t.generators
-    )
-    return subgroup_table(comms, t.degree)
+    n = e.order
+    if n & (n - 1):
+        return Counter(other=1)
+    gens = e.generators
+    if all(compose(a, b) == compose(b, a) for a in gens for b in gens):
+        if all(is_identity(compose(a, a)) for a in gens):
+            return Counter(C2=n.bit_length() - 1)
+        return Counter(other=1)
+    involutions = [t for t in e.elements if perm_order(t) == 2]
+    for r in (r for r in e.elements if perm_order(r) == 4):
+        z = compose(r, r)
+        for t in (t for t in involutions if compose(compose(t, r), t) == inverse(r)):
+            c = [x for x in e.elements if compose(x, r) == compose(r, x)
+                 and compose(x, t) == compose(t, x)]
+            if 4 * len(c) == n and z not in subgroup_table(
+                [compose(x, x) for x in c], e.degree
+            ).index:
+                m = quotient(subgroup_table(c, e.degree), subgroup_table([z], e.degree))
+                return _direct_factors(m) + Counter(D8=1)
+    return Counter(other=1)
 
 
-def element_order_histogram(t: ElementTable) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for a in range(t.order):
-        o = t.element_order(a)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
+def wreath_fingerprint(e_table: ElementTable, s: int) -> Counter:
+    """The direct factors of E wr Sym(s) as a Counter over C2, D8 and
+    `other`, from the element table of E.
 
-
-def abelian_invariants(t: ElementTable) -> tuple[int, ...]:
-    """Elementary divisors of an abelian group, sorted ascending.
-
-    The elements with a^(p^k) = 1 are those whose order divides p^k.
+    From s = 3 on, 3 divides s!, so the factor is `other`.  C2^a x D8^b has
+    order 2^(a+3b), centre 2^(a+b) and derived order 2^b, while E wr C2 with
+    E != 1 has order 2|E|^2, centre |Z(E)| and derived order |E||E'|; these
+    agree only for E abelian of order 2.  So s = 2 gives C2 for E = 1, D8
+    for |E| = 2 and `other` otherwise, and s = 1 reads E itself.
     """
-    n = t.order
-    if n == 1:
-        return ()
-    hist = element_order_histogram(t)
-    out: list[int] = []
-    for p, e_tot in sorted(factorint(n).items()):
-        counts = []  # counts[k-1] = number of invariants with exponent >= k
-        prev_val = 0
-        k = 1
-        while prev_val < e_tot:
-            pk = p**k
-            cnt = sum(c for o, c in hist.items() if pk % o == 0)
-            val = 0
-            while cnt % p == 0:
-                cnt //= p
-                val += 1
-            if cnt != 1:
-                raise RuntimeError("abelian invariant count is not a prime power")
-            counts.append(val - prev_val)
-            prev_val = val
-            k += 1
-        counts.append(0)
-        for k in range(1, len(counts)):
-            out.extend([p**k] * (counts[k - 1] - counts[k]))
-    return tuple(sorted(out))
+    if s >= 3:
+        return Counter(other=1)
+    if s == 2:
+        return Counter([{1: "C2", 2: "D8"}.get(e_table.order, "other")])
+    return _direct_factors(e_table)
 
 
-class GroupFingerprint(
-    namedtuple(
-        "GroupFingerprint",
-        "order exponent center_order center_exponent derived_order "
-        "derived_abelian derived_exponent abelianization order_histogram",
-    )
-):
-    """Isomorphism-invariant statistics of a finite group.  derived_exponent
-    is None unless the derived subgroup is abelian."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_mul(cls, t: ElementTable) -> GroupFingerprint:
-        hist = element_order_histogram(t)
-        center = ConjugacyClassTable(t).center_ids
-        derived = derived_subgroup(t)
-        d_abelian = all(
-            compose(a, b) == compose(b, a)
-            for a in derived.generators
-            for b in derived.generators
-        )
-        return cls(
-            order=t.order,
-            exponent=lcm(*hist),
-            center_order=len(center),
-            center_exponent=lcm(*(t.element_order(a) for a in center)),
-            derived_order=derived.order,
-            derived_abelian=d_abelian,
-            derived_exponent=(
-                lcm(*element_order_histogram(derived)) if d_abelian else None
-            ),
-            abelianization=abelian_invariants(quotient(t, derived)),
-            order_histogram=hist,
-        )
+def product_fingerprint(parts: list[Counter]) -> Counter:
+    """The direct factors of a direct product: the sum of its factors'
+    counts.  By Remak-Krull-Schmidt the product is C2^a x D8^b exactly when
+    every factor is."""
+    return sum(parts, Counter())
 
 
-def trivial_fingerprint() -> GroupFingerprint:
-    return GroupFingerprint(1, 1, 1, 1, 1, True, 1, (), {1: 1})
-
-
-def lcm_convolve(h1: dict[int, int], h2: dict[int, int]) -> dict[int, int]:
-    """Order histogram of a direct product from the factor histograms."""
-    out: dict[int, int] = {}
-    for o1, c1 in h1.items():
-        for o2, c2 in h2.items():
-            o = lcm(o1, o2)
-            out[o] = out.get(o, 0) + c1 * c2
-    return out
-
-
-def wreath_fingerprint(e_table: ElementTable, s: int) -> GroupFingerprint:
-    """Fingerprint of E wr Sym(s), s = 1 or 2, from the element table of E,
-    by closed formulas.
-
-    ((a, b)t)^2 = (ab, ba) for the swap t, so such an element has order
-    2 o(ab), and |E| pairs (a, b) share each product ab.  Only 2-groups are
-    fingerprinted, and 3 divides s! from s = 3 on.
-    """
-    if s not in (1, 2):
-        raise ValueError("wreath fingerprints cover s = 1 and s = 2 only")
-    e_fp = GroupFingerprint.from_mul(e_table)
-    if s == 1:
-        return e_fp
-    eo = e_fp.order
-    hist = lcm_convolve(e_fp.order_histogram, e_fp.order_histogram)
-    for d, cnt in e_fp.order_histogram.items():
-        hist[2 * d] = hist.get(2 * d, 0) + eo * cnt
-    if eo == 1:
-        center_order, center_exp = 2, 2
-    else:
-        center_order, center_exp = e_fp.center_order, e_fp.center_exponent
-    derived_abelian = e_fp.derived_order == 1
-    return GroupFingerprint(
-        order=2 * eo**2,
-        exponent=2 * e_fp.exponent,
-        center_order=center_order,
-        center_exponent=center_exp,
-        derived_order=e_fp.derived_order * eo,
-        derived_abelian=derived_abelian,
-        derived_exponent=e_fp.exponent if derived_abelian else None,
-        abelianization=tuple(sorted(e_fp.abelianization + (2,))),
-        order_histogram=hist,
-    )
-
-
-def product_fingerprint(fps: list[GroupFingerprint]) -> GroupFingerprint:
-    """Fingerprint of the direct product of the given fingerprints."""
-    out = trivial_fingerprint()
-    for fp in fps:
-        d_abelian = out.derived_abelian and fp.derived_abelian
-        if d_abelian:
-            d_exp = lcm(out.derived_exponent, fp.derived_exponent)
-        else:
-            d_exp = None
-        out = GroupFingerprint(
-            order=out.order * fp.order,
-            exponent=lcm(out.exponent, fp.exponent),
-            center_order=out.center_order * fp.center_order,
-            center_exponent=lcm(out.center_exponent, fp.center_exponent),
-            derived_order=out.derived_order * fp.derived_order,
-            derived_abelian=d_abelian,
-            derived_exponent=d_exp,
-            abelianization=tuple(sorted(out.abelianization + fp.abelianization)),
-            order_histogram=lcm_convolve(out.order_histogram, fp.order_histogram),
-        )
-    return out
-
-
-def _two_power_exponent(n: int) -> int | None:
-    if n < 1 or n & (n - 1):
+def fingerprint_recognize(fp: Counter) -> tuple[int, int] | None:
+    """(a, b) with C2^a x D8^b the group whose factors fp counts, or None
+    when a factor is `other`."""
+    if fp["other"]:
         return None
-    return n.bit_length() - 1
-
-
-def c2_d8_model_fingerprint(a: int, b: int) -> GroupFingerprint:
-    """Fingerprint of C2^a x D8^b, built from the order-2 group by formula."""
-    c2 = ElementTable([(1, 0)], 2)
-    factors = [GroupFingerprint.from_mul(c2)] * a + [wreath_fingerprint(c2, 2)] * b
-    return product_fingerprint(factors)
-
-
-def fingerprint_recognize(fp: GroupFingerprint) -> tuple[int, int] | None:
-    """Solve for (a, b) with fp consistent with C2^a x D8^b, if possible."""
-    big_a = _two_power_exponent(fp.order)
-    big_b = _two_power_exponent(fp.center_order)
-    if big_a is None or big_b is None:
-        return None
-    if big_a < big_b or (big_a - big_b) % 2:
-        return None
-    b = (big_a - big_b) // 2
-    a = big_b - b
-    if a < 0:
-        return None
-    model = c2_d8_model_fingerprint(a, b)
-    if fp == model:
-        return (a, b)
-    return None
+    return fp["C2"], fp["D8"]
 
 
 def simple_factors_of_symmetric(s: int) -> list[tuple[int, str]]:

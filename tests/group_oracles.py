@@ -3,14 +3,15 @@ a direct product, a transitivity test, the dihedral and GT1 counts, a
 brute-force double-coset survey, a pairwise packet decomposition (with its
 own orbits, stabilizers and equivariant maps), an exhaustive S search, S's
 generators as whole permutations, a per-orbit pair sweep, coprime powers, a
-tuple pair locator, scanned centralizers, structure-triple isomorphism and
-mul-table group structure, kept out of the library they check.  Tests get a
-model group through `model_group`, the command line's chain."""
+tuple pair locator, scanned centralizers, structure-triple isomorphism,
+mul-table group structure and group fingerprints, kept out of the library
+they check.  Tests get a model group through `model_group`, the command
+line's chain."""
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import factorial, gcd, isqrt, lcm
 
@@ -28,25 +29,25 @@ from gtpairs.permcore import (
     ElementTable,
     Perm,
     compose,
-    conjugate,
     generates,
     identity_perm,
     inverse,
     orbit,
+    subgroup_table,
 )
 from gtpairs.sgroup import PacketDecomposition, WreathFactor
-from gtpairs.structure import (
-    GroupFingerprint,
-    StructureSizeError,
-    abelian_invariants,
-    element_order_histogram,
-)
+from gtpairs.structure import StructureSizeError, factorint, quotient
 
 DEFAULT_BRUTE_BUDGET = 10**7
 
 
 class SgBudgetError(RuntimeError):
     pass
+
+
+def conjugate(a: Perm, b: Perm) -> Perm:
+    """Return a^b = b^-1 * a * b."""
+    return compose(inverse(b), compose(a, b))
 
 
 def list_compose(p: Perm, q: Perm) -> Perm:
@@ -84,14 +85,37 @@ def reference_table(
     return t
 
 
+def disjoint_product(*factors: list[Perm]) -> ElementTable:
+    """The direct product of permutation groups, each given by a nonempty
+    list of generators of one degree, acting on disjoint point sets."""
+    degree = sum(len(gens[0]) for gens in factors)
+    out, shift = [], 0
+    for gens in factors:
+        d = len(gens[0])
+        for g in gens:
+            p = list(range(degree))
+            p[shift:shift + d] = [shift + j for j in g]
+            out.append(tuple(p))
+        shift += d
+    return ElementTable(out, degree)
+
+
 def direct_product(g1: ConstructedGroup, g2: ConstructedGroup) -> ConstructedGroup:
     """Product group acting on the disjoint union of the two domains."""
-    d1, d2 = g1.degree, g2.degree
-    gens = [tuple(list(g) + list(range(d1, d1 + d2))) for g in g1.generators]
-    gens += [tuple(list(range(d1)) + [d1 + i for i in g]) for g in g2.generators]
+    gens = disjoint_product(g1.generators, g2.generators).generators
     order = PermutationGroup([Permutation(list(g)) for g in gens]).order()
     assert order == g1.order * g2.order
-    return ConstructedGroup(f"product({g1.spec},{g2.spec})", d1 + d2, gens, order)
+    return ConstructedGroup(
+        f"product({g1.spec},{g2.spec})", g1.degree + g2.degree, gens, order
+    )
+
+
+D8_GENERATORS = [(1, 2, 3, 0), (0, 3, 2, 1)]  # the symmetries of a square
+
+
+def c2_d8_model_table(a: int, b: int) -> ElementTable:
+    """C2^a x D8^b on 2a + 4b points."""
+    return disjoint_product(*[[(1, 0)]] * a, *[D8_GENERATORS] * b)
 
 
 def is_transitive(group: ConstructedGroup) -> bool:
@@ -109,11 +133,19 @@ def gt1_order(group: ConstructedGroup) -> tuple[int, list]:
     return len(survivors), survivors
 
 
+def model_perm(gbar: GbarGroup, i: int) -> Perm:
+    """Model element i as a permutation of degree r*d: base element
+    window_ids(i)[w] on window w."""
+    d, elements = gbar.base.degree, gbar.base.elements
+    ids = gbar.window_ids(i)
+    return tuple([w * d + j for w, e in enumerate(ids) for j in elements[e]])
+
+
 def tuple_model_table(gbar: GbarGroup) -> ElementTable:
     """The model group enumerated as permutations of degree r*d from gbar.x
     and gbar.y, with the generators in the model table's order."""
     x, y = gbar.x, gbar.y
-    return ElementTable([x, y, inverse(x), inverse(y)], gbar.degree)
+    return ElementTable([x, y, inverse(x), inverse(y)], len(x))
 
 
 def brute_double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[tuple]:
@@ -126,7 +158,7 @@ def brute_double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[tuple]:
     """
     table = tuple_model_table(gbar)
     x, y = gbar.x, gbar.y
-    ident = identity_perm(gbar.degree)
+    ident = identity_perm(len(x))
 
     def power(p: Perm) -> Perm:
         acc = ident
@@ -160,7 +192,7 @@ def brute_double_coset_survey(gbar: GbarGroup, k: int = 1) -> list[tuple]:
             coset.update(compose(sf, t) for t in cy)
         visited |= coset
         xkf = conjugate(xk, f)
-        gen_ok = generates([xkf, yk], gbar.degree, table.order)
+        gen_ok = generates([xkf, yk], len(x), table.order)
         tf = substitute(y, x, fid)
         theta_ok = gen_ok and any(compose(compose(tf, s), f) in cy_set for s in cx)
         delta_ok = False
@@ -479,9 +511,18 @@ def triple_isomorphic(
 
 
 # Group structure on duck-typed "mul tables": objects with an integer
-# `order`, methods mul(a, b), inverse_id(a), element_order(a), and the
-# identity at id 0.  ElementTable is one; SubgroupTable and QuotientTable
-# build the others.  Every scan here is over whole tables.
+# `order`, methods mul(a, b) and inverse_id(a), and the identity at id 0.
+# ElementTable is one; SubgroupTable and QuotientTable build the others.
+# Every scan here is over whole tables.
+
+
+def element_order(t, a: int) -> int:
+    """The order of element a of a mul table, by repeated products."""
+    k, x = 1, a
+    while x != 0:
+        x = t.mul(x, a)
+        k += 1
+    return k
 
 
 class SubgroupTable:
@@ -503,9 +544,6 @@ class SubgroupTable:
 
     def inverse_id(self, i: int) -> int:
         return self._pos[self.parent.inverse_id(self.members[i])]
-
-    def element_order(self, i: int) -> int:
-        return self.parent.element_order(self.members[i])
 
 
 class QuotientTable:
@@ -532,13 +570,6 @@ class QuotientTable:
 
     def inverse_id(self, i: int) -> int:
         return self.coset_of[self.parent.inverse_id(self.reps[i])]
-
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != 0:
-            x = self.mul(x, i)
-            k += 1
-        return k
 
 
 def subgroup_closure(t, seed_ids) -> list[int]:
@@ -595,12 +626,105 @@ def derived_subgroup_ids(t) -> list[int]:
     return subgroup_closure(t, comms)
 
 
+def element_order_histogram(t) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    for a in range(t.order):
+        o = element_order(t, a)
+        hist[o] = hist.get(o, 0) + 1
+    return hist
+
+
+def abelian_invariants(t) -> tuple[int, ...]:
+    """Elementary divisors of an abelian mul table, sorted ascending.
+
+    The elements with a^(p^k) = 1 are those whose order divides p^k.
+    """
+    n = t.order
+    if n == 1:
+        return ()
+    hist = element_order_histogram(t)
+    out: list[int] = []
+    for p, e_tot in sorted(factorint(n).items()):
+        counts = []  # counts[k-1] = number of invariants with exponent >= k
+        prev_val = 0
+        k = 1
+        while prev_val < e_tot:
+            pk = p**k
+            cnt = sum(c for o, c in hist.items() if pk % o == 0)
+            val = 0
+            while cnt % p == 0:
+                cnt //= p
+                val += 1
+            if cnt != 1:
+                raise RuntimeError("abelian invariant count is not a prime power")
+            counts.append(val - prev_val)
+            prev_val = val
+            k += 1
+        counts.append(0)
+        for k in range(1, len(counts)):
+            out.extend([p**k] * (counts[k - 1] - counts[k]))
+    return tuple(sorted(out))
+
+
+def derived_subgroup(t: ElementTable) -> ElementTable:
+    """The commutator subgroup of an ElementTable, spanned by the
+    commutators [x, s] of the elements x with the generators s.
+
+    [x, s]^g = [xg, s][g, s]^-1, so the span is normal, and every generator
+    is central modulo it, so the quotient is abelian.
+    """
+    comms = (
+        compose(inverse(x), conjugate(x, s)) for x in t.elements for s in t.generators
+    )
+    return subgroup_table(comms, t.degree)
+
+
+class GroupFingerprint(
+    namedtuple(
+        "GroupFingerprint",
+        "order exponent center_order center_exponent derived_order "
+        "derived_abelian derived_exponent abelianization order_histogram",
+    )
+):
+    """Isomorphism-invariant statistics of a finite group: the cross-check
+    on S's direct-factor reading.  derived_exponent is None unless the
+    derived subgroup is abelian."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_mul(cls, t: ElementTable) -> GroupFingerprint:
+        """The fingerprint of an ElementTable from its class table, its
+        derived subgroup and the quotient by it."""
+        hist = element_order_histogram(t)
+        center = ConjugacyClassTable(t).center_ids
+        derived = derived_subgroup(t)
+        d_abelian = all(
+            compose(a, b) == compose(b, a)
+            for a in derived.generators
+            for b in derived.generators
+        )
+        return cls(
+            order=t.order,
+            exponent=lcm(*hist),
+            center_order=len(center),
+            center_exponent=lcm(*(element_order(t, a) for a in center)),
+            derived_order=derived.order,
+            derived_abelian=d_abelian,
+            derived_exponent=(
+                lcm(*element_order_histogram(derived)) if d_abelian else None
+            ),
+            abelianization=abelian_invariants(quotient(t, derived)),
+            order_histogram=hist,
+        )
+
+
 def mul_fingerprint(t) -> GroupFingerprint:
     """GroupFingerprint of a mul table by whole-table scans."""
     hist = element_order_histogram(t)
     exponent = lcm(*hist)
     center = center_element_ids(t)
-    center_exp = lcm(*(t.element_order(a) for a in center))
+    center_exp = lcm(*(element_order(t, a) for a in center))
     derived = derived_subgroup_ids(t)
     dsub = SubgroupTable(t, derived)
     d_abelian = all(
@@ -608,7 +732,7 @@ def mul_fingerprint(t) -> GroupFingerprint:
         for a in range(dsub.order)
         for b in range(dsub.order)
     )
-    d_exp = lcm(*(dsub.element_order(a) for a in range(dsub.order)))
+    d_exp = lcm(*(element_order(dsub, a) for a in range(dsub.order)))
     ab = abelian_invariants(QuotientTable(t, derived))
     return GroupFingerprint(
         order=t.order,

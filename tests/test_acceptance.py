@@ -25,16 +25,13 @@ from gtpairs.permcore import (
     parse_cycles,
 )
 from gtpairs.sgroup import build_haction, packet_decomposition
-from gtpairs.structure import (
-    GroupFingerprint,
-    abelian_invariants,
-    factorint,
-    fingerprint_recognize,
-    quotient,
-)
+from gtpairs.structure import factorint, fingerprint_recognize, quotient
 from group_oracles import (
     GammaStructure,
+    GroupFingerprint,
+    abelian_invariants,
     brute_force_sg,
+    c2_d8_model_table,
     dihedral_closed_form,
     gt1_order,
     model_group,
@@ -86,7 +83,8 @@ def test_criterion_02_psl2_7_decomposition() -> None:
     assert fingerprint_recognize(rep.fingerprint) == (3, 2)
     sg_table = ElementTable(s_generators(decomp, h), h.degree)
     assert sg_table.order == 512
-    assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
+    model = c2_d8_model_table(3, 2)
+    assert GroupFingerprint.from_mul(sg_table) == GroupFingerprint.from_mul(model)
     center_ids = ConjugacyClassTable(sg_table).center_ids
     assert len(center_ids) == 32
     center = ElementTable([sg_table.elements[i] for i in center_ids], h.degree)

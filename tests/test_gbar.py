@@ -13,7 +13,6 @@ from gtpairs.gbar import (
     THETA,
     EndoImages,
     GbarError,
-    GbarGroup,
     build_gbar,
     double_coset_survey,
     evaluate_endo,
@@ -24,7 +23,6 @@ from gtpairs.permcore import (
     BaseImageError,
     EnumerationCapError,
     compose,
-    conjugate,
     generates,
     identity_perm,
     inverse,
@@ -32,10 +30,12 @@ from gtpairs.permcore import (
 )
 from group_oracles import (
     brute_double_coset_survey,
+    conjugate,
     dihedral_closed_form,
     direct_product,
     gt1_order,
     model_group,
+    model_perm,
     tuple_model_table,
 )
 
@@ -54,7 +54,7 @@ def _rep_perm(gbar, word: tuple[int, ...]):
     e = 0
     for s in word:
         e = gbar.table.gen_cols[s][e]
-    return gbar.perm(e)
+    return model_perm(gbar, e)
 
 
 def _survey_rows(gbar, k: int = 1) -> list[tuple]:
@@ -134,7 +134,7 @@ def test_word_reevaluation_reproduces_elements() -> None:
 def test_theta_swaps_generators() -> None:
     gbar = _gbar("dihedral:5")
     x, y = _generator_ids(gbar)
-    assert (gbar.perm(x), gbar.perm(y)) == (gbar.x, gbar.y)
+    assert (model_perm(gbar, x), model_perm(gbar, y)) == (gbar.x, gbar.y)
     assert evaluate_endo(gbar, THETA, x) == y
     assert evaluate_endo(gbar, THETA, y) == x
 
@@ -143,7 +143,7 @@ def test_delta_on_generators() -> None:
     gbar = _gbar("dihedral:5")
     x, y = _generator_ids(gbar)
     expected = compose(inverse(gbar.y), inverse(gbar.x))
-    assert gbar.perm(evaluate_endo(gbar, DELTA, x)) == expected
+    assert model_perm(gbar, evaluate_endo(gbar, DELTA, x)) == expected
     assert evaluate_endo(gbar, DELTA, y) == y
 
 
@@ -153,7 +153,7 @@ def test_delta_squared_is_conjugation() -> None:
         gbar = _gbar(spec)
         x, _ = _generator_ids(gbar)
         twice = evaluate_endo(gbar, DELTA, evaluate_endo(gbar, DELTA, x))
-        assert gbar.perm(twice) == conjugate(gbar.x, gbar.y)
+        assert model_perm(gbar, twice) == conjugate(gbar.x, gbar.y)
 
 
 TUPLE_MODEL_SPECS = [f"dihedral:{n}" for n in range(3, 10)] + [
@@ -173,7 +173,7 @@ def test_model_table_matches_tuple_model(spec) -> None:
     assert table.parent == tuples.parent
     assert table.letter == tuples.letter
     assert table.gen_cols == tuples.gen_cols
-    assert [gbar.perm(i) for i in range(table.order)] == tuples.elements
+    assert [model_perm(gbar, i) for i in range(table.order)] == tuples.elements
 
 
 def test_tuple_only_methods_refuse_base_images() -> None:
@@ -184,7 +184,6 @@ def test_tuple_only_methods_refuse_base_images() -> None:
         ("inverse_ids", lambda: table.inverse_id(1)),
         ("inverse_ids", lambda: table.right_column(1)),
         ("inverse_ids", lambda: table.conjugation_column(1)),
-        ("element_order", lambda: table.element_order(1)),
     ]
     for name, call in calls:
         with pytest.raises(BaseImageError, match=f"^{name} needs permutations"):
@@ -204,7 +203,7 @@ def test_survey_sorted_by_word() -> None:
     keys = [(len(rep.word), rep.word) for rep in reps]
     assert keys == sorted(keys)
     assert reps[0].word == ()
-    assert _rep_perm(gbar, reps[0].word) == identity_perm(gbar.degree)
+    assert _rep_perm(gbar, reps[0].word) == identity_perm(len(gbar.x))
     assert reps[0].survives
 
 
@@ -228,7 +227,7 @@ def test_quaternion_count_trivial() -> None:
     count, survivors = gt1_order(construct("quaternion8"))
     assert count == 1
     gbar = _gbar("quaternion8")
-    assert _rep_perm(gbar, survivors[0].word) == identity_perm(gbar.degree)
+    assert _rep_perm(gbar, survivors[0].word) == identity_perm(len(gbar.x))
 
 
 def test_two_group_counts_are_powers_of_two() -> None:
@@ -315,33 +314,41 @@ def test_survey_tests_generation_only_where_every_window_generates(
     assert sum(rep.generates_model for rep in reps) == tests
 
 
-@pytest.mark.parametrize("spec, tests", [
-    ("dihedral:9", 6), ("alternating:4", 9), ("cyclic:12", 1),
-])
-def test_survey_falls_back_to_the_chain_where_windows_share_an_orbit(
-    spec, tests, monkeypatch
-) -> None:
-    """With every outer orbit merged into one label, or only the first two,
-    no coset's windows show r distinct labels: each coset whose windows all
-    generate runs the degree r*d generation test once, and every flag is
-    the normal survey's."""
-    gbar = _gbar(spec)
-    expected = double_coset_survey(gbar)
-    calls = []
+def _two_window_model(spec: str):
+    """The model on two outer-orbit representatives of one block, with the
+    whole group's outer-orbit labels."""
+    st = cli.pair_stages(construct(spec))
+    reps, block_of, labels = st.ind.orbit_reps, st.block_of, [0] * st.pcset.ell
+    for w, o in enumerate(reps):
+        for a in st.ind.out_perms:
+            labels[a[o]] = w
+    o1 = reps[0]
+    o2 = next(o for o in reps[1:] if block_of[o] == block_of[o1])
+    return build_gbar(st.pcset, [o1, o2], labels)
 
-    def counting(*args):
-        calls.append(args)
-        return generates(*args)
 
-    monkeypatch.setattr(gbar_module, "generates", counting)
-    for orbit_of in (
-        [0] * gbar.pcset.ell,
-        [0 if w == 1 else w for w in gbar.orbit_of],
-    ):
-        merged = GbarGroup(gbar.r, gbar.x, gbar.y, gbar.pcset, gbar.table, orbit_of)
-        calls.clear()
-        assert double_coset_survey(merged) == expected
-        assert len(calls) == tests
+@pytest.mark.parametrize("spec, shared", [("psl2:5", 2), ("psl2:7", 3)])
+def test_windows_sharing_an_orbit_never_generate_the_model(spec, shared) -> None:
+    """On a model whose two windows hold pairs of one block, some cosets
+    have both window pairs generating G in one outer orbit.  Their survey
+    flag is "no", and every flag is the brute oracle's."""
+    gbar = _two_window_model(spec)
+    reps = double_coset_survey(gbar)
+    assert _survey_rows(gbar) == brute_double_coset_survey(gbar)
+    tuples, locate = tuple_model_table(gbar), gbar.pcset.locate
+    y_windows = gbar.window_ids(tuples.index[gbar.y])
+    found = 0
+    for rep in reps:
+        xf = conjugate(gbar.x, _rep_perm(gbar, rep.word))
+        windows = zip(gbar.window_ids(tuples.index[xf]), y_windows)
+        try:
+            orbits = {gbar.orbit_of[locate(g, h)] for g, h in windows}
+        except PairLookupError:
+            continue
+        if len(orbits) == 1:
+            found += 1
+            assert not rep.generates_model
+    assert found == shared
 
 
 @pytest.mark.parametrize("spec", ["dihedral:3", "symmetric:3", "cyclic:5"])
@@ -351,7 +358,7 @@ def test_windows_in_every_outer_orbit_generate_the_model(spec) -> None:
     degree r*d generation test."""
     gbar = _gbar(spec)
     windows = [gbar.window_ids(i) for i in range(gbar.order)]
-    perms = [gbar.perm(i) for i in range(gbar.order)]
+    perms = [model_perm(gbar, i) for i in range(gbar.order)]
     locate, orbit_of = gbar.pcset.locate, gbar.orbit_of
     covering = 0
     for a in range(gbar.order):
@@ -363,7 +370,7 @@ def test_windows_in_every_outer_orbit_generate_the_model(spec) -> None:
                 continue
             if len(orbits) == gbar.r:
                 covering += 1
-                assert generates([perms[a], perms[b]], gbar.degree, gbar.order)
+                assert generates([perms[a], perms[b]], len(gbar.x), gbar.order)
     assert covering
 
 
@@ -378,7 +385,7 @@ def test_window_check_keeps_every_generating_coset(spec) -> None:
     gbar = _gbar(spec)
     for rep in double_coset_survey(gbar):
         xf = conjugate(gbar.x, _rep_perm(gbar, rep.word))
-        assert rep.generates_model == generates([xf, gbar.y], gbar.degree, gbar.order)
+        assert rep.generates_model == generates([xf, gbar.y], len(gbar.x), gbar.order)
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])

@@ -8,7 +8,8 @@ up by, so such a re-export is how a caller's name is reached from outside.
 The same ast pass guards file access: input files are read by one shared
 reader, and reports are written by one writer.  It also keeps the test
 oracles off the package's private helpers, so that an oracle does not share
-the code it checks.
+the code it checks, and keeps test-only code out of the package: every
+function, method and class it defines is referenced by name inside it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ REEXPORTS = {
     ("gbar", "ConjugacyClassTable"),
     ("gbar", "build_pc"),
     ("gbar", "out_representatives"),
+    ("gbar", "generates"),
     ("dessins", "extend_pair_map"),
 }
 
@@ -117,3 +119,24 @@ def test_oracles_import_no_private_name_from_the_package() -> None:
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_definition_is_referenced_in_the_package() -> None:
+    """A function, method or class that nothing in the package names is
+    test-only code; it belongs in tests/group_oracles.py.  Dunders are
+    called by the interpreter and exempt."""
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [
+        (mod, name)
+        for mod, name in defined
+        if name not in referenced and not (name[:2] == name[-2:] == "__")
+    ]
+    assert unreferenced == []

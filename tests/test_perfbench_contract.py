@@ -97,6 +97,7 @@ DEAD_PATCHES = {
     ("gtpairs.gbar", "ConjugacyClassTable"),
     ("gtpairs.gbar", "build_pc"),
     ("gtpairs.gbar", "out_representatives"),
+    ("gtpairs.gbar", "generates"),
     ("gtpairs.dessins", "extend_pair_map"),
     ("gtpairs.gbar", "build_gbar"),
 }

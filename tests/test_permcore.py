@@ -15,7 +15,6 @@ from gtpairs.permcore import (
     EnumerationCapError,
     StabilizerChain,
     compose,
-    conjugate,
     cycle_type,
     cycles,
     generates,
@@ -25,7 +24,7 @@ from gtpairs.permcore import (
     perm_order,
     subgroup_table,
 )
-from group_oracles import scan_centralizer_ids, transporter_tuple
+from group_oracles import conjugate, scan_centralizer_ids, transporter_tuple
 
 
 def _mul(p, q):
@@ -202,7 +201,7 @@ def test_conjugacy_classes_s3() -> None:
     gens = [parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)]
     table = ElementTable(gens, 3)
     classes = ConjugacyClassTable(table)
-    assert classes.num_classes == 3
+    assert len(classes.reps) == 3
     assert sorted(classes.sizes) == [1, 2, 3]
     assert classes.center_ids == [0]
     assert max(classes.sizes) == 3
@@ -216,7 +215,7 @@ def test_conjugacy_classes_dihedral5_against_oracle() -> None:
     assert sorted(len(c) for c in oracle) == [1, 2, 2, 5]
     table = ElementTable([s, t], 5)
     classes = ConjugacyClassTable(table)
-    assert classes.num_classes == 4
+    assert len(classes.reps) == 4
     assert sorted(classes.sizes) == [1, 2, 2, 5]
     # library classes and oracle classes agree as partitions
     lib_classes = {
@@ -225,7 +224,7 @@ def test_conjugacy_classes_dihedral5_against_oracle() -> None:
             for e in range(table.order)
             if classes.class_of[e] == c
         )
-        for c in range(classes.num_classes)
+        for c in range(len(classes.reps))
     }
     assert lib_classes == {frozenset(c) for c in oracle}
 
@@ -273,7 +272,7 @@ def _class_tables(spec):
 def test_centralizer_of_every_element_matches_scan(spec) -> None:
     # C(e) = C(rep)^t for the transporter t of e, conjugated here by tuples
     _, table, classes = _class_tables(spec)
-    spans = [_centralizer_span(classes, cid) for cid in range(classes.num_classes)]
+    spans = [_centralizer_span(classes, cid) for cid in range(len(classes.reps))]
     for e in range(table.order):
         t = table.elements[classes.transporter_ids[e]]
         cent = {_mul(_mul(_inv(t), c), t) for c in spans[classes.class_of[e]].elements}

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from gtpairs import sgroup
 from gtpairs.atlas import construct
 from gtpairs.cli import pair_stages
 from gtpairs.permcore import ConjugacyClassTable, ElementTable, compose, identity_perm
@@ -18,17 +19,18 @@ from gtpairs.sgroup import (
     sg_report,
 )
 from gtpairs.structure import (
-    GroupFingerprint,
-    abelian_invariants,
     fingerprint_recognize,
     product_fingerprint,
     quotient,
     simple_factors_of_symmetric,
+    wreath_fingerprint,
 )
 from group_oracles import (
     SgBudgetError,
+    abelian_invariants,
     brute_force_sg,
     brute_packet_decomposition,
+    c2_d8_model_table,
     mul_composition_factors,
     mul_fingerprint,
     orbit_equivalence,
@@ -247,10 +249,13 @@ def test_psl27_report_values() -> None:
 
 
 def test_psl27_materialized_group_matches_formulas() -> None:
+    """The materialized S has the whole-table fingerprint of a
+    materialized C2^3 x D8^2, the shape its packets read."""
     rep, block_of, h = _report("psl2:7")
     sg_table = ElementTable(_s_generators("psl2:7"), h.degree)
     assert sg_table.order == 512
-    assert GroupFingerprint.from_mul(sg_table) == rep.fingerprint
+    assert fingerprint_recognize(rep.fingerprint) == (3, 2)
+    assert mul_fingerprint(sg_table) == mul_fingerprint(c2_d8_model_table(3, 2))
     center_ids = ConjugacyClassTable(sg_table).center_ids
     assert len(center_ids) == 32
     center = ElementTable([sg_table.elements[i] for i in center_ids], h.degree)
@@ -317,6 +322,16 @@ def test_sg_report_checks_s_generators_above_ell_2000() -> None:
         sg_report(decomp, h, block_of)
 
 
+def test_sg_report_checks_the_shape_against_the_order(monkeypatch) -> None:
+    """A shape C2^a x D8^b whose order 2^(a+3b) is not |S| fails the named
+    self-check."""
+    _, _, _, _, _, block_of, h = _pipeline("psl2:7")
+    decomp = _stages("psl2:7").decomposition[1]
+    monkeypatch.setattr(sgroup, "wreath_fingerprint", lambda e, s: Counter(C2=1))
+    with pytest.raises(RuntimeError, match="fingerprint order disagrees"):
+        sg_report(decomp, h, block_of)
+
+
 def test_sg_report_rejects_an_unclosed_self_equivalence_set() -> None:
     _, _, _, _, _, block_of, h = _pipeline("psl2:7")
     decomp = copy.deepcopy(_stages("psl2:7").decomposition[1])
@@ -377,7 +392,8 @@ def _wreath_table(f) -> ElementTable:
 @pytest.mark.parametrize("spec", ["psl2:11", "psl2:13", "alternating:7"])
 def test_shared_e_analysis_matches_per_packet_oracle(spec) -> None:
     """sg_report analyses each distinct E once; every packet recomputed on
-    its own, by whole-table scans, gives the same factors and fingerprint."""
+    its own gives the same factors (by whole-table scans) and direct
+    factors (read off the materialized E wr Sym(s))."""
     h, decomp, rep = _stages(spec).decomposition
     assert len({frozenset(f.e_elements) for f in decomp.factors}) < len(decomp.factors)
     simple = []
@@ -389,6 +405,6 @@ def test_shared_e_analysis_matches_per_packet_oracle(spec) -> None:
     if rep.order & (rep.order - 1):
         assert rep.fingerprint is None
     else:
-        fps = [mul_fingerprint(_wreath_table(f)) for f in decomp.factors]
+        fps = [wreath_fingerprint(_wreath_table(f), 1) for f in decomp.factors]
         assert rep.fingerprint == product_fingerprint(fps)
     assert (spec == "alternating:7") == (rep.fingerprint is None)

@@ -1,7 +1,9 @@
-"""Tests for factored text, fingerprints, and composition factors."""
+"""Tests for factored text, the direct-factor reading, and composition
+factors."""
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial, prod
 
 import pytest
@@ -15,24 +17,29 @@ from gtpairs.permcore import (
     subgroup_table,
 )
 from gtpairs.structure import (
-    GroupFingerprint,
     StructureSizeError,
-    abelian_invariants,
-    c2_d8_model_fingerprint,
     composition_factors_small,
-    derived_subgroup,
-    element_order_histogram,
     factored_text,
     factorint,
     fingerprint_recognize,
     isprime,
-    lcm_convolve,
+    product_fingerprint,
     quotient,
     simple_factors_of_symmetric,
-    trivial_fingerprint,
     wreath_fingerprint,
 )
-from group_oracles import SubgroupTable, derived_subgroup_ids
+from group_oracles import (
+    D8_GENERATORS,
+    GroupFingerprint,
+    SubgroupTable,
+    abelian_invariants,
+    c2_d8_model_table,
+    derived_subgroup,
+    derived_subgroup_ids,
+    disjoint_product,
+    element_order,
+    element_order_histogram,
+)
 
 
 def _table(spec: str) -> ElementTable:
@@ -56,11 +63,15 @@ def _top(sigma: Perm, d: int) -> Perm:
     return tuple(out)
 
 
-def _wreath2_table(e_gens: list[Perm], d: int) -> ElementTable:
-    """Materialize (group generated by e_gens) wr Sym(2) as permutations."""
-    gens = [_embed(g, 0, d, 2) for g in e_gens]
-    gens.append(_top((1, 0), d))
-    return ElementTable(gens, 2 * d)
+def _wreath_table(e_gens: list[Perm], d: int, s: int = 2) -> ElementTable:
+    """Materialize (group generated by e_gens) wr Sym(s) as permutations:
+    E on the first window and the swaps of neighbouring windows."""
+    gens = [_embed(g, 0, d, s) for g in e_gens]
+    for i in range(s - 1):
+        sigma = list(range(s))
+        sigma[i], sigma[i + 1] = i + 1, i
+        gens.append(_top(tuple(sigma), d))
+    return ElementTable(gens, s * d)
 
 
 def test_factored_text() -> None:
@@ -76,7 +87,7 @@ def test_element_table_over_element_list() -> None:
     assert t.order == 2
     assert t.mul(1, 1) == 0
     assert t.inverse_id(1) == 1
-    assert t.element_order(1) == 2
+    assert element_order(t, 1) == 2
 
 
 def _class_span(t: ElementTable, p: Perm) -> ElementTable:
@@ -89,9 +100,7 @@ def _class_span(t: ElementTable, p: Perm) -> ElementTable:
 
 def test_subgroup_closure_of_rotation_in_dihedral() -> None:
     t = _table("dihedral:6")
-    rot = next(
-        i for i in range(t.order) if t.element_order(i) == 6
-    )
+    rot = next(i for i in range(t.order) if element_order(t, i) == 6)
     rotations = _class_span(t, t.elements[rot])
     assert rotations.order == 6
     assert set(rotations.elements) <= set(t.elements)
@@ -169,9 +178,9 @@ def test_subgroup_table_reindexes_members() -> None:
     t = _table("symmetric:3")
     sub = SubgroupTable(t, derived_subgroup_ids(t))
     assert sub.order == 3
-    assert sorted(sub.element_order(i) for i in range(3)) == [1, 3, 3]
+    assert sorted(element_order(sub, i) for i in range(3)) == [1, 3, 3]
     derived = derived_subgroup(t)
-    assert sorted(derived.element_order(i) for i in range(3)) == [1, 3, 3]
+    assert sorted(element_order(derived, i) for i in range(3)) == [1, 3, 3]
 
 
 def test_fingerprint_from_mul_quaternion8() -> None:
@@ -188,70 +197,150 @@ def test_fingerprint_from_mul_quaternion8() -> None:
 
 
 def test_trivial_fingerprint_fields() -> None:
-    fp = trivial_fingerprint()
-    assert fp.order == 1
-    assert fp.center_order == fp.derived_order == 1
+    """The trivial group has no direct factors: C2^0 x D8^0."""
+    fp = wreath_fingerprint(_table("cyclic:1"), 1)
+    assert fp == Counter()
     assert fingerprint_recognize(fp) == (0, 0)
+    assert product_fingerprint([]) == Counter()
 
 
-def test_lcm_convolve_squares_a_histogram() -> None:
-    h = {1: 1, 2: 1}
-    assert lcm_convolve(h, h) == {1: 1, 2: 3}
-    assert lcm_convolve({1: 1, 3: 2}, {1: 1, 2: 1}) == {1: 1, 2: 1, 3: 2, 6: 2}
+def _signed(images: list[int], signs: list[int]) -> Perm:
+    """The signed permutation e_k -> signs[k] e_images[k] of four
+    coordinates, on the eight points k + 4s for the vector (-1)^s e_k."""
+    return tuple(
+        images[k] + 4 * ((s + (signs[k] < 0)) % 2) for s in (0, 1) for k in range(4)
+    )
+
+
+# Pauli matrices on two real qubits, as signed permutations of the basis
+# e_{2a+b}: X on the first qubit swaps a, Z negates a = 1
+X1 = _signed([2, 3, 0, 1], [1, 1, 1, 1])
+Z1 = _signed([0, 1, 2, 3], [1, 1, -1, -1])
+X2 = _signed([1, 0, 3, 2], [1, 1, 1, 1])
+Z2 = _signed([0, 1, 2, 3], [1, -1, 1, -1])
+XZ2 = _signed([1, 0, 3, 2], [1, -1, 1, -1])  # order 4, squares to -1
+
+C2, C4, D16 = [(1, 0)], [(1, 2, 3, 0)], construct("dihedral:8").generators
+Q8 = construct("quaternion8").generators
+# a = (0 1 2 3) and b, a reflection of the square times a 4-cycle, with
+# b^-1 a b = a^-1 and <a> n <b> = 1
+C4_SEMI_C4 = [(1, 2, 3, 0, 4, 5, 6, 7), (0, 3, 2, 1, 5, 6, 7, 4)]
+
+# name -> (group, its direct factors); a D8 splits off before the rest
+# reads `other`
+CONSTRUCTED = {
+    "C2": (disjoint_product(C2), Counter(C2=1)),
+    "C2^3": (disjoint_product(C2, C2, C2), Counter(C2=3)),
+    "C4": (disjoint_product(C4), Counter(other=1)),
+    "D8": (disjoint_product(D8_GENERATORS), Counter(D8=1)),
+    "Q8": (disjoint_product(Q8), Counter(other=1)),
+    "D16": (disjoint_product(D16), Counter(other=1)),
+    "D8xC2": (disjoint_product(D8_GENERATORS, C2), Counter(C2=1, D8=1)),
+    "Q8xC2": (disjoint_product(Q8, C2), Counter(other=1)),
+    "D8xD8": (c2_d8_model_table(0, 2), Counter(D8=2)),
+    "D8xC4": (disjoint_product(D8_GENERATORS, C4), Counter(D8=1, other=1)),
+    "D8xD8xC2": (c2_d8_model_table(1, 2), Counter(C2=1, D8=2)),
+    "C4:C4": (ElementTable(C4_SEMI_C4, 8), Counter(other=1)),
+    "D8xQ8": (disjoint_product(D8_GENERATORS, Q8), Counter(D8=1, other=1)),
+    "D8oD8": (ElementTable([X1, Z1, X2, Z2], 8), Counter(other=1)),
+    "C4oD8": (ElementTable([X1, Z1, XZ2], 8), Counter(other=1)),
+}
+ORDERS = {"C4:C4": 16, "D8oD8": 32, "C4oD8": 16}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_direct_factors_of_constructed_groups(name) -> None:
+    t, want = CONSTRUCTED[name]
+    assert t.order == ORDERS.get(name, t.order)
+    assert wreath_fingerprint(t, 1) == want
+    if not want["other"]:
+        a, b = want["C2"], want["D8"]
+        assert t.order == 2 ** (a + 3 * b)
+        assert GroupFingerprint.from_mul(t) == GroupFingerprint.from_mul(
+            c2_d8_model_table(a, b)
+        )
+
+
+def test_central_products_are_not_direct() -> None:
+    """D8 o D8 and C4 o D8 each hold a D8 whose centralizer has a quarter
+    of the order, but that centralizer's Frattini subgroup holds the shared
+    centre, so no D8 splits off."""
+    for name, center in (("D8oD8", 2), ("C4oD8", 4)):
+        t = CONSTRUCTED[name][0]
+        assert len(ConjugacyClassTable(t).center_ids) == center
+        assert derived_subgroup(t).order == 2
 
 
 def test_wreath_fingerprint_matches_materialized_groups() -> None:
+    """E wr C2 read by the s = 2 rule equals the reading of the
+    materialized wreath product: C2 for E = 1, D8 for |E| = 2, `other` for
+    every other E, C4, C2^2 and D8 among them."""
     d8, q8 = construct("dihedral:4"), construct("quaternion8")
     cases = [
-        ([(1, 0)], 2),
-        ([(1, 2, 0)], 3),
-        ([(1, 0, 2), (1, 2, 0)], 3),
-        ([(1, 2, 3, 0)], 4),
-        ([(1, 0, 2, 3), (0, 1, 3, 2)], 4),
-        (d8.generators, d8.degree),
-        (q8.generators, q8.degree),
+        ([identity_perm(1)], 1, "C2"),
+        ([(1, 0)], 2, "D8"),
+        ([(1, 2, 0)], 3, "other"),
+        ([(1, 0, 2), (1, 2, 0)], 3, "other"),
+        ([(1, 2, 3, 0)], 4, "other"),
+        ([(1, 0, 2, 3), (0, 1, 3, 2)], 4, "other"),
+        (d8.generators, d8.degree, "other"),
+        (q8.generators, q8.degree, "other"),
     ]
-    for e_gens, d in cases:
+    for e_gens, d, want in cases:
         e_table = ElementTable(e_gens, d)
-        by_formula = wreath_fingerprint(ElementTable(e_table.elements, d), 2)
-        by_table = GroupFingerprint.from_mul(_wreath2_table(e_gens, d))
-        assert by_formula == by_table, e_gens
+        by_rule = wreath_fingerprint(ElementTable(e_table.elements, d), 2)
+        assert by_rule == Counter([want]), e_gens
+        assert wreath_fingerprint(_wreath_table(e_gens, d), 1) == by_rule, e_gens
 
 
 def test_wreath_fingerprint_trivial_base() -> None:
     e_table = ElementTable([identity_perm(1)], 1)
     sym2 = wreath_fingerprint(e_table, 2)
-    assert sym2 == GroupFingerprint.from_mul(_table("symmetric:2"))
+    assert sym2 == wreath_fingerprint(_table("symmetric:2"), 1) == Counter(C2=1)
 
 
 def test_wreath_fingerprint_rejects_s_outside_one_and_two() -> None:
-    t = _table("cyclic:2")
-    for s in (0, 3):
-        with pytest.raises(ValueError):
-            wreath_fingerprint(t, s)
+    """From s = 3 on, 3 divides |E wr Sym(s)|: the factor reads `other`."""
+    for e_gens, d in (([identity_perm(1)], 1), ([(1, 0)], 2)):
+        for s in (3, 4):
+            assert wreath_fingerprint(ElementTable(e_gens, d), s) == Counter(other=1)
+            materialized = _wreath_table(e_gens, d, s)
+            assert wreath_fingerprint(materialized, 1) == Counter(other=1)
 
 
 def test_wreath_fingerprint_s_equal_one_is_base() -> None:
-    t = _table("quaternion8")
-    assert wreath_fingerprint(t, 1) == GroupFingerprint.from_mul(t)
+    """With s = 1 the factor is E itself, read directly."""
+    klein = ElementTable([(1, 0, 2, 3), (0, 1, 3, 2)], 4)
+    assert wreath_fingerprint(klein, 1) == Counter(C2=2)
+    assert wreath_fingerprint(_table("dihedral:4"), 1) == Counter(D8=1)
+    assert wreath_fingerprint(_table("quaternion8"), 1) == Counter(other=1)
+    assert wreath_fingerprint(_table("cyclic:4"), 1) == Counter(other=1)
 
 
 def test_c2_d8_model_round_trip() -> None:
-    for a in range(5):
-        for b in range(5):
-            fp = c2_d8_model_fingerprint(a, b)
-            assert fp.order == 2 ** (a + 3 * b)
-            assert fp.center_order == 2 ** (a + b)
+    for a in range(4):
+        for b in range(3):
+            t = c2_d8_model_table(a, b)
+            fp = wreath_fingerprint(t, 1)
+            assert t.order == 2 ** (a + 3 * b)
+            assert len(ConjugacyClassTable(t).center_ids) == 2 ** (a + b)
             assert fingerprint_recognize(fp) == (a, b)
 
 
+def test_product_fingerprint_adds_the_factors() -> None:
+    parts = [Counter(C2=1), Counter(D8=2), Counter(C2=3, D8=1), Counter()]
+    assert fingerprint_recognize(product_fingerprint(parts)) == (4, 3)
+    parts.append(Counter(other=1))
+    assert fingerprint_recognize(product_fingerprint(parts)) is None
+
+
 def test_fingerprint_recognize_rejects_quaternion8() -> None:
-    fp = GroupFingerprint.from_mul(_table("quaternion8"))
+    fp = wreath_fingerprint(_table("quaternion8"), 1)
     assert fingerprint_recognize(fp) is None
 
 
 def test_fingerprint_recognize_rejects_non_two_power() -> None:
-    fp = GroupFingerprint.from_mul(_table("symmetric:3"))
+    fp = wreath_fingerprint(_table("symmetric:3"), 1)
     assert fingerprint_recognize(fp) is None
 
 

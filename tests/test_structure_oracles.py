@@ -1,6 +1,7 @@
-"""ElementTable group structure against two references that share no
-structure code with it: the whole-table mul-table scans of
-`group_oracles`, and sympy's PermutationGroup."""
+"""ElementTable group structure, and the ElementTable fingerprint that
+cross-checks S's shape, against two references that share no structure
+code with them: the whole-table mul-table scans of `group_oracles`, and
+sympy's PermutationGroup."""
 
 from __future__ import annotations
 
@@ -16,15 +17,12 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from gtpairs.atlas import construct
 from gtpairs.cli import pair_stages
 from gtpairs.permcore import ConjugacyClassTable, ElementTable
-from gtpairs.structure import (
+from gtpairs.structure import composition_factors_small, quotient
+from group_oracles import (
     GroupFingerprint,
     abelian_invariants,
-    composition_factors_small,
-    derived_subgroup,
-    quotient,
-)
-from group_oracles import (
     center_element_ids,
+    derived_subgroup,
     derived_subgroup_ids,
     mul_composition_factors,
     mul_fingerprint,
@@ -146,4 +144,4 @@ def test_structure_agrees_with_sympy(gens) -> None:
             theirs += [p] * e
     ours = [n for n, _ in composition_factors_small(t)]
     assert sorted(ours) == sorted(theirs)
-    assert ConjugacyClassTable(t).num_classes == len(group.conjugacy_classes())
+    assert len(ConjugacyClassTable(t).reps) == len(group.conjugacy_classes())
