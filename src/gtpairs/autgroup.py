@@ -17,20 +17,16 @@ from .permcore import ConjugacyClassTable, ElementTable
 
 def extend_pair_map(
     table: ElementTable,
-    pair: tuple[int, int],
-    target: tuple[int, int],
+    cols: tuple[list[int], list[int]],
+    target_cols: tuple[list[int], list[int]],
 ) -> list[int] | None:
     """Extend x -> x', y -> y' to an automorphism's image list, or return None.
 
+    cols are the right columns of x and y, target_cols those of x' and y'.
     The pair (x, y) must generate the group; ValueError otherwise.
     """
-    x, y = pair
-    x2, y2 = target
+    (col_x, col_y), (col_x2, col_y2) = cols, target_cols
     n = table.order
-    col_x = table.right_column(x)
-    col_y = table.right_column(y)
-    col_x2 = table.right_column(x2)
-    col_y2 = table.right_column(y2)
     images = [-1] * n
     images[0] = 0
     queue = [0]
@@ -69,6 +65,7 @@ def out_representatives(classes: ConjugacyClassTable, pcset: PcSet) -> list[list
     base class itself yields the identity map and is listed first.  A rep
     is tried only if its members' class orders and sizes, then its
     `_pair_stats`, match the base pair's: an automorphism keeps all of them.
+    The base pair's right columns are built once and serve the base class.
     """
     table = pcset.table
     orders, sizes, class_of = classes.class_orders, classes.sizes, classes.class_of
@@ -79,13 +76,15 @@ def out_representatives(classes: ConjugacyClassTable, pcset: PcSet) -> list[list
 
     base = pcset.reps[0]
     base_shape, base_stats = shape(*base), _pair_stats(table, classes, *base)
-    maps: list[list[int]] = []
-    for g, h in pcset.reps:
+    base_cols = table.right_column(base[0]), table.right_column(base[1])
+    maps = [extend_pair_map(table, base_cols, base_cols)]
+    for g, h in pcset.reps[1:]:
         if shape(g, h) != base_shape or _pair_stats(table, classes, g, h) != base_stats:
             continue
-        m = extend_pair_map(table, base, (g, h))
+        cols = table.right_column(g), table.right_column(h)
+        m = extend_pair_map(table, base_cols, cols)
         if m is not None:
             maps.append(m)
-    if not maps or maps[0] != list(range(table.order)):
+    if maps[0] != list(range(table.order)):
         raise RuntimeError("identity extension missing; pair-class reps corrupt")
     return maps

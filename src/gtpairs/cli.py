@@ -227,8 +227,6 @@ def pair_stages(
     ind = induced_perms(pcset, outs)
     block_of = block_partition(pcset)
     timings["action"] = time.perf_counter() - start
-    if pcset.ell % len(outs):
-        raise RuntimeError("pair classes do not split evenly into outer orbits")
     return PairStages(table, classes, pcset, ind, block_of, timings)
 
 
@@ -239,12 +237,7 @@ def model_stages(
     orbits; the model build is timed as stage `model`."""
     st = pair_stages(group, cap, threads)
     start = time.perf_counter()
-    ind = st.ind
-    orbit_of = [0] * st.pcset.ell  # pair class -> the window of its outer orbit
-    for w, o in enumerate(ind.orbit_reps):
-        for a in ind.out_perms:
-            orbit_of[a[o]] = w
-    gbar = build_gbar(st.pcset, ind.orbit_reps, orbit_of, cap)
+    gbar = build_gbar(st.pcset, st.ind.orbit_reps, st.ind.orbit_of, cap)
     st.timings["model"] = time.perf_counter() - start
     return st, gbar
 

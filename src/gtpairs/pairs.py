@@ -8,7 +8,8 @@ canonical representative of a class is (class rep of g, that least h).
 Two symmetries cut the work (P. Hall, "The Eulerian functions of a group",
 1936).  C(g) = C(g^k) and <g, h> = <g^k, h> for k prime to |g|, so only one
 g-class per rational class is swept: a class whose rep has a power in an
-earlier class is transported from that class by one conjugation column.
+earlier class is transported from that class by one column of the class
+table (`ConjugacyClassTable.to_rep_column`).
 And <g, h> = <a, g> for a generator a of <h> or of <h g>, so before a sweep
 tests a pair it reads the verdict of (a, g) from a class this process has
 already swept.  One verdict, read or tested, settles every h reached by
@@ -30,30 +31,6 @@ class PairLookupError(KeyError):
     pass
 
 
-def unconjugation_columns(table: ElementTable) -> list[list[int]]:
-    """Per table generator s: e -> id(s e s^-1)."""
-    inv = table.inverse_ids
-    return [table.conjugation_column(inv[table.index[s]]) for s in table.generators]
-
-
-def _lookup_pair(
-    table: ElementTable,
-    classes: ConjugacyClassTable,
-    unconj: list[list[int]],
-    lookups: list[list[int]] | dict[int, list[int]],  # by cid: h -> idx or -2
-    g: int,
-    h: int,
-) -> int:
-    """The entry of (g, h) conjugated by t^-1, t the transporter of g:
-    (rep, t h t^-1).  The tree word s_1..s_m of t is followed back from its
-    last letter, one `unconjugation_columns` column per letter."""
-    parent, letter, t = table.parent, table.letter, classes.transporter_ids[g]
-    while t:
-        h = unconj[letter[t]][h]
-        t = parent[t]
-    return lookups[classes.class_of[g]][h]
-
-
 class PcSet:
     """Classes of generating pairs under conjugation."""
 
@@ -63,19 +40,18 @@ class PcSet:
         classes: ConjugacyClassTable,
         reps: list[tuple[int, int]],
         _lookup: list[list[int]],  # per g-conjugacy-class: h id -> pc index or -2
-        unconj: list[list[int]],  # unconjugation_columns(table)
     ) -> None:
         self.table, self.classes, self.reps, self._lookup = table, classes, reps, _lookup
-        self._unconj = unconj
 
     @property
     def ell(self) -> int:
         return len(self.reps)
 
     def locate(self, g: int, h: int) -> int:
-        """Pair-class index of a generating pair, by conjugating g to its rep:
-        with t the transporter of g, (g, h)^(t^-1) = (rep, t h t^-1)."""
-        idx = _lookup_pair(self.table, self.classes, self._unconj, self._lookup, g, h)
+        """Pair-class index of a generating pair, by conjugating g to its rep
+        (`ConjugacyClassTable.to_rep`)."""
+        classes = self.classes
+        idx = self._lookup[classes.class_of[g]][classes.to_rep(g, h)]
         if idx < 0:
             raise PairLookupError(f"pair ({g}, {h}) does not generate the group")
         return idx
@@ -109,15 +85,10 @@ _SWEEP_STATE: dict = {}
 
 
 def _init_sweep(
-    table: ElementTable,
-    classes: ConjugacyClassTable,
-    transitive: bool,
-    powers: list,
-    unconj: list[list[int]],
+    table: ElementTable, classes: ConjugacyClassTable, transitive: bool, powers: list
 ) -> None:
     _SWEEP_STATE.update(
-        table=table, classes=classes, transitive=transitive, powers=powers,
-        unconj=unconj, done={},
+        table=table, classes=classes, transitive=transitive, powers=powers, done={}
     )
 
 
@@ -134,17 +105,19 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
     reads it from a class swept earlier in this process, which holds a
     generator a of <h> or of <h g>: <g, h> = <a, g>, located like
     `PcSet.locate` does.  Only an orbit with neither runs a generation test.
+
+    C(g) meets C(h) in Z(<g, h>) = Z(G), so a generating orbit has exactly
+    |C(g)|/|Z(G)| members; each is checked, naming the check.
     """
     table: ElementTable = _SWEEP_STATE["table"]
     classes: ConjugacyClassTable = _SWEEP_STATE["classes"]
     transitive: bool = _SWEEP_STATE["transitive"]
     powers: list[list[int]] = _SWEEP_STATE["powers"]
-    unconj: list[list[int]] = _SWEEP_STATE["unconj"]
     done: dict[int, list[int]] = _SWEEP_STATE["done"]  # swept cid -> its assign
-    class_of = classes.class_of
+    class_of, to_rep = classes.class_of, classes.to_rep
     n = table.order
-    degree = table.degree
-    elements = table.elements
+    orbit_size = n // classes.sizes[cid] // len(classes.center_ids)
+    degree, elements = table.degree, table.elements
     g_id = classes.reps[cid]
     g_perm = elements[g_id]
     conj = [table.conjugation_column(c) for c in classes.centralizer_ids(cid)]
@@ -169,8 +142,7 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
                 (a for a in powers[h] + powers[right[h]] if class_of[a] in done), None
             )
             if a is not None:
-                entry = _lookup_pair(table, classes, unconj, done, a, g_id)
-                gen = 1 if entry >= 0 else -1
+                gen = 1 if done[class_of[a]][to_rep(a, g_id)] >= 0 else -1
             elif transitive and len(orbit([g_perm, elements[h]], 0)) != degree:
                 gen = -1
             else:
@@ -185,6 +157,11 @@ def _sweep_class(cid: int) -> tuple[list[int], list[int]]:
                         verdict[p] = gen
                     queue += powers[f]
         if gen > 0:
+            if len(orbit_ids) != orbit_size:
+                raise RuntimeError(
+                    f"generating-orbit check failed: class {cid} has an orbit of "
+                    f"{len(orbit_ids)} pairs, not |C(g)|/|Z(G)| = {orbit_size}"
+                )
             mark = len(local_reps)
             local_reps.append(h)
         else:
@@ -209,15 +186,14 @@ def build_pc(
     (a, h) generate together, C(g) = C(a), and the transporter s of a
     carries (a, h) to (rep of a's class, s h s^-1).
 
-    The power lists and unconjugation columns are built once here.  The
-    pool forks all its workers up front, so they inherit them, and it gets
+    The power lists are built once here.  The pool forks all its workers up
+    front, so they inherit them with the class table, and it gets
     no more workers than there are classes to sweep or CPUs to run them on.
     """
     transitive = (
         len(orbit(table.generators, 0)) == table.degree if table.generators else False
     )
     powers = coprime_powers(table)
-    unconj = unconjugation_columns(table)
     class_of = classes.class_of
     least = [min(powers[g], key=class_of.__getitem__) for g in classes.reps]
     swept = [c for c, a in enumerate(least) if class_of[a] == c]
@@ -234,24 +210,23 @@ def build_pc(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_sweep,
-            initargs=(table, classes, transitive, powers, unconj),
+            initargs=(table, classes, transitive, powers),
         ) as pool:
             results = dict(zip(swept, pool.map(_sweep_class, swept)))
     else:
-        _init_sweep(table, classes, transitive, powers, unconj)
+        _init_sweep(table, classes, transitive, powers)
         results = {c: _sweep_class(c) for c in swept}
         _SWEEP_STATE.clear()  # keeps no table alive past its results
-    n, inv = table.order, table.inverse_ids
     reps: list[tuple[int, int]] = []
     lookup: list[list[int]] = []
     for cid, a in enumerate(least):
         if cid in results:
             hs, marks = results.pop(cid)  # local idx or -2
         else:
-            col = table.conjugation_column(inv[classes.transporter_ids[a]])
+            col = classes.to_rep_column(a)
             marks = list(map(lookup[class_of[a]].__getitem__, col))  # pc idx or -2
             # mark -> its least h: of the writes to one key, the last stays
-            first = dict(zip(reversed(marks), range(n - 1, -1, -1)))
+            first = dict(zip(reversed(marks), range(table.order - 1, -1, -1)))
             first.pop(-2, None)
             hs = sorted(first.values())
         # one int object per pair class, shared by all its entries
@@ -260,13 +235,15 @@ def build_pc(
         g_id = classes.reps[cid]
         reps.extend((g_id, h) for h in hs)
         lookup.append(list(map(renumber.__getitem__, marks)))
-    return PcSet(table, classes, reps, lookup, unconj)
+    return PcSet(table, classes, reps, lookup)
 
 
-class InducedPerms(namedtuple("InducedPerms", "theta delta out_perms orbit_reps")):
+class InducedPerms(
+    namedtuple("InducedPerms", "theta delta out_perms orbit_reps orbit_of")
+):
     """The involutions theta, delta and the outer maps as permutations of
-    pair-class indices, and the least pair class of each outer orbit,
-    ascending."""
+    pair-class indices, the least pair class of each outer orbit, ascending,
+    and the outer orbit of each pair class, as an index into orbit_reps."""
 
     __slots__ = ()
 
@@ -279,7 +256,8 @@ def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:
     its permutation is not located.  Every outer map commutes with theta and
     delta, so both are located only on the first class o of each outer
     orbit and carried to the rest: theta[a(o)] = a(theta[o]), the same for
-    delta.  A class reached twice means Out does not act freely.
+    delta.  A class reached twice means Out does not act freely; so on
+    return every class was written once, and ell = r |Out|.
     """
     table, reps, locate = pcset.table, pcset.reps, pcset.locate
     ell = len(reps)
@@ -288,10 +266,10 @@ def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:
     theta = [-1] * ell
     delta = [-1] * ell
     orbit_reps = []
+    orbit_of = [0] * ell
     for o, (g, h) in enumerate(reps):
         if theta[o] >= 0:
             continue
-        orbit_reps.append(o)
         t = locate(h, g)
         d = locate(table.inverse_id(table.mul(g, h)), h)
         for a in outs:
@@ -302,7 +280,9 @@ def induced_perms(pcset: PcSet, out_maps: list) -> InducedPerms:
                 )
             theta[p] = a[t]
             delta[p] = a[d]
-    return InducedPerms(tuple(theta), tuple(delta), outs, orbit_reps)
+            orbit_of[p] = len(orbit_reps)
+        orbit_reps.append(o)
+    return InducedPerms(tuple(theta), tuple(delta), outs, orbit_reps, orbit_of)
 
 
 def block_partition(pcset: PcSet) -> list[int]:

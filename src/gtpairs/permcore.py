@@ -454,6 +454,11 @@ class ConjugacyClassTable:
     x^s is gen_cols[s][t_x]; every transporter is re-verified by tuple
     recomposition during construction.  class_orders[c] is the element
     order shared by every member of class c.
+
+    t^-1 carries a pair (g, h) to (rep, t h t^-1), t the transporter of g.
+    `to_rep` follows t's tree word back from its last letter s, one inverted
+    conjugation column h -> s h s^-1 of the class walk per letter;
+    `to_rep_column` is the same map for every h at once.
     """
 
     def __init__(self, table: ElementTable):
@@ -484,6 +489,10 @@ class ConjugacyClassTable:
                         queue.append(img)
             self.sizes.append(len(queue))
         self._check_transporters()
+        self._unconj = [[0] * n for _ in steps]  # per generator s: e -> id(s e s^-1)
+        for (col, _), un in zip(steps, self._unconj):
+            for e, f in zip(table.index.values(), col):
+                un[f] = e
         self.center_ids = sorted(
             self.reps[c] for c in range(len(self.reps)) if self.sizes[c] == 1
         )
@@ -501,6 +510,20 @@ class ConjugacyClassTable:
                     f"transporter check failed: the transporter of element {e} "
                     "does not conjugate its class representative onto it"
                 )
+
+    def to_rep(self, g: int, h: int) -> int:
+        """t h t^-1 for the transporter t of g."""
+        parent, letter, unconj = self.table.parent, self.table.letter, self._unconj
+        t = self.transporter_ids[g]
+        while t:
+            h = unconj[letter[t]][h]
+            t = parent[t]
+        return h
+
+    def to_rep_column(self, g: int) -> list[int]:
+        """col[h] = to_rep(g, h), for every h."""
+        table = self.table
+        return table.conjugation_column(table.inverse_ids[self.transporter_ids[g]])
 
     def _schreier_generators(self, cid: int) -> Iterator[Perm]:
         """t_x s t_y^-1 for each member x of class cid, in BFS order, and

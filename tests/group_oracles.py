@@ -22,7 +22,7 @@ from gtpairs.autgroup import extend_pair_map
 from gtpairs.cli import model_stages
 from gtpairs.dessins import DessinError
 from gtpairs.gbar import GbarGroup, double_coset_survey
-from gtpairs.pairs import PcSet, unconjugation_columns
+from gtpairs.pairs import PcSet
 from gtpairs.permcore import (
     DEFAULT_CAP,
     ConjugacyClassTable,
@@ -425,7 +425,7 @@ def brute_build_pc(table: ElementTable, classes: ConjugacyClassTable) -> PcSet:
             for e in orbit_ids:
                 assign[e] = mark
         lookup.append(assign)
-    return PcSet(table, classes, reps, lookup, unconjugation_columns(table))
+    return PcSet(table, classes, reps, lookup)
 
 
 def coprime_power_sets(elements: list[Perm]) -> list[set[Perm]]:
@@ -480,6 +480,14 @@ def transporter_tuple(
     return None
 
 
+def extend_pair(
+    table: ElementTable, pair: tuple[int, int], target: tuple[int, int]
+) -> list[int] | None:
+    """`extend_pair_map` of pair -> target, on right columns built here."""
+    (x, y), (x2, y2), right = pair, target, table.right_column
+    return extend_pair_map(table, (right(x), right(y)), (right(x2), right(y2)))
+
+
 @dataclass
 class GammaStructure:
     """A generating pair with homomorphism images, all as element ids."""
@@ -503,7 +511,7 @@ def triple_isomorphic(
         raise DessinError("triples must live over one shared group table")
     if len(t1.image_ids) != len(t2.image_ids):
         raise DessinError("structures declare different generator counts")
-    alpha = extend_pair_map(t1.table, (t1.g_id, t1.h_id), (t2.g_id, t2.h_id))
+    alpha = extend_pair(t1.table, (t1.g_id, t1.h_id), (t2.g_id, t2.h_id))
     if alpha is None:
         return False
     moved = tuple(alpha[i] for i in t1.image_ids)

@@ -601,6 +601,7 @@ def test_induced_action_past_its_bound_exits_3(capsys, monkeypatch) -> None:
         delta=tuple([1, 0] + list(range(2, degree))),
         out_perms=[tuple(range(degree))],
         orbit_reps=list(range(degree)),
+        orbit_of=list(range(degree)),
     )
     with pytest.raises(RuntimeError, match="exceeded six per outer class"):
         build_haction(fake)

@@ -16,6 +16,7 @@ import weakref
 
 import pytest
 
+from gtpairs import cli
 from gtpairs.atlas import construct
 from gtpairs.gbar import double_coset_survey
 from gtpairs.pairs import PairLookupError, build_pc
@@ -239,3 +240,27 @@ def test_tables_are_freed_without_the_cycle_collector() -> None:
         assert refs["model ElementTable"]() is None
     finally:
         gc.enable()
+
+
+# whole-table column passes on the base table in one `sg`: the class table's
+# conjugation columns, each sweep's right and centralizer columns, one
+# conjugation column per transported class and the action stage's right
+# columns (two for the base pair, two per other candidate)
+COLUMN_PASSES = {"psl2:9": 30, "psl2:13": 25, "alternating:7": 31, "m11": 34, "psl3:3": 43}
+
+
+@pytest.mark.parametrize("spec", sorted(COLUMN_PASSES))
+def test_sg_column_passes_on_the_base_table(spec, monkeypatch, capsys) -> None:
+    calls: list[ElementTable] = []
+    original = ElementTable.left_column
+
+    def counting(self, x):
+        calls.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(ElementTable, "left_column", counting)
+    assert cli.run(["sg", spec, "--threads", "1"]) == 0
+    capsys.readouterr()
+    base = calls[0]  # the class table reads the base table's columns first
+    assert base.order == construct(spec).order
+    assert sum(t is base for t in calls) == COLUMN_PASSES[spec]

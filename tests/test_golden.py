@@ -21,6 +21,11 @@ LADDER = {
     "pc_psl2_5": ["pc", "psl2:5"],
     "sg_psl2_7": ["sg", "psl2:7"],
     "sg_psl2_11": ["sg", "psl2:11"],
+    "sg_psl2_13": ["sg", "psl2:13"],
+    "sg_alternating_7": ["sg", "alternating:7"],
+    "sg_m11": ["sg", "m11"],
+    # six table generators: six inverted conjugation columns
+    "sg_psl3_3": ["sg", "psl3:3"],
     "sg_quaternion8": ["sg", "quaternion8"],
     "sg_symmetric_6": ["sg", "symmetric:6"],
     "gt1_dihedral_7": ["gt1", "dihedral:7"],

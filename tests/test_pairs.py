@@ -18,7 +18,6 @@ from gtpairs.pairs import (
     build_pc,
     coprime_powers,
     induced_perms,
-    unconjugation_columns,
 )
 from gtpairs.permcore import (
     ConjugacyClassTable,
@@ -276,10 +275,10 @@ def test_transported_classes_match_a_direct_sweep(spec) -> None:
     table, classes = _tables(spec)
     pcset = build_pc(table, classes)
     transitive = len(orbit(table.generators, 0)) == table.degree
-    powers, unconj = coprime_powers(table), unconjugation_columns(table)
+    powers = coprime_powers(table)
     try:
         for cid in _transported(table, classes):
-            pairs._init_sweep(table, classes, transitive, powers, unconj)
+            pairs._init_sweep(table, classes, transitive, powers)
             local_reps, assign = pairs._sweep_class(cid)
             g = classes.reps[cid]
             got = [i for i, (rep_g, _) in enumerate(pcset.reps) if rep_g == g]
@@ -292,23 +291,47 @@ def test_transported_classes_match_a_direct_sweep(spec) -> None:
 
 @pytest.mark.parametrize("spec", ["psl2:7", "psl2:13", "alternating:7", "psl3:3", "m11"])
 def test_verdicts_read_from_earlier_classes_match_generates(monkeypatch, spec) -> None:
-    # the sweep looks up no pair but (a, g), a in an earlier swept class
+    # the sweep carries no pair to its rep but (a, g), a in an earlier swept
+    # class, and (a, g) generates exactly when it locates
     reads = []
-    original = pairs._lookup_pair
+    original = ConjugacyClassTable.to_rep
 
-    def recording(table, classes, unconj, lookups, a, g):
-        got = original(table, classes, unconj, lookups, a, g)
-        reads.append((a, g, got >= 0))
-        return got
+    def recording(self, a, g):
+        reads.append((a, g))
+        return original(self, a, g)
 
-    monkeypatch.setattr(pairs, "_lookup_pair", recording)
+    monkeypatch.setattr(ConjugacyClassTable, "to_rep", recording)
     table, classes = _tables(spec)
-    build_pc(table, classes)
+    pcset = build_pc(table, classes)
+    monkeypatch.undo()  # locate below walks through to_rep too
     elements, degree, n = table.elements, table.degree, table.order
-    for a, g, got in reads:
+    verdicts = set()
+    for a, g in reads:
         assert classes.class_of[a] < classes.class_of[g]
-        assert got == generates([elements[a], elements[g]], degree, n)
-    assert {got for *_, got in reads} == {True, False}
+        want = generates([elements[a], elements[g]], degree, n)
+        try:
+            pcset.locate(a, g)
+        except PairLookupError:
+            assert not want
+        else:
+            assert want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_short_centralizer_fails_the_generating_orbit_check(threads) -> None:
+    # C(g) meets C(h) in Z(G) when <g, h> = G, so a generating C(g)-orbit
+    # has |C(g)|/|Z(G)| members; walked on one of the two generators of an
+    # involution's centralizer V4 in A5, it has 2, not 4
+    table, classes = _tables("alternating:5")
+    cid = next(c for c, o in enumerate(classes.class_orders) if o == 2)
+    cent = classes.centralizer_ids(cid)
+    assert len(cent) == 2
+    classes._centralizer_ids[cid] = cent[:1]  # the cache the sweep reads
+    with pytest.raises(RuntimeError, match="generating-orbit check failed: class"):
+        build_pc(table, classes, threads=threads)
+    pairs._SWEEP_STATE.clear()  # a failed serial sweep leaves its state behind
 
 
 @pytest.mark.parametrize(
@@ -429,6 +452,10 @@ def test_out_perms_act_freely() -> None:
         least = {min(p[i] for p in ind.out_perms) for i in range(pcset.ell)}
         assert ind.orbit_reps == sorted(least)
         assert len(ind.orbit_reps) * len(ind.out_perms) == pcset.ell
+        assert ind.orbit_of == [
+            ind.orbit_reps.index(min(p[i] for p in ind.out_perms))
+            for i in range(pcset.ell)
+        ]
 
 
 def test_block_partition_dihedral5() -> None:
