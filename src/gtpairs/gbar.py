@@ -16,7 +16,8 @@ generators are word substitutions.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
+from itertools import chain, product
+from math import gcd, prod
 
 # ConjugacyClassTable, build_pc, out_representatives and generates are
 # re-exported: perfbench/spans.py traces them under these names
@@ -192,14 +193,22 @@ def _window_centralizer(gbar: GbarGroup, a: int) -> list[int]:
     """Ids of the model elements commuting with model element a, ascending.
 
     Model elements act window by window, so e commutes with a exactly when
-    every window entry of e commutes in G with the same entry of a.
+    every window entry of e commutes in G with the same entry of a.  When
+    the product of the window centralizers is smaller than the model, its
+    members found in the model table's index are the answer; otherwise the
+    model table is scanned.
     """
-    base, n = gbar.base, gbar.base.order
-    allowed: set[int] = set()
+    base, n, table = gbar.base, gbar.base.order, gbar.table
+    cents = []
     for w, b in enumerate(gbar.window_ids(a)):
         left, right = base.left_column(b), base.right_column(b)
-        allowed.update(w * n + e for e in range(n) if left[e] == right[e])
-    return [i for i, e in enumerate(gbar.table.elements) if allowed.issuperset(e)]
+        cents.append([w * n + e for e in range(n) if left[e] == right[e]])
+    if prod(map(len, cents)) < table.order:
+        form = bytes if table.packed else tuple
+        found = map(table.index.get, map(form, product(*cents)))
+        return sorted(i for i in found if i is not None)
+    allowed = set(chain.from_iterable(cents))
+    return [i for i, e in enumerate(table.elements) if allowed.issuperset(e)]
 
 
 def _double_cosets(gbar: GbarGroup) -> DoubleCosets:

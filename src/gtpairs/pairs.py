@@ -215,8 +215,10 @@ def build_pc(
             results = dict(zip(swept, pool.map(_sweep_class, swept)))
     else:
         _init_sweep(table, classes, transitive, powers)
-        results = {c: _sweep_class(c) for c in swept}
-        _SWEEP_STATE.clear()  # keeps no table alive past its results
+        try:
+            results = {c: _sweep_class(c) for c in swept}
+        finally:
+            _SWEEP_STATE.clear()  # keeps no table alive past the sweep
     reps: list[tuple[int, int]] = []
     lookup: list[list[int]] = []
     for cid, a in enumerate(least):

@@ -19,13 +19,14 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from math import inf, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 Perm = tuple[int, ...]
 
 DEFAULT_CAP = 10**6
 PACKED_DEGREE = 256  # the largest degree held packed
 IDENT256 = bytes(range(256))  # the packed identity
+COLUMN_CHUNK = 64  # slots an ElementTable column grows by
 
 
 class CycleFormatError(ValueError):
@@ -320,7 +321,11 @@ class ElementTable:
     deterministic.  The BFS keeps one id column per generator,
     gen_cols[s][e] = id(e*s), and its discovery tree: element i > 0 is
     element parent[i] times generator letter[i].  Left, right and
-    conjugation columns of any element are integer work on these.
+    conjugation columns of any element are integer work on these.  When
+    s^-1 is a generator too (x, y, x^-1, y^-1, or an involution), the step
+    e*s = i also fills gen_cols[s^-1][i] = e, and i's own s^-1 step reads
+    it: each Cayley edge is built once, and the numbering, columns and tree
+    are those of the BFS that builds every step.
 
     Given a start tuple of points, the table holds base images instead:
     elements[i] is the image of start under element i, which determines the
@@ -352,27 +357,49 @@ class ElementTable:
             ident = tuple(start)
         elements = self.elements = [ident]
         index = self.index = {ident: 0}
-        self.gen_cols: list[list[int]] = [[] for _ in gens]
-        self.parent = array("i", [-1])
-        self.letter = array("i", [-1])
-        steps = list(enumerate(zip(gens, [c.append for c in self.gen_cols])))
+        # columns grow COLUMN_CHUNK empty slots at a time, cut to size at the end
+        cols = self.gen_cols = [[None] * COLUMN_CHUNK for _ in gens]
+        room = COLUMN_CHUNK
+        parent = self.parent = array("i", [-1])
+        letter = self.letter = array("i", [-1])
+        # e*s = i gives i*s^-1 = e: each step s also fills s^-1's column
+        letter_of = {g: s for s, g in enumerate(self.generators)}
+        backs = [letter_of.get(inverse(g)) for g in self.generators]
+        learns = any(t is not None for t in backs)
+        steps = [
+            (s, g, cols[s], None if t is None else cols[t])
+            for s, (g, t) in enumerate(zip(gens, backs))
+        ]
+        kernel = attrgetter("translate") if self.packed else composer
         for e_id, e in enumerate(elements):
-            by_e = composer(e)
-            for gi, (g, put) in steps:
+            if e_id and learns:  # the index's own int, for the learned entries
+                e_id = cols[letter[e_id]][parent[e_id]]
+            by_e = kernel(e)
+            for s, g, col, back in steps:
+                if col[e_id] is not None:  # learned
+                    continue
                 n = by_e(g)
                 i = index.get(n)
                 if i is None:
                     i = index[n] = len(elements)
                     elements.append(n)
-                    self.parent.append(e_id)
-                    self.letter.append(gi)
+                    parent.append(e_id)
+                    letter.append(s)
                     if i >= cap:
                         raise EnumerationCapError(
                             f"element enumeration passed {cap} elements "
                             f"(partial count {i + 1}); "
                             "raise --cap to allow a larger group"
                         )
-                put(i)
+                    if i == room:
+                        room += COLUMN_CHUNK
+                        for c in cols:
+                            c.extend([None] * COLUMN_CHUNK)
+                col[e_id] = i
+                if back is not None:
+                    back[i] = e_id
+        for c in cols:
+            del c[len(elements):]
         self._inverse_ids: list[int] | None = None
 
     @property

@@ -24,8 +24,10 @@ from gtpairs.permcore import (
     IDENT256,
     ConjugacyClassTable,
     ElementTable,
+    EnumerationCapError,
     compose,
     composer,
+    identity_perm,
     inverse,
     pack,
 )
@@ -179,6 +181,48 @@ def test_one_point_base_image_table_matches_reference_bfs(spec) -> None:
     assert table.order == g.order
     assert all(len(e) == 1 for e in table.elements)
     _check_against_reference(table)
+
+
+# generator lists whose BFS reads some edges from an earlier step through s^-1
+LEARNED_EDGE_CASES = {
+    "inverse pairs": ("psl2:7", lambda x, y: [x, y, inverse(x), inverse(y)]),
+    "repeated generator": ("alternating:5", lambda x, y: [x, inverse(x), y, x]),
+    "self-inverse generators": ("dihedral:6", lambda s, t: [s, t]),
+    "identity generator": ("psl2:7", lambda x, y: [x, identity_perm(len(x)), y]),
+}
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["tuples", "packed"])
+@pytest.mark.parametrize("case", sorted(LEARNED_EDGE_CASES))
+def test_learned_edges_match_reference_bfs(case, packed) -> None:
+    spec, gens_of = LEARNED_EDGE_CASES[case]
+    g = construct(spec)
+    gens = gens_of(*g.generators)
+    start = tuple(range(g.degree)) if packed else None
+    table = ElementTable(gens, g.degree, start=start)
+    assert table.packed == packed
+    assert table.order == g.order
+    _check_against_reference(table)
+
+
+def test_model_table_cap_counts_every_element() -> None:
+    # the BFS refuses at the same element, with the same message, whatever
+    # edges it read from earlier steps
+    model = model_group(construct("alternating:4")).table
+    gens, n = model.generators, model.order
+    start = tuple(model.elements[0])
+    with pytest.raises(EnumerationCapError) as err:
+        ElementTable(gens, model.degree, cap=n - 1, start=start)
+    assert str(err.value) == (
+        f"element enumeration passed {n - 1} elements (partial count {n}); "
+        "raise --cap to allow a larger group"
+    )
+    full = ElementTable(gens, model.degree, cap=n, start=start)
+    assert full.elements == model.elements
+    assert full.gen_cols == model.gen_cols
+    # learned entries too hold the index's own int objects, not copies
+    own = {id(i) for i in full.index.values()}
+    assert all(id(i) in own for col in full.gen_cols for i in col)
 
 
 def _new_locate(pcset, g, h):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -429,6 +429,42 @@ def test_gt_full_order_equals_uncached_sum(spec) -> None:
         if gcd(k, n) == 1:
             total += sum(1 for rep in double_coset_survey(gbar, k) if rep.survives)
     assert gt_full_order(gbar) == total
+
+
+class _CountingIndex(dict):
+    """A model table index that counts its get calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("spec, path", [
+    ("dihedral:3", "product"), ("dihedral:7", "product"), ("dihedral:8", "product"),
+    ("alternating:4", "product"), ("cyclic:6", "scan"), ("cyclic:7", "scan"),
+])
+def test_window_centralizer_matches_brute_commutation(spec, path, monkeypatch) -> None:
+    # the product of the window centralizers is looked up in the model index
+    # when it is smaller than the model; otherwise the model table is scanned
+    gbar = _gbar(spec)
+    base = gbar.base
+    perms = [model_perm(gbar, i) for i in range(gbar.order)]
+    for a in (gbar.table.gen_cols[0][0], gbar.table.gen_cols[1][0]):
+        pa = perms[a]
+        want = [i for i, p in enumerate(perms) if compose(p, pa) == compose(pa, p)]
+        candidates = prod(
+            sum(compose(e, base.elements[b]) == compose(base.elements[b], e)
+                for e in base.elements)
+            for b in gbar.window_ids(a)
+        )
+        index = _CountingIndex(gbar.table.index)
+        monkeypatch.setattr(gbar.table, "index", index)
+        assert gbar_module._window_centralizer(gbar, a) == want
+        monkeypatch.undo()
+        assert (candidates < gbar.order) == (path == "product")
+        assert index.gets == (candidates if path == "product" else 0)
 
 
 def test_left_coset_check_names_the_check(monkeypatch) -> None:

@@ -331,7 +331,7 @@ def test_short_centralizer_fails_the_generating_orbit_check(threads) -> None:
     classes._centralizer_ids[cid] = cent[:1]  # the cache the sweep reads
     with pytest.raises(RuntimeError, match="generating-orbit check failed: class"):
         build_pc(table, classes, threads=threads)
-    pairs._SWEEP_STATE.clear()  # a failed serial sweep leaves its state behind
+    assert not pairs._SWEEP_STATE  # a failed sweep keeps no table alive
 
 
 @pytest.mark.parametrize(
